@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInputError
+from .errors import MALFORMED_RECORD_ERRORS, ConfigError, InvalidInputError, malformed
 from .numerics import log_softmax
 from .objectives import SpanTarget
 
@@ -437,21 +437,22 @@ def load_dataset(path):
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise InvalidInputError(f"{path}:{line_no}: bad record: {err}") from err
-            passage = Passage.from_text(record["passage_id"], record["passage"])
-            gold = char_span_to_token_span(
-                passage, record["answer_starts"][0], record["answers"][0]
-            )
-            candidates = [
-                char_span_to_token_span(passage, c["start"], c["text"])
-                for c in record.get("candidates", [])
-            ]
-            examples.append(
-                Example.build(
-                    record["id"], record["question"], passage, record["answers"], gold, candidates
+                passage = Passage.from_text(record["passage_id"], record["passage"])
+                gold = char_span_to_token_span(
+                    passage, record["answer_starts"][0], record["answers"][0]
                 )
-            )
+                candidates = [
+                    char_span_to_token_span(passage, c["start"], c["text"])
+                    for c in record.get("candidates", [])
+                ]
+                examples.append(
+                    Example.build(
+                        record["id"], record["question"], passage, record["answers"], gold,
+                        candidates,
+                    )
+                )
+            except MALFORMED_RECORD_ERRORS as err:
+                raise malformed(path, line_no, "record", err) from err
     if not examples:
         raise InvalidInputError(f"{path}: no examples")
     return examples
@@ -507,22 +508,26 @@ def save_contexts(contexts, path) -> None:
 def load_contexts(path):
     contexts = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            passages = []
-            for p in record["passages"]:
-                passage = Passage.from_text(p["id"], p["text"])
-                gt = {SpanTarget(s, e) for s, e in p["gt"]}
-                passages.append(ContextPassage(passage, p["score"], gt))
-            tokens, _ = tokenize(record["question"])
-            contexts.append(
-                ContextSet(
-                    record["question_id"], record["question"], tokens, passages, record["short"]
+            try:
+                record = json.loads(line)
+                passages = []
+                for p in record["passages"]:
+                    passage = Passage.from_text(p["id"], p["text"])
+                    gt = {SpanTarget(s, e) for s, e in p["gt"]}
+                    passages.append(ContextPassage(passage, p["score"], gt))
+                tokens, _ = tokenize(record["question"])
+                contexts.append(
+                    ContextSet(
+                        record["question_id"], record["question"], tokens, passages,
+                        record["short"],
+                    )
                 )
-            )
+            except MALFORMED_RECORD_ERRORS as err:
+                raise malformed(path, line_no, "context", err) from err
     if not contexts:
         raise InvalidInputError(f"{path}: no contexts")
     return contexts

@@ -1,69 +1,132 @@
 """Turning span scores into ranked answer predictions.
 
-A :class:`SpanDistribution` holds every candidate span with its probability,
-kept sorted so the argmax and top-k are a deterministic prefix.  Builders
-cover the three decoding families (independent product, joint softmax,
-conditional beam), and two inference-time filters reshape a distribution
-without renormalizing it: a length cutoff and surface-form aggregation.
+A :class:`SpanDistribution` holds every candidate span as parallel NumPy
+arrays (``starts``, ``ends``, ``probs``).  Nothing is sorted up front: a
+caller ranks only the prefix it needs, in the deterministic order of
+descending probability, ties broken by earlier start then earlier end.
+Builders cover the three decoding families (independent product, joint
+softmax, conditional beam), and two inference-time filters reshape a
+distribution without renormalizing it: a length cutoff and surface-form
+aggregation.
+
+Rows that are not answers stay in a distribution but are never predicted:
+an inverted span (end before start, which the ``full`` policy and the beam
+emit) keeps its mass and rank, is never looked up as text and never pooled;
+a span at probability zero (cut by the length filter, or pooled away by the
+surface-form filter) is skipped by :func:`top_k` like an inverted one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .numerics import MASK_VALID, ScoreMatrix, _check_finite_vector, log_softmax, span_mask, vectorize
+from .numerics import MASK_VALID, ScoreMatrix, _check_finite_vector, log_softmax, span_mask
 from .objectives import ConditionalParams, SpanTarget, conditional_end_scores
 
 DEFAULT_MAX_SPAN_LENGTH = 30
 DEFAULT_SURFACE_TOP_K = 100
 DEFAULT_BEAM_WIDTH = 10
 
+# math.exp elementwise: NumPy's vectorized exp can differ from libm's in the
+# last ulp, and beam probabilities are pinned by the golden decode digests.
+_exact_exp = np.frompyfunc(math.exp, 1, 1)
 
-@dataclass
+
+def rank_rows(starts: np.ndarray, ends: np.ndarray, probs: np.ndarray, n: int) -> np.ndarray:
+    """Indices of the ``n`` first rows in (-probability, start, end) order.
+
+    Only the prefix is sorted: every row at or above the n-th largest
+    probability (so ties at the cut are all kept) is lexsorted, then sliced.
+    """
+    size = probs.size
+    if n <= 0:
+        return np.zeros(0, dtype=np.intp)
+    if n < size:
+        cut = np.partition(probs, size - n)[size - n]
+        rows = np.flatnonzero(probs >= cut)
+    else:
+        rows = np.arange(size)
+    order = np.lexsort((ends[rows], starts[rows], -probs[rows]))
+    return rows[order[:n]]
+
+
 class SpanDistribution:
-    """Probabilities over candidate spans, sorted for deterministic decoding.
+    """Probabilities over candidate spans, ranked deterministically on demand.
 
-    ``entries`` are ``(start, end, probability)`` triples in descending
-    probability order, ties broken by earlier start then earlier end.
+    Row ``r`` is the span ``(starts[r], ends[r])`` at probability
+    ``probs[r]``; rows keep their construction order (row-major cells for the
+    matrix decoders) and :meth:`order` ranks a prefix of them.  Filters return
+    a new distribution sharing the span arrays and never write in place.
     ``normalization`` is the current total mass: 1.0 for a freshly built
     distribution, less once a filter has zeroed spans.  ``raw_mass`` records
-    the unnormalized mass the entries covered at construction (the product
-    mass over valid spans, or a beam's joint-factorized candidate mass), so
+    the unnormalized mass the rows covered at construction (the product mass
+    over valid spans, or a beam's joint-factorized candidate mass), so
     ``probability * raw_mass`` recovers pre-normalization values.
+
+    ``SpanDistribution(entries, raw_mass)`` builds one from ``(start, end,
+    probability)`` triples; the decoders use :meth:`from_arrays`.
     """
 
-    entries: list
-    raw_mass: float = 1.0
-    normalization: float = field(init=False)
+    def __init__(self, entries=(), raw_mass: float = 1.0) -> None:
+        entries = list(entries)
+        self._assign(
+            [s for s, _, _ in entries],
+            [e for _, e, _ in entries],
+            [p for _, _, p in entries],
+            raw_mass,
+        )
 
-    def __post_init__(self) -> None:
-        cleaned = []
-        for start, end, prob in self.entries:
-            prob = float(prob)
-            if not np.isfinite(prob) or prob < 0.0:
-                raise InvalidInputError(f"bad span probability {prob!r}")
-            cleaned.append((int(start), int(end), prob))
-        cleaned.sort(key=lambda entry: (-entry[2], entry[0], entry[1]))
-        self.entries = cleaned
-        self.normalization = math.fsum(entry[2] for entry in cleaned)
+    @classmethod
+    def from_arrays(cls, starts, ends, probs, raw_mass: float = 1.0) -> "SpanDistribution":
+        dist = cls.__new__(cls)
+        dist._assign(starts, ends, probs, raw_mass)
+        return dist
+
+    def _assign(self, starts, ends, probs, raw_mass) -> None:
+        self.starts = np.asarray(starts, dtype=np.int64)
+        self.ends = np.asarray(ends, dtype=np.int64)
+        self.probs = np.asarray(probs, dtype=np.float64)
+        if not self.starts.shape == self.ends.shape == self.probs.shape == (self.probs.size,):
+            raise InvalidInputError("span starts, ends and probabilities must be aligned vectors")
+        bad = ~(np.isfinite(self.probs) & (self.probs >= 0.0))
+        if bad.any():
+            raise InvalidInputError(f"bad span probability {self.probs[bad][0]!r}")
+        self.raw_mass = float(raw_mass)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.probs.size
+
+    @property
+    def normalization(self) -> float:
+        return math.fsum(self.probs)
+
+    def order(self, n: int | None = None) -> np.ndarray:
+        """Row indices of the ``n`` highest-ranked spans (all when ``None``)."""
+        return rank_rows(self.starts, self.ends, self.probs, len(self) if n is None else n)
+
+    @property
+    def entries(self) -> list:
+        """Every ``(start, end, probability)`` triple in ranked order.
+
+        Sorts the whole distribution; decoding reads :meth:`order` prefixes.
+        """
+        rows = self.order()
+        return list(
+            zip(self.starts[rows].tolist(), self.ends[rows].tolist(), self.probs[rows].tolist())
+        )
 
     def top_span(self) -> tuple[int, int]:
         """The argmax span under the deterministic tie-break."""
-        start, end, _ = self.entries[0]
-        return start, end
+        (row,) = self.order(1)
+        return int(self.starts[row]), int(self.ends[row])
 
     def probability(self, start: int, end: int) -> float:
-        for s, e, p in self.entries:
-            if (s, e) == (start, end):
-                return p
-        return 0.0
+        hits = (self.starts == start) & (self.ends == end)
+        return float(self.probs[hits].max()) if hits.any() else 0.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +156,7 @@ def independent_distribution(
     """Distribution of P(start) * P(end) products over unmasked spans.
 
     The products over valid spans do not sum to one (mass on masked cells is
-    dropped), so entries are renormalized; the dropped-mass total survives in
+    dropped), so they are renormalized; the dropped-mass total survives in
     ``raw_mass``.
     """
     start_scores = _check_finite_vector(start_scores)
@@ -102,21 +165,17 @@ def independent_distribution(
         raise InvalidInputError("start/end score lengths differ")
     p_start = np.exp(log_softmax(start_scores))
     p_end = np.exp(log_softmax(end_scores))
-    mask = span_mask(start_scores.size, policy)
-    grid = np.outer(p_start, p_end)
-    rows, cols = np.nonzero(mask)
-    probs = grid[rows, cols]
+    starts, ends = np.nonzero(span_mask(start_scores.size, policy))
+    probs = p_start[starts] * p_end[ends]
     raw = math.fsum(probs)
-    entries = list(zip(rows.tolist(), cols.tolist(), (probs / raw).tolist()))
-    return SpanDistribution(entries, raw_mass=raw)
+    return SpanDistribution.from_arrays(starts, ends, probs / raw, raw_mass=raw)
 
 
 def joint_distribution(scores: ScoreMatrix) -> SpanDistribution:
-    """Softmax over every unmasked span score."""
-    flat, index_map = vectorize(scores)
-    probs = np.exp(log_softmax(flat))
-    entries = [(i, j, p) for (i, j), p in zip(index_map, probs.tolist())]
-    return SpanDistribution(entries, raw_mass=1.0)
+    """Softmax over every unmasked span score, cells in row-major order."""
+    starts, ends = np.nonzero(scores.mask)
+    probs = np.exp(log_softmax(scores.values[scores.mask]))
+    return SpanDistribution.from_arrays(starts, ends, probs, raw_mass=1.0)
 
 
 def beam_decode(
@@ -132,26 +191,24 @@ def beam_decode(
     P(start) * P(end | start).  The (up to) k^2 candidates are normalized
     over themselves for ranking; ``raw_mass`` keeps their joint-factorized
     total, so raw probabilities are ``probability * raw_mass``.  With k = L
-    this enumerates every pair exactly.
+    this enumerates every pair exactly, inverted ones included.
     """
     if k < 1:
         raise InvalidInputError(f"beam width must be >= 1, got {k}")
     start_scores = _check_finite_vector(start_scores)
-    length = start_scores.size
-    width = min(k, length)
+    width = min(k, start_scores.size)
     start_logp = log_softmax(start_scores)
     top_starts = np.argsort(-start_logp, kind="stable")[:width]
-
-    candidates = []
-    for i in top_starts.tolist():
-        end_logp = log_softmax(conditional_end_scores(h, i, params))
-        top_ends = np.argsort(-end_logp, kind="stable")[:width]
-        for j in top_ends.tolist():
-            candidates.append((i, j, math.exp(start_logp[i] + end_logp[j])))
-
-    raw = math.fsum(prob for _, _, prob in candidates)
-    entries = [(i, j, prob / raw) for i, j, prob in candidates]
-    return SpanDistribution(entries, raw_mass=raw)
+    end_logp = np.stack(
+        [log_softmax(conditional_end_scores(h, i, params)) for i in top_starts.tolist()]
+    )
+    top_ends = np.argsort(-end_logp, axis=1, kind="stable")[:, :width]
+    logp = start_logp[top_starts][:, None] + np.take_along_axis(end_logp, top_ends, axis=1)
+    probs = _exact_exp(logp.ravel()).astype(np.float64)
+    raw = math.fsum(probs)
+    return SpanDistribution.from_arrays(
+        np.repeat(top_starts, width), top_ends.ravel(), probs / raw, raw_mass=raw
+    )
 
 
 def length_filter(dist: SpanDistribution, zeta: int = DEFAULT_MAX_SPAN_LENGTH) -> SpanDistribution:
@@ -162,10 +219,8 @@ def length_filter(dist: SpanDistribution, zeta: int = DEFAULT_MAX_SPAN_LENGTH) -
     """
     if zeta < 0:
         raise InvalidInputError(f"length threshold must be >= 0, got {zeta}")
-    entries = [
-        (s, e, 0.0 if e - s > zeta else p) for s, e, p in dist.entries
-    ]
-    return SpanDistribution(entries, raw_mass=dist.raw_mass)
+    probs = np.where(dist.ends - dist.starts > zeta, 0.0, dist.probs)
+    return SpanDistribution.from_arrays(dist.starts, dist.ends, probs, raw_mass=dist.raw_mass)
 
 
 def surface_form_filter(
@@ -175,23 +230,24 @@ def surface_form_filter(
 
     Among the k highest-ranked spans, the probability of every span covering
     the same surface string is summed into that string's most probable
-    position; the other positions drop to zero.  Spans below the top-k are
-    untouched, and the total top-k mass is conserved.
+    position; the other positions drop to zero.  Inverted spans in the top-k
+    have no surface string: they keep their mass and are never pooled.
+    Spans below the top-k are untouched, and the total top-k mass is
+    conserved.  Only the top-k rows are looked up as text.
     """
     if k < 1:
         raise InvalidInputError(f"top-k cutoff must be >= 1, got {k}")
-    head = dist.entries[:k]
-    tail = dist.entries[k:]
+    head = dist.order(k)
     groups: dict[str, list] = {}
-    for s, e, p in head:
-        groups.setdefault(span_text(passage, s, e), []).append((s, e, p))
-    entries = list(tail)
-    for spans in groups.values():
-        # Entries arrive rank-ordered, so the first holds the group's mass.
-        best_s, best_e, _ = spans[0]
-        entries.append((best_s, best_e, math.fsum(p for _, _, p in spans)))
-        entries.extend((s, e, 0.0) for s, e, _ in spans[1:])
-    return SpanDistribution(entries, raw_mass=dist.raw_mass)
+    for row, s, e in zip(head.tolist(), dist.starts[head].tolist(), dist.ends[head].tolist()):
+        if e >= s:
+            groups.setdefault(span_text(passage, s, e), []).append(row)
+    probs = dist.probs.copy()
+    for rows in groups.values():
+        # Rows arrive rank-ordered, so the first holds the group's mass.
+        probs[rows[0]] = math.fsum(dist.probs[rows])
+        probs[rows[1:]] = 0.0
+    return SpanDistribution.from_arrays(dist.starts, dist.ends, probs, raw_mass=dist.raw_mass)
 
 
 def apply_filters(
@@ -218,21 +274,20 @@ def apply_filters(
 def top_k(dist: SpanDistribution, k: int, passage=None) -> list[Prediction]:
     """The k highest-probability predictions under the deterministic order.
 
-    Inverted candidates (end before start, possible in raw beam output) are
-    not extractable answers and are skipped.  Texts are recovered from the
-    passage when one is supplied.
+    Only extractable spans with mass are predictions: inverted candidates
+    (end before start) and spans at probability zero (cut by a filter) are
+    skipped.  Texts are recovered from the passage when one is supplied.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
-    predictions = []
-    for s, e, p in dist.entries:
-        if e < s:
-            continue
-        text = span_text(passage, s, e) if passage is not None else ""
-        predictions.append(Prediction(SpanTarget(s, e), text, p))
-        if len(predictions) == k:
-            break
-    return predictions
+    live = np.flatnonzero((dist.ends >= dist.starts) & (dist.probs > 0.0))
+    rows = live[rank_rows(dist.starts[live], dist.ends[live], dist.probs[live], k)]
+    return [
+        Prediction(SpanTarget(s, e), span_text(passage, s, e) if passage is not None else "", p)
+        for s, e, p in zip(
+            dist.starts[rows].tolist(), dist.ends[rows].tolist(), dist.probs[rows].tolist()
+        )
+    ]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ class InvalidInputError(SpanObjError, ValueError):
     """Arguments violate a precondition (shape, finiteness, range)."""
 
 
+class MalformedFileError(InvalidInputError):
+    """A dataset, contexts or checkpoint file that does not parse; names file and line."""
+
+
 class DegenerateInputError(InvalidInputError):
     """Structurally empty input, e.g. an all-masked span matrix."""
 
@@ -43,3 +47,14 @@ class VocabularyError(SpanObjError, ValueError):
 
 class ConfigError(SpanObjError, ValueError):
     """Invalid or unknown configuration values."""
+
+
+# What a parser of one line-delimited record raises when the line is valid
+# text but not a valid record (bad JSON, missing key, wrong type or value).
+MALFORMED_RECORD_ERRORS = (ValueError, KeyError, IndexError, TypeError)
+
+
+def malformed(path, line_no: int, what: str, err: Exception) -> MalformedFileError:
+    """A :class:`MalformedFileError` naming ``path:line_no`` for parse failure ``err``."""
+    detail = f"missing key {err}" if isinstance(err, KeyError) else f"{type(err).__name__}: {err}"
+    return MalformedFileError(f"{path}:{line_no}: bad {what}: {detail}")

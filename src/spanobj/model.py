@@ -25,10 +25,13 @@ import numpy as np
 
 from . import decoding
 from .errors import (
+    MALFORMED_RECORD_ERRORS,
     ConfigError,
     DivergenceError,
     InvalidInputError,
+    SpanObjError,
     VocabularyError,
+    malformed,
 )
 from .evaluation import em_f1
 from .numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix
@@ -832,41 +835,51 @@ def load_checkpoint(path) -> Checkpoint:
         magic = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise InvalidInputError(f"not a checkpoint file (magic {magic!r})")
-        header = json.loads(fh.readline().decode("utf-8"))
-        arrays = {}
-        for name, shape in header["blocks"]:
-            arrays[name] = _read_block(fh, shape)
-        sim = SimilarityParams(header["similarity"], arrays.get("w_sim"))
-        params = ModelParams(
-            emb=arrays["emb"],
-            w_q=arrays["w_q"],
-            b_q=arrays["b_q"],
-            w_mix=arrays["w_mix"],
-            b_mix=arrays["b_mix"],
-            w_s=arrays["w_s"],
-            b_s=arrays["b_s"],
-            w_e=arrays["w_e"],
-            b_e=arrays["b_e"],
-            w_joint=arrays["w_joint"],
-            b_joint=arrays["b_joint"],
-            cond=ConditionalParams(arrays["w_cond"], arrays["b_cond"], arrays["w_cond_out"]),
-            similarity=sim,
+        try:
+            return _read_checkpoint(fh)
+        except SpanObjError:
+            raise
+        except MALFORMED_RECORD_ERRORS as err:
+            # The header (line 2) drives everything read after it.
+            raise malformed(path, 2, "checkpoint header", err) from err
+
+
+def _read_checkpoint(fh) -> Checkpoint:
+    header = json.loads(fh.readline().decode("utf-8"))
+    arrays = {}
+    for name, shape in header["blocks"]:
+        arrays[name] = _read_block(fh, shape)
+    sim = SimilarityParams(header["similarity"], arrays.get("w_sim"))
+    params = ModelParams(
+        emb=arrays["emb"],
+        w_q=arrays["w_q"],
+        b_q=arrays["b_q"],
+        w_mix=arrays["w_mix"],
+        b_mix=arrays["b_mix"],
+        w_s=arrays["w_s"],
+        b_s=arrays["b_s"],
+        w_e=arrays["w_e"],
+        b_e=arrays["b_e"],
+        w_joint=arrays["w_joint"],
+        b_joint=arrays["b_joint"],
+        cond=ConditionalParams(arrays["w_cond"], arrays["b_cond"], arrays["w_cond_out"]),
+        similarity=sim,
+    )
+    optimizer = None
+    if header.get("optimizer"):
+        meta = header["optimizer"]
+        optimizer = AdamW(
+            lr=meta["lr"],
+            weight_decay=meta["weight_decay"],
+            beta1=meta["beta1"],
+            beta2=meta["beta2"],
+            eps=meta["eps"],
+            t=meta["t"],
         )
-        optimizer = None
-        if header.get("optimizer"):
-            meta = header["optimizer"]
-            optimizer = AdamW(
-                lr=meta["lr"],
-                weight_decay=meta["weight_decay"],
-                beta1=meta["beta1"],
-                beta2=meta["beta2"],
-                eps=meta["eps"],
-                t=meta["t"],
-            )
-            for name, shape in header["blocks"]:
-                optimizer.m[name] = _read_block(fh, shape)
-            for name, shape in header["blocks"]:
-                optimizer.v[name] = _read_block(fh, shape)
+        for name, shape in header["blocks"]:
+            optimizer.m[name] = _read_block(fh, shape)
+        for name, shape in header["blocks"]:
+            optimizer.v[name] = _read_block(fh, shape)
     return Checkpoint(
         params=params,
         objective=header["objective"],

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidTargetError, NoSupervisionError
-from .numerics import ScoreMatrix, _check_finite_vector, log_softmax, logsumexp, vectorize
+from .numerics import ScoreMatrix, _check_finite_vector, log_softmax, logsumexp
 
 BOUNDARY_START = "start"
 BOUNDARY_END = "end"
@@ -156,12 +156,15 @@ def joint_loss(scores: ScoreMatrix, target: SpanTarget) -> LossResult:
     target.check_length(scores.length)
     if not scores.mask[target.start, target.end]:
         raise InvalidTargetError(f"target span ({target.start}, {target.end}) is masked")
-    flat, index_map = vectorize(scores)
-    flat_target = index_map.index((target.start, target.end))
+    # Boolean-mask indexing flattens row-major, so the target's flat index is
+    # the number of unmasked cells before it.
+    flat = scores.values[scores.mask]
+    flat_target = int(np.count_nonzero(scores.mask[: target.start])) + int(
+        np.count_nonzero(scores.mask[target.start, : target.end])
+    )
     loss, flat_grad = _softmax_ce(flat, flat_target)
     grad = np.zeros_like(scores.values)
-    rows, cols = zip(*index_map)
-    grad[list(rows), list(cols)] = flat_grad
+    grad[scores.mask] = flat_grad
     return LossResult(loss, grad_joint=grad)
 
 
@@ -255,9 +258,10 @@ def conditional_loss(
 def _pooled_domain(target: SharedNormTarget, boundary: str):
     """Flatten every passage's score domain and gold set into pooled arrays.
 
-    Returns (pooled scores, per-passage flat index lists, pooled gt mask),
-    iterating passages in order and positions row-major, so pooled order is
-    deterministic and a gt set equal to the full domain reproduces it exactly.
+    Returns (pooled scores, per-passage ``(offset, size, mask)`` layouts,
+    pooled gt mask), iterating passages in order and positions row-major, so
+    pooled order is deterministic and a gt set equal to the full domain
+    reproduces it exactly.  ``mask`` is the joint score mask, else None.
     """
     pooled: list[np.ndarray] = []
     layouts = []
@@ -267,30 +271,31 @@ def _pooled_domain(target: SharedNormTarget, boundary: str):
         if boundary == BOUNDARY_JOINT:
             if not isinstance(scores, ScoreMatrix):
                 raise InvalidInputError("joint boundary requires ScoreMatrix passages")
-            flat, index_map = vectorize(scores)
-            positions = {cell: k for k, cell in enumerate(index_map)}
-            cells = set()
+            mask = scores.mask
+            flat = scores.values[mask]
+            # Flat position of every cell, valid where the mask is set.
+            position = np.cumsum(mask).reshape(mask.shape) - 1
+            gt_idx = set()
             for cell in gt:
                 if isinstance(cell, SpanTarget):
                     cell = (cell.start, cell.end)
                 else:
                     cell = (int(cell[0]), int(cell[1]))
-                if cell not in positions:
+                if not (0 <= min(cell) and max(cell) < scores.length and mask[cell]):
                     raise InvalidTargetError(f"gt span {cell} is masked or out of range")
-                cells.add(cell)
-            gt_idx = sorted(positions[cell] for cell in cells)
+                gt_idx.add(int(position[cell]))
         else:
             flat = _check_finite_vector(scores)
             for pos in gt:
                 if not 0 <= int(pos) < flat.size:
                     raise InvalidTargetError(f"gt position {pos} out of range")
-            index_map = None
-            gt_idx = sorted(int(pos) for pos in set(gt))
+            mask = None
+            gt_idx = {int(pos) for pos in gt}
         flags = np.zeros(flat.size, dtype=bool)
-        flags[gt_idx] = True
+        flags[sorted(gt_idx)] = True
         pooled.append(flat)
         gt_flags.append(flags)
-        layouts.append((offset, flat.size, index_map))
+        layouts.append((offset, flat.size, mask))
         offset += flat.size
     return np.concatenate(pooled), layouts, np.concatenate(gt_flags)
 
@@ -316,12 +321,11 @@ def shared_norm_loss(target: SharedNormTarget, boundary: str) -> LossResult:
     grad_flat[gt_mask] -= np.exp(scores[gt_mask] - lse_gt)
 
     grads = []
-    for (offset, size, index_map), passage in zip(layouts, target.passages):
+    for (offset, size, mask), passage in zip(layouts, target.passages):
         block = grad_flat[offset : offset + size]
-        if boundary == BOUNDARY_JOINT:
+        if mask is not None:
             g = np.zeros_like(passage.values)
-            rows, cols = zip(*index_map)
-            g[list(rows), list(cols)] = block
+            g[mask] = block
         else:
             g = block.copy()
         grads.append(g)

@@ -349,3 +349,48 @@ def test_context_requires_known_passages(pipeline, tmp_path, capsys):
         "context", "--data", str(pipeline["corpus"] / "train.jsonl"),
         "--embeddings", str(short_path), "--out", str(tmp_path / "ctx.jsonl"),
     ], "InvalidInputError")
+
+
+def _corrupt_checkpoint_header(pipeline, tmp_path):
+    bad = tmp_path / "bad.ckpt"
+    magic = _file_bytes(pipeline["checkpoint"]).split(b"\n", 1)[0]
+    bad.write_bytes(magic + b"\n{\"blocks\": [truncated\n")
+    argv = ["decode", "--checkpoint", str(bad),
+            "--data", str(pipeline["corpus"] / "dev.jsonl"), "--out", str(tmp_path / "p.jsonl")]
+    return argv, f"{bad}:2"
+
+
+def _record_without_answer_starts(pipeline, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    lines = (pipeline["corpus"] / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    del record["answer_starts"]
+    lines[1] = json.dumps(record)
+    (corpus / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["train", "--data", str(corpus), "--out", str(tmp_path / "runs"), "--epochs", "1"]
+    return argv, f"{corpus / 'train.jsonl'}:2"
+
+
+def _context_without_passages(pipeline, tmp_path):
+    contexts = tmp_path / "contexts.jsonl"
+    contexts.write_text(json.dumps({"question_id": "q0", "question": "who?"}) + "\n")
+    argv = ["train", "--data", str(pipeline["corpus"]), "--out", str(tmp_path / "runs"),
+            "--objective", "compound-shared", "--contexts", str(contexts), "--epochs", "1"]
+    return argv, f"{contexts}:1"
+
+
+@pytest.mark.parametrize("make_input", [
+    _corrupt_checkpoint_header, _record_without_answer_starts, _context_without_passages,
+])
+def test_malformed_files_report_one_json_line_naming_file_and_line(
+    pipeline, tmp_path, capsys, make_input
+):
+    argv, where = make_input(pipeline, tmp_path)
+    rc = cli.main(argv)
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err_lines) == 1
+    record = json.loads(err_lines[0])
+    assert record["error"] == "MalformedFileError"
+    assert record["message"].startswith(where + ": ")

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from spanobj.data import Passage
+from spanobj.data import (
+    MODE_TWIN,
+    GeneratorConfig,
+    Passage,
+    Vocabulary,
+    encode_examples,
+    generate_synthetic,
+)
 from spanobj.decoding import (
+    DEFAULT_MAX_SPAN_LENGTH,
     SpanDistribution,
     apply_filters,
     beam_decode,
@@ -21,8 +29,15 @@ from spanobj.decoding import (
     two_region_fixture,
 )
 from spanobj.errors import InvalidInputError
-from spanobj.numerics import MASK_FULL, MASK_VALID, ScoreMatrix, log_softmax
-from spanobj.objectives import ConditionalParams, conditional_end_scores
+from spanobj.model import TrainConfig, predict_distribution, train
+from spanobj.numerics import MASK_FULL, MASK_POLICIES, MASK_VALID, ScoreMatrix, log_softmax
+from spanobj.objectives import (
+    OBJ_COMPOUND,
+    OBJ_COMPOUND_SHARED,
+    OBJECTIVE_KINDS,
+    ConditionalParams,
+    conditional_end_scores,
+)
 
 
 def _random_cond(rng, d, hidden=4):
@@ -300,6 +315,23 @@ def test_top_k_skips_inverted_spans_and_recovers_text():
         top_k(dist, 0)
 
 
+def test_top_k_skips_spans_a_filter_zeroed():
+    dist = SpanDistribution([(0, 5, 0.0), (1, 1, 0.7), (2, 2, 0.3), (3, 3, 0.0)])
+    predictions = top_k(dist, 4)
+    assert [(p.span.start, p.span.end) for p in predictions] == [(1, 1), (2, 2)]
+
+
+def test_surface_form_filter_leaves_inverted_spans_alone():
+    # (1, 0) ranks inside the top-k but has no surface string: it keeps its
+    # mass and rank and is never pooled, even in a plain token passage.
+    tokens = ["a", "b", "a"]
+    dist = SpanDistribution([(1, 0, 0.4), (0, 0, 0.3), (2, 2, 0.2), (2, 1, 0.1)])
+    filtered = surface_form_filter(dist, tokens, k=4)
+    assert filtered.entries == [(0, 0, 0.5), (1, 0, 0.4), (2, 1, 0.1), (2, 2, 0.0)]
+    passage = Passage.from_text("p", "a b a")
+    assert surface_form_filter(dist, passage, k=4).entries == filtered.entries
+
+
 def test_span_text_joins_tokens_without_passage_offsets():
     assert span_text(["a", "b", "c"], 1, 2) == "b c"
     passage = Passage.from_text("p", "hello , world")
@@ -347,3 +379,48 @@ def test_random_two_region_fixtures_never_trap_the_joint_decoder():
         assert not report.joint_crosses
         crossings += report.independent_crosses
     assert crossings == 100  # the product decoder falls for it every time
+
+
+# ---------------------------------------------------------------------------
+# Every decoder and filter at a long passage
+
+
+def _check_ranked(predictions, zeta=None):
+    keys = []
+    for pred in predictions:
+        s, e, p = pred.span.start, pred.span.end, pred.probability
+        assert s <= e, f"inverted span ({s}, {e})"
+        assert zeta is None or e - s <= zeta, f"span ({s}, {e}) longer than zeta={zeta}"
+        assert 0.0 <= p <= 1.0 and math.isfinite(p)
+        keys.append((-p, s, e))
+    assert keys == sorted(keys)
+
+
+def test_every_objective_policy_and_filter_decodes_a_180_token_passage():
+    # Briefly trained models: their beams put zeroed (too long) spans within
+    # reach of a top-20 list, which must skip them.
+    config = GeneratorConfig(
+        n_train=32, n_dev=2, subjects=30, attributes=6, value_pool=40,
+        ambiguous_fraction=0.3, distractors=29, mode=MODE_TWIN,
+    )
+    dataset = generate_synthetic(config, 41)
+    vocab = Vocabulary.from_examples(dataset.train + dataset.dev)
+    train_set = encode_examples(dataset.train, vocab)
+    dev_set = encode_examples(dataset.dev, vocab)
+    assert {len(enc.passage_ids) for enc in dev_set} == {180}
+    zeta = DEFAULT_MAX_SPAN_LENGTH
+    for policy in MASK_POLICIES:
+        for objective in OBJECTIVE_KINDS:
+            trained_as = OBJ_COMPOUND if objective == OBJ_COMPOUND_SHARED else objective
+            params = train(train_set, TrainConfig(
+                objective=trained_as, learning_rate=3e-3, epochs=2, policy=policy,
+            ), vocab_size=len(vocab)).params
+            for enc in dev_set:
+                dist = predict_distribution(
+                    params, enc.question_ids, enc.passage_ids, objective, policy
+                )
+                for pipeline in ("none", "lf", "lf+sf"):
+                    filtered = apply_filters(dist, enc.example.passage, pipeline)
+                    predictions = top_k(filtered, 20, enc.example.passage)
+                    assert predictions, (objective, policy, pipeline)
+                    _check_ranked(predictions, None if pipeline == "none" else zeta)
