@@ -9,6 +9,33 @@ joint span head, and a conditional end head.
 Nothing here autodiffs.  ``backward`` applies the chain rule explicitly, and
 the test suite holds every path to central finite differences.
 
+Training runs through one batched core.  A batch is cut into stacks: runs
+of consecutive examples that share a passage length L, at most
+``MAX_STACK`` (8) examples and ``MAX_STACK_CELLS`` (180^2) score cells each,
+so a stack at L=180 holds one example.  Forward, loss and backward work on
+(B, ...) arrays; ``forward``, ``example_loss``, ``backward`` and
+``loss_and_grads`` are the same core at B=1, and shared-normalization
+contexts stack their passages through it too.  Stacking changes no bit of
+any loss, gradient, optimizer moment or checkpoint, because the core keeps
+to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
+
+* products are stacked ``np.matmul`` (``W @ X[B]``, ``A[B] @ C[B]``,
+  transposed views included), matching the 2-D products; one wide
+  reshaped product, ``einsum`` and ``q @ W.T`` do not match.  A
+  matrix-vector product is ``W @ v[:, :, None]``;
+* softmax and row sums run over C-contiguous rows;
+* each example's gradient is added to the total in example order; the
+  ``w_mix`` and ``w_joint`` gradients are formed per example
+  (``a[j] @ b[j]``) rather than as (B, d, 3d) stacks, and embedding rows
+  are summed per example over the stack's distinct ids before they reach
+  the total;
+* questions of different lengths are padded, the padding is zeroed by a
+  0/1 mask and the sum divided by the true count, which equals
+  ``.mean(axis=0)``.
+
+The cap of 8 examples bounds the memory a stack holds; peak memory stays
+within a few percent of a one-example loop.
+
 Example records are duck-typed: training consumes objects carrying
 ``question_ids``, ``passage_ids`` and ``target`` (plus ``example`` for text
 metrics); shared-normalization training consumes contexts carrying
@@ -20,6 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +62,7 @@ from .errors import (
     malformed,
 )
 from .evaluation import em_f1
-from .numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix
+from .numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix, span_mask
 from .objectives import (
     BOUNDARY_END,
     BOUNDARY_JOINT,
@@ -49,20 +77,23 @@ from .objectives import (
     LossResult,
     SharedNormTarget,
     SpanTarget,
-    compound_loss,
-    conditional_loss,
-    independent_loss,
-    joint_loss,
+    compound_rows,
+    conditional_rows,
+    independent_rows,
+    joint_rows,
     shared_norm_loss,
+    stack_one,
+    target_arrays,
+    unstack_one,
 )
 from .similarity import (
     KIND_DOT,
     SIMILARITY_KINDS,
     BoundaryRepresentations,
     SimilarityParams,
-    joint_boundary_reps,
-    span_scores,
-    span_scores_grad,
+    span_score_grads,
+    span_score_values,
+    start_reps,
     weight_length,
 )
 
@@ -196,7 +227,7 @@ def init_params(
 
 
 def zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros_like(arr) for name, arr in params.blocks()}
+    return {name: np.zeros(arr.shape) for name, arr in params.blocks()}
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
@@ -221,10 +252,15 @@ def flatten_grads(params: ModelParams, grads: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward / backward
 
+# A stack holds at most this many examples and score cells, so one at
+# L=180 holds a single example.
+MAX_STACK = 8
+MAX_STACK_CELLS = 180 * 180
+
 
 @dataclass
 class ForwardCache:
-    """Intermediates retained for the backward pass."""
+    """Intermediates of one example, retained for the backward pass."""
 
     question_ids: np.ndarray
     passage_ids: np.ndarray
@@ -239,15 +275,284 @@ class ForwardCache:
     joint: ScoreMatrix
 
 
-def _check_ids(ids, vocab_size: int, what: str) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
+@dataclass
+class _Stack:
+    """Forward intermediates of B examples sharing passage length L.
+
+    Arrays carry a leading B axis; ``question_ids`` concatenates the
+    examples' question ids and ``question_lengths`` splits them.
+    """
+
+    question_ids: np.ndarray
+    question_lengths: np.ndarray
+    passage_ids: np.ndarray   # B x L
+    q_bar: np.ndarray         # B x d
+    q: np.ndarray             # B x d
+    e: np.ndarray             # B x d x L
+    features: np.ndarray      # B x 3d x L
+    h: np.ndarray             # B x d x L
+    start_scores: np.ndarray  # B x L
+    end_scores: np.ndarray    # B x L
+    h_start: np.ndarray | None  # B x d x L joint-head start representations
+    joint: np.ndarray | None    # B x L x L span scores
+    mask: np.ndarray          # L x L span mask the scores are normalized over
+
+
+def _check_ids(seqs, vocab_size: int, what: str) -> list:
+    seqs = [np.asarray(ids, dtype=np.int64) for ids in seqs]
+    if any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
         raise InvalidInputError(f"{what} token ids must be a non-empty 1-d sequence")
-    if ids.min() < 0 or ids.max() >= vocab_size:
+    flat = seqs[0] if len(seqs) == 1 else np.concatenate(seqs)
+    if flat.min() < 0 or flat.max() >= vocab_size:
         raise VocabularyError(
             f"{what} ids out of range for vocabulary of size {vocab_size}"
         )
-    return ids
+    return seqs
+
+
+def _stack_bounds(lengths):
+    """``(lo, hi)`` runs of consecutive items sharing a passage length.
+
+    Each run holds at most ``MAX_STACK`` items and ``MAX_STACK_CELLS``
+    score cells (at least one item).
+    """
+    lo = 0
+    while lo < len(lengths):
+        length = lengths[lo]
+        cap = min(MAX_STACK, max(1, MAX_STACK_CELLS // max(1, length * length)))
+        hi = lo + 1
+        while hi < len(lengths) and hi - lo < cap and lengths[hi] == length:
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _forward_stack(
+    params: ModelParams, question_ids, passage_ids, policy: str, joint: bool = True
+) -> _Stack:
+    """Forward pass of a stack of examples whose passages share one length.
+
+    With ``joint`` False the joint head is skipped and ``h_start``/``joint``
+    are None (the independent and conditional objectives never read them).
+    Nothing is checked for finiteness here; see :func:`_check_finite`.
+    """
+    questions = _check_ids(question_ids, params.vocab_size, "question")
+    passages = _check_ids(passage_ids, params.vocab_size, "passage")
+    passages = passages[0][None] if len(passages) == 1 else np.stack(passages)
+    size, length = passages.shape
+    d = params.dim
+
+    # Mean question embedding.  Questions of different lengths are padded,
+    # the padding zeroed, and the sum divided by the true count.
+    q_lengths = np.array([ids.size for ids in questions])
+    q_flat = questions[0] if size == 1 else np.concatenate(questions)
+    if (q_lengths == q_lengths[0]).all():
+        q_sum = params.emb[q_flat.reshape(size, -1)].sum(axis=1)
+    else:
+        present = np.arange(q_lengths.max()) < q_lengths[:, None]
+        q_pad = np.zeros(present.shape, dtype=np.int64)
+        q_pad[present] = q_flat
+        q_sum = (params.emb[q_pad] * present[:, :, None]).sum(axis=1)
+    q_bar = q_sum / q_lengths[:, None]
+    q = (params.w_q @ q_bar[:, :, None])[:, :, 0] + params.b_q
+
+    e = params.emb[passages].transpose(0, 2, 1)
+    features = np.empty((size, 3 * d, length))
+    features[:, :d] = e
+    np.multiply(e, q[:, :, None], out=features[:, d : 2 * d])
+    features[:, 2 * d :] = q[:, :, None]
+    h = np.tanh(params.w_mix @ features + params.b_mix[:, None])
+
+    start_scores = params.w_s @ h + params.b_s[0]
+    end_scores = params.w_e @ h + params.b_e[0]
+    h_start = scores = None
+    mask = span_mask(length, policy)
+    if joint:
+        h_start = start_reps(h, params.w_joint, params.b_joint)
+        scores = span_score_values(h_start, h, params.similarity)
+    return _Stack(
+        question_ids=q_flat,
+        question_lengths=q_lengths,
+        passage_ids=passages,
+        q_bar=q_bar,
+        q=q,
+        e=e,
+        features=features,
+        h=h,
+        start_scores=start_scores,
+        end_scores=end_scores,
+        h_start=h_start,
+        joint=scores,
+        mask=mask,
+    )
+
+
+def _check_finite(stack: _Stack) -> None:
+    """The checks the one-example containers make, over a whole stack."""
+    h, h_start, scores = stack.h, stack.h_start, stack.joint
+    if not (np.isfinite(h).all() and (h_start is None or np.isfinite(h_start).all())):
+        raise InvalidInputError("boundary representations contain non-finite entries")
+    if not (np.isfinite(stack.start_scores).all() and np.isfinite(stack.end_scores).all()):
+        raise InvalidInputError("score vector contains non-finite entries")
+    if scores is not None and not (
+        np.isfinite(scores).all() or np.isfinite(scores[:, stack.mask]).all()
+    ):
+        raise InvalidInputError("span score matrix has non-finite unmasked entries")
+
+
+def _stack_loss(params: ModelParams, stack: _Stack, targets, objective: str) -> LossResult:
+    """Stacked :class:`LossResult` (``loss`` is a (B,) array) of one objective."""
+    starts, ends = target_arrays(targets)
+    if objective == OBJ_INDEPENDENT:
+        return independent_rows(stack.start_scores, stack.end_scores, starts, ends)
+    if objective == OBJ_JOINT:
+        return joint_rows(stack.joint, stack.mask, starts, ends)
+    if objective in (OBJ_COMPOUND, OBJ_COMPOUND_SHARED):
+        return compound_rows(
+            stack.start_scores, stack.end_scores, stack.joint, stack.mask, starts, ends
+        )
+    if objective == OBJ_CONDITIONAL:
+        return conditional_rows(stack.start_scores, stack.h, params.cond, starts, ends)
+    raise ConfigError(f"unknown objective {objective!r}")
+
+
+def _accumulate(total: np.ndarray, stack) -> None:
+    # One example after the other, as a per-example loop adds them.
+    for g in stack:
+        total += g
+
+
+def _backward_stack(
+    params: ModelParams, stack: _Stack, result: LossResult, objective: str, grads: dict
+) -> None:
+    """Add every example's parameter gradient to ``grads``, in example order.
+
+    The routing depends on the objective: boundary-score gradients flow
+    through w_s/w_e, joint-matrix gradients through the joint head and
+    similarity weights, and the conditional objective supplies its own
+    representation and head gradients (its grad_end lives in conditional
+    end-score space and must not touch w_e).
+    """
+    h = stack.h
+    size = h.shape[0]
+    d_h = np.zeros_like(h)
+
+    if result.grad_start is not None:
+        g = result.grad_start
+        _accumulate(grads["w_s"], (h @ g[:, :, None])[:, :, 0])
+        _accumulate(grads["b_s"], g.sum(axis=1))
+        d_h += params.w_s[:, None] * g[:, None, :]
+
+    routes_end = objective in (OBJ_INDEPENDENT, OBJ_COMPOUND, OBJ_COMPOUND_SHARED)
+    if result.grad_end is not None and routes_end:
+        g = result.grad_end
+        _accumulate(grads["w_e"], (h @ g[:, :, None])[:, :, 0])
+        _accumulate(grads["b_e"], g.sum(axis=1))
+        d_h += params.w_e[:, None] * g[:, None, :]
+
+    if result.grad_joint is not None:
+        d_hs, d_he, d_w_sim = span_score_grads(
+            stack.h_start, h, params.similarity, result.grad_joint
+        )
+        for j in range(size):
+            grads["w_joint"] += d_hs[j] @ h[j].T
+        _accumulate(grads["b_joint"], d_hs.sum(axis=2))
+        d_h += params.w_joint.T @ d_hs + d_he
+        if d_w_sim is not None:
+            _accumulate(grads["w_sim"], d_w_sim)
+
+    if result.grad_cond is not None:
+        _accumulate(grads["w_cond"], result.grad_cond.w)
+        _accumulate(grads["b_cond"], result.grad_cond.b)
+        _accumulate(grads["w_cond_out"], result.grad_cond.w_out)
+    if result.grad_h is not None:
+        d_h += result.grad_h
+
+    # Through H = tanh(w_mix F + b_mix).
+    d_pre = d_h * (1.0 - h**2)
+    for j in range(size):
+        grads["w_mix"] += d_pre[j] @ stack.features[j].T
+    _accumulate(grads["b_mix"], d_pre.sum(axis=2))
+    d_features = params.w_mix.T @ d_pre
+
+    d = params.dim
+    d_e = d_features[:, :d] + d_features[:, d : 2 * d] * stack.q[:, :, None]
+    d_q = (d_features[:, d : 2 * d] * stack.e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
+
+    # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
+    _accumulate(grads["w_q"], d_q[:, :, None] * stack.q_bar[:, None, :])
+    _accumulate(grads["b_q"], d_q)
+    d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
+
+    # Embedding rows: each example's passage rows, then its question rows,
+    # summed per example over the stack's distinct ids before the total.
+    q_lengths = stack.question_lengths
+    length = h.shape[2]
+    token_ids = np.concatenate([stack.passage_ids.ravel(), stack.question_ids])
+    seen = np.zeros(params.vocab_size, dtype=bool)
+    seen[token_ids] = True
+    ids = np.flatnonzero(seen)
+    slot_of = np.zeros(params.vocab_size, dtype=np.int64)
+    slot_of[ids] = np.arange(ids.size)
+    where = slot_of[token_ids]
+    slot = where + ids.size * np.concatenate(
+        [np.repeat(np.arange(size), length), np.repeat(np.arange(size), q_lengths)]
+    )
+    local = np.zeros((size * ids.size, d))
+    np.add.at(local, slot[: size * length], d_e.transpose(0, 2, 1).reshape(size * length, d))
+    np.add.at(
+        local, slot[size * length :], np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
+    )
+    rows = grads["emb"][ids]
+    _accumulate(rows, local.reshape(size, ids.size, d))
+    grads["emb"][ids] = rows
+
+
+def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
+    """Per-example losses and the summed parameter gradients of a batch.
+
+    The batch runs through the model core as stacks of consecutive examples
+    that share a passage length.  Losses and gradients equal a loop of
+    :func:`loss_and_grads` over the batch bit for bit, the gradients added
+    up in example order.
+    """
+    grads = zero_grads(params)
+    losses = []
+    # The independent and conditional objectives never read the joint head.
+    joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
+    for lo, hi in _stack_bounds([np.size(ex.passage_ids) for ex in batch]):
+        examples = batch[lo:hi]
+        stack = _forward_stack(
+            params,
+            [ex.question_ids for ex in examples],
+            [ex.passage_ids for ex in examples],
+            policy,
+            joint=joint,
+        )
+        _check_finite(stack)
+        result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
+        _backward_stack(params, stack, result, objective, grads)
+        losses += result.loss.tolist()
+    return losses, grads
+
+
+def _cache_stack(cache: ForwardCache) -> _Stack:
+    """A one-example forward cache as a B=1 stack."""
+    return _Stack(
+        question_ids=cache.question_ids,
+        question_lengths=np.array([cache.question_ids.size]),
+        passage_ids=cache.passage_ids[None],
+        q_bar=cache.q_bar[None],
+        q=cache.q[None],
+        e=cache.e[None],
+        features=cache.features[None],
+        h=cache.h[None],
+        start_scores=cache.start_scores[None],
+        end_scores=cache.end_scores[None],
+        h_start=cache.reps.h_start[None],
+        joint=cache.joint.values[None],
+        mask=cache.joint.mask,
+    )
 
 
 def forward(
@@ -257,111 +562,35 @@ def forward(
     policy: str = MASK_VALID,
 ) -> ForwardCache:
     """Full forward pass producing boundary scores and the joint score matrix."""
-    question_ids = _check_ids(question_ids, params.vocab_size, "question")
-    passage_ids = _check_ids(passage_ids, params.vocab_size, "passage")
-
-    q_bar = params.emb[question_ids].mean(axis=0)
-    q = params.w_q @ q_bar + params.b_q
-    e = params.emb[passage_ids].T
-    length = e.shape[1]
-    features = np.vstack([e, e * q[:, None], np.tile(q[:, None], (1, length))])
-    h = np.tanh(params.w_mix @ features + params.b_mix[:, None])
-
-    start_scores = params.w_s @ h + params.b_s[0]
-    end_scores = params.w_e @ h + params.b_e[0]
-    reps = joint_boundary_reps(h, params.w_joint, params.b_joint)
-    joint = span_scores(reps, params.similarity, policy)
+    stack = _forward_stack(params, [question_ids], [passage_ids], policy)
     return ForwardCache(
-        question_ids=question_ids,
-        passage_ids=passage_ids,
-        q_bar=q_bar,
-        q=q,
-        e=e,
-        features=features,
-        h=h,
-        start_scores=start_scores,
-        end_scores=end_scores,
-        reps=reps,
-        joint=joint,
+        question_ids=stack.question_ids,
+        passage_ids=stack.passage_ids[0],
+        q_bar=stack.q_bar[0],
+        q=stack.q[0],
+        e=stack.e[0],
+        features=stack.features[0],
+        h=stack.h[0],
+        start_scores=stack.start_scores[0],
+        end_scores=stack.end_scores[0],
+        reps=BoundaryRepresentations(stack.h_start[0], stack.h[0]),
+        joint=ScoreMatrix(stack.joint[0], stack.mask),
     )
 
 
 def example_loss(params: ModelParams, cache: ForwardCache, target: SpanTarget, objective: str) -> LossResult:
     """Loss of one example under the chosen objective, with score gradients."""
-    if objective == OBJ_INDEPENDENT:
-        return independent_loss(cache.start_scores, cache.end_scores, target)
-    if objective == OBJ_JOINT:
-        return joint_loss(cache.joint, target)
-    if objective in (OBJ_COMPOUND, OBJ_COMPOUND_SHARED):
-        return compound_loss(cache.start_scores, cache.end_scores, cache.joint, target)
-    if objective == OBJ_CONDITIONAL:
-        return conditional_loss(cache.start_scores, cache.h, params.cond, target)
-    raise ConfigError(f"unknown objective {objective!r}")
+    return unstack_one(_stack_loss(params, _cache_stack(cache), [target], objective))
 
 
 def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objective: str) -> dict:
-    """Chain rule from a LossResult back to every parameter block.
-
-    The routing depends on the objective: boundary-score gradients flow
-    through w_s/w_e, joint-matrix gradients through the joint head and
-    similarity weights, and the conditional objective supplies its own
-    representation and head gradients (its grad_end lives in conditional
-    end-score space and must not touch w_e).
-    """
+    """Chain rule from a one-example LossResult back to every parameter block."""
     if objective not in OBJECTIVE_KINDS:
         raise ConfigError(f"unknown objective {objective!r}")
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    d_h = np.zeros_like(cache.h)
-
-    if result.grad_start is not None:
-        grads["w_s"] += cache.h @ result.grad_start
-        grads["b_s"] += result.grad_start.sum()
-        d_h += np.outer(params.w_s, result.grad_start)
-
-    routes_end = objective in (OBJ_INDEPENDENT, OBJ_COMPOUND, OBJ_COMPOUND_SHARED)
-    if result.grad_end is not None and routes_end:
-        grads["w_e"] += cache.h @ result.grad_end
-        grads["b_e"] += result.grad_end.sum()
-        d_h += np.outer(params.w_e, result.grad_end)
-
-    if result.grad_joint is not None:
-        d_hs, d_he, d_w_sim = span_scores_grad(cache.reps, params.similarity, result.grad_joint)
-        grads["w_joint"] += d_hs @ cache.h.T
-        grads["b_joint"] += d_hs.sum(axis=1)
-        d_h += params.w_joint.T @ d_hs + d_he
-        if d_w_sim is not None:
-            grads["w_sim"] += d_w_sim
-
-    if result.grad_cond is not None:
-        grads["w_cond"] += result.grad_cond.w
-        grads["b_cond"] += result.grad_cond.b
-        grads["w_cond_out"] += result.grad_cond.w_out
-    if result.grad_h is not None:
-        d_h += result.grad_h
-
-    # Through H = tanh(w_mix F + b_mix).
-    d_pre = d_h * (1.0 - cache.h**2)
-    grads["w_mix"] += d_pre @ cache.features.T
-    grads["b_mix"] += d_pre.sum(axis=1)
-    d_features = params.w_mix.T @ d_pre
-
-    d = params.dim
-    d_e = d_features[:d] + d_features[d : 2 * d] * cache.q[:, None]
-    d_q = (d_features[d : 2 * d] * cache.e).sum(axis=1) + d_features[2 * d :].sum(axis=1)
-
-    # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
-    grads["w_q"] += np.outer(d_q, cache.q_bar)
-    grads["b_q"] += d_q
-    d_q_bar = params.w_q.T @ d_q
-
-    np.add.at(grads["emb"], cache.passage_ids, d_e.T)
-    np.add.at(
-        grads["emb"],
-        cache.question_ids,
-        np.tile(d_q_bar / cache.question_ids.size, (cache.question_ids.size, 1)),
-    )
+    _backward_stack(params, _cache_stack(cache), stack_one(result), objective, grads)
     return grads
 
 
@@ -374,9 +603,9 @@ def loss_and_grads(
     policy: str = MASK_VALID,
 ) -> tuple:
     """One-example convenience: forward, loss, and full parameter gradients."""
-    cache = forward(params, question_ids, passage_ids, policy)
-    result = example_loss(params, cache, target, objective)
-    return result.loss, backward(params, cache, result, objective)
+    example = SimpleNamespace(question_ids=question_ids, passage_ids=passage_ids, target=target)
+    (loss,), grads = batch_loss_and_grads(params, [example], objective, policy)
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +627,26 @@ def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALI
     if not any(len(p.gt_spans) for p in passages):
         return None
 
-    caches = [forward(params, context.question_ids, p.passage_ids, policy) for p in passages]
+    bounds = list(_stack_bounds([len(p.passage_ids) for p in passages]))
+    stacks = [
+        _forward_stack(
+            params, [context.question_ids] * (hi - lo),
+            [p.passage_ids for p in passages[lo:hi]], policy,
+        )
+        for lo, hi in bounds
+    ]
     gt_spans = [
         [(int(t.start), int(t.end)) for t in p.gt_spans] for p in passages
     ]
     start_target = SharedNormTarget(
-        [c.start_scores for c in caches], [{s for s, _ in g} for g in gt_spans]
+        [row for s in stacks for row in s.start_scores], [{s for s, _ in g} for g in gt_spans]
     )
     end_target = SharedNormTarget(
-        [c.end_scores for c in caches], [{e for _, e in g} for g in gt_spans]
+        [row for s in stacks for row in s.end_scores], [{e for _, e in g} for g in gt_spans]
     )
-    joint_target = SharedNormTarget([c.joint for c in caches], gt_spans)
+    joint_target = SharedNormTarget(
+        [ScoreMatrix(v, s.mask) for s in stacks for v in s.joint], gt_spans
+    )
 
     start_res = shared_norm_loss(start_target, BOUNDARY_START)
     end_res = shared_norm_loss(end_target, BOUNDARY_END)
@@ -416,16 +654,14 @@ def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALI
 
     loss = joint_res.loss + start_res.loss + end_res.loss
     grads = zero_grads(params)
-    for idx, cache in enumerate(caches):
+    for (lo, hi), stack in zip(bounds, stacks):
         partial = LossResult(
             0.0,
-            grad_start=start_res.grad_passages[idx],
-            grad_end=end_res.grad_passages[idx],
-            grad_joint=joint_res.grad_passages[idx],
+            grad_start=np.stack(start_res.grad_passages[lo:hi]),
+            grad_end=np.stack(end_res.grad_passages[lo:hi]),
+            grad_joint=np.stack(joint_res.grad_passages[lo:hi]),
         )
-        passage_grads = backward(params, cache, partial, OBJ_COMPOUND_SHARED)
-        for name in grads:
-            grads[name] += passage_grads[name]
+        _backward_stack(params, stack, partial, OBJ_COMPOUND_SHARED, grads)
     return loss, grads
 
 
@@ -520,20 +756,15 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
     """One optimizer step on a batch of encoded examples; returns mean loss."""
     if not batch:
         raise InvalidInputError("empty batch")
-    grads = zero_grads(params)
+    try:
+        losses, grads = batch_loss_and_grads(params, batch, config.objective, config.policy)
+    except InvalidInputError as err:
+        raise DivergenceError(f"non-finite forward pass: {err}") from err
     total = 0.0
-    for ex in batch:
-        try:
-            loss, ex_grads = loss_and_grads(
-                params, ex.question_ids, ex.passage_ids, ex.target, config.objective, config.policy
-            )
-        except InvalidInputError as err:
-            raise DivergenceError(f"non-finite forward pass: {err}") from err
+    for loss in losses:
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss!r}")
         total += loss
-        for name in grads:
-            grads[name] += ex_grads[name]
     scale = 1.0 / len(batch)
     for name in grads:
         grads[name] *= scale

@@ -10,6 +10,7 @@ span softmax over all L^2 pairs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,14 +24,24 @@ MASK_POLICIES = (MASK_VALID, MASK_FULL)
 
 
 def span_mask(length: int, policy: str = MASK_VALID) -> np.ndarray:
-    """Boolean validity mask for spans over a passage of ``length`` tokens."""
+    """Boolean validity mask for spans over a passage of ``length`` tokens.
+
+    One read-only array is cached per (length, policy); writing to it raises.
+    """
     if length < 1:
         raise InvalidInputError(f"passage length must be >= 1, got {length}")
+    if policy not in MASK_POLICIES:
+        raise InvalidInputError(f"unknown masking policy {policy!r}")
+    return _cached_mask(int(length), policy)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_mask(length: int, policy: str) -> np.ndarray:
+    mask = np.ones((length, length), dtype=bool)
     if policy == MASK_VALID:
-        return np.triu(np.ones((length, length), dtype=bool))
-    if policy == MASK_FULL:
-        return np.ones((length, length), dtype=bool)
-    raise InvalidInputError(f"unknown masking policy {policy!r}")
+        mask = np.triu(mask)
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass
@@ -77,9 +88,18 @@ def _check_finite_vector(scores: np.ndarray) -> np.ndarray:
 
 def log_softmax(scores: np.ndarray) -> np.ndarray:
     """Log-probabilities of a softmax over ``scores``, stable for any magnitude."""
-    scores = _check_finite_vector(scores)
-    shifted = scores - scores.max()
-    return shifted - np.log(np.exp(shifted).sum())
+    return log_softmax_rows(_check_finite_vector(scores)[None])[0]
+
+
+def log_softmax_rows(scores: np.ndarray) -> np.ndarray:
+    """:func:`log_softmax` of every row of a C-contiguous (B, n) stack.
+
+    Each row equals the 1-D result bit for bit: the row sums run over
+    contiguous memory, as a 1-D sum does.  Rows are not checked for
+    finiteness.
+    """
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:

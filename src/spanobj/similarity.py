@@ -118,23 +118,60 @@ def _split_weights(params: SimilarityParams, dim: int):
     return params.w[:dim], params.w[dim : 2 * dim], params.w[2 * dim :]
 
 
+def span_score_values(hs: np.ndarray, he: np.ndarray, params: SimilarityParams) -> np.ndarray:
+    """(B, L, L) span scores of (B, d, L) start and end representation stacks.
+
+    ``[b, i, j] = f_sim(hs[b, :, i], he[b, :, j])``; every slice equals the
+    one-example product bit for bit.
+    """
+    w_s, w_e, w_p = _split_weights(params, hs.shape[1])
+    if params.kind == KIND_DOT:
+        return hs.transpose(0, 2, 1) @ he
+    size, length = hs.shape[0], hs.shape[2]
+    scores = np.zeros((size, length, length))
+    if w_p is not None:
+        scores = scores + (hs * w_p[:, None]).transpose(0, 2, 1) @ he
+    if w_s is not None:
+        scores = scores + (w_s @ hs)[:, :, None] + (w_e @ he)[:, None, :]
+    return scores
+
+
 def span_scores(
     reps: BoundaryRepresentations,
     params: SimilarityParams,
     policy: str = MASK_VALID,
 ) -> ScoreMatrix:
     """Pairwise span scores ``[i, j] = f_sim(h_start[:, i], h_end[:, j])``."""
-    hs, he = reps.h_start, reps.h_end
-    w_s, w_e, w_p = _split_weights(params, reps.dim)
-    scores = np.zeros((reps.length, reps.length))
+    values = span_score_values(reps.h_start[None], reps.h_end[None], params)[0]
+    return ScoreMatrix(values, span_mask(reps.length, policy))
+
+
+def span_score_grads(hs: np.ndarray, he: np.ndarray, params: SimilarityParams, grad: np.ndarray):
+    """Chain a (B, L, L) score gradient stack back to (d_hs, d_he, d_w).
+
+    ``d_w`` is a (B, len(w)) stack, or ``None`` for ``dot``.
+    """
+    w_s, w_e, w_p = _split_weights(params, hs.shape[1])
     if params.kind == KIND_DOT:
-        scores = hs.T @ he
-    else:
-        if w_p is not None:
-            scores = scores + (hs * w_p[:, None]).T @ he
-        if w_s is not None:
-            scores = scores + (w_s @ hs)[:, None] + (w_e @ he)[None, :]
-    return ScoreMatrix(scores, span_mask(reps.length, policy))
+        return he @ grad.transpose(0, 2, 1), hs @ grad, None
+
+    dim = hs.shape[1]
+    d_hs = np.zeros_like(hs)
+    d_he = np.zeros_like(he)
+    d_w = np.zeros((hs.shape[0], params.w.size))
+    if w_p is not None:
+        he_grad = he @ grad.transpose(0, 2, 1)
+        d_hs += w_p[:, None] * he_grad
+        d_he += w_p[:, None] * (hs @ grad)
+        d_w[:, -dim:] = (hs * he_grad).sum(axis=2)
+    if w_s is not None:
+        row_mass = grad.sum(axis=2)
+        col_mass = grad.sum(axis=1)
+        d_hs += w_s[:, None] * row_mass[:, None, :]
+        d_he += w_e[:, None] * col_mass[:, None, :]
+        d_w[:, :dim] = (hs @ row_mass[:, :, None])[:, :, 0]
+        d_w[:, dim : 2 * dim] = (he @ col_mass[:, :, None])[:, :, 0]
+    return d_hs, d_he, d_w
 
 
 def span_scores_grad(
@@ -147,35 +184,16 @@ def span_scores_grad(
     ``grad[i, j]`` is the loss gradient at score ``[i, j]``; masked cells must
     already be zero there.  The weight gradient is ``None`` for ``dot``.
     """
-    hs, he = reps.h_start, reps.h_end
-    w_s, w_e, w_p = _split_weights(params, reps.dim)
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (reps.length, reps.length):
         raise InvalidInputError(f"score gradient shape {grad.shape} != L x L")
+    d_hs, d_he, d_w = span_score_grads(reps.h_start[None], reps.h_end[None], params, grad[None])
+    return d_hs[0], d_he[0], None if d_w is None else d_w[0]
 
-    d_hs = np.zeros_like(hs)
-    d_he = np.zeros_like(he)
-    if params.kind == KIND_DOT:
-        d_hs += he @ grad.T
-        d_he += hs @ grad
-        return d_hs, d_he, None
 
-    d_w = np.zeros_like(params.w)
-    dim = reps.dim
-    if w_p is not None:
-        d_hs += w_p[:, None] * (he @ grad.T)
-        d_he += w_p[:, None] * (hs @ grad)
-        d_wp = (hs * (he @ grad.T)).sum(axis=1)
-    if w_s is not None:
-        row_mass = grad.sum(axis=1)
-        col_mass = grad.sum(axis=0)
-        d_hs += np.outer(w_s, row_mass)
-        d_he += np.outer(w_e, col_mass)
-        d_w[:dim] = hs @ row_mass
-        d_w[dim : 2 * dim] = he @ col_mass
-    if w_p is not None:
-        d_w[-dim:] = d_wp
-    return d_hs, d_he, d_w
+def start_reps(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Joint-head start representations ``w h + b`` of a (d, L) or (B, d, L) ``h``."""
+    return w @ h + b[:, None]
 
 
 def joint_boundary_reps(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> BoundaryRepresentations:
@@ -190,7 +208,7 @@ def joint_boundary_reps(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> Boundary
         raise InvalidInputError(
             f"transform shapes {w.shape}, {b.shape} inconsistent with d={d}"
         )
-    return BoundaryRepresentations(w @ h + b[:, None], h)
+    return BoundaryRepresentations(start_reps(h, w, b), h)
 
 
 def bidaf_similarity(q_i: np.ndarray, p_j: np.ndarray, w: np.ndarray) -> float:

@@ -15,6 +15,8 @@ from spanobj.errors import (
     VocabularyError,
 )
 from spanobj.model import (
+    MAX_STACK,
+    MAX_STACK_CELLS,
     AdamW,
     ModelParams,
     TrainConfig,
@@ -33,6 +35,7 @@ from spanobj.model import (
     save_checkpoint,
     train,
     train_dss,
+    _stack_bounds,
     zero_grads,
 )
 from spanobj.numerics import MASK_VALID, finite_diff_gradient
@@ -309,6 +312,14 @@ def test_train_step_raises_divergence_on_poisoned_params():
     params.w_mix[0, 0] = np.nan
     with pytest.raises(DivergenceError):
         train(dataset, config, params=params)
+
+
+def test_stacks_are_runs_of_one_length_capped_by_examples_and_cells():
+    lengths = [180, 180] + [90] * 5 + [12] * 10 + [60, 12]
+    assert list(_stack_bounds(lengths)) == [
+        (0, 1), (1, 2), (2, 6), (6, 7), (7, 15), (15, 17), (17, 18), (18, 19),
+    ]
+    assert MAX_STACK == 8 and MAX_STACK_CELLS // (90 * 90) == 4
 
 
 def test_train_dss_runs_and_counts_skips():

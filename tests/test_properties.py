@@ -1,27 +1,48 @@
-"""Property tests for the array-backed span ranking, filters and span losses.
+"""Property tests for span ranking, filters, span losses and the model core.
 
 Hypothesis runs derandomized, so every Tier-1 run draws the same examples.
 The loss properties compare the mask-indexed losses against the index-map
 formulas (a Python list of cells, searched with ``list.index``) that they
-replaced, bit for bit.
+replaced, bit for bit.  The core property compares the stacked model core
+against the one-example forward / loss / backward loop it replaced, bit for
+bit; that loop is written out below as the reference.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spanobj.decoding import SpanDistribution, length_filter, surface_form_filter, top_k
-from spanobj.numerics import ScoreMatrix, log_softmax, logsumexp
+from spanobj import model
+from spanobj.decoding import (
+    SpanDistribution,
+    beam_decode,
+    length_filter,
+    surface_form_filter,
+    top_k,
+)
+from spanobj.numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix, log_softmax, logsumexp
 from spanobj.objectives import (
+    BOUNDARIES,
     BOUNDARY_JOINT,
+    BOUNDARY_START,
+    OBJ_COMPOUND,
+    OBJ_CONDITIONAL,
+    OBJ_INDEPENDENT,
+    OBJ_JOINT,
+    OBJECTIVE_KINDS,
     SharedNormTarget,
     SpanTarget,
+    compound_loss,
+    conditional_end_scores,
+    independent_loss,
     joint_loss,
     shared_norm_loss,
 )
+from spanobj.similarity import KIND_ADDITIVE_WEIGHTED_DOT, KIND_DOT
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -186,3 +207,301 @@ def test_shared_norm_loss_equals_the_index_map_formula_bit_for_bit(cases):
     assert len(result.grad_passages) == len(grads)
     for got, want in zip(result.grad_passages, grads):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The stacked model core against the one-example loop
+
+
+def _ref_ce(scores, index):
+    shifted = scores - scores.max()
+    logp = shifted - np.log(np.exp(shifted).sum())
+    grad = np.exp(logp)
+    grad[index] -= 1.0
+    return -float(logp[index]), grad
+
+
+def _ref_forward(params, q_ids, p_ids, policy):
+    q_bar = params.emb[q_ids].mean(axis=0)
+    q = params.w_q @ q_bar + params.b_q
+    e = params.emb[p_ids].T
+    length = e.shape[1]
+    features = np.vstack([e, e * q[:, None], np.tile(q[:, None], (1, length))])
+    h = np.tanh(params.w_mix @ features + params.b_mix[:, None])
+    hs = params.w_joint @ h + params.b_joint[:, None]
+    sim = params.similarity
+    if sim.kind == KIND_DOT:
+        scores = hs.T @ h
+    else:  # additive-weighted-dot: w = [w_start; w_end; w_product]
+        d = h.shape[0]
+        scores = np.zeros((length, length))
+        scores = scores + (hs * sim.w[2 * d :][:, None]).T @ h
+        scores = scores + (sim.w[:d] @ hs)[:, None] + (sim.w[d : 2 * d] @ h)[None, :]
+    mask = np.ones((length, length), dtype=bool)
+    if policy == MASK_VALID:
+        mask = np.triu(mask)
+    return dict(
+        q_ids=q_ids, p_ids=p_ids, q_bar=q_bar, q=q, e=e, features=features, h=h, hs=hs,
+        start=params.w_s @ h + params.b_s[0], end=params.w_e @ h + params.b_e[0],
+        scores=scores, mask=mask,
+    )
+
+
+def _ref_loss(params, c, target, objective):
+    """(loss, grad_start, grad_end, grad_joint, grad_h, (d_w, d_b, d_w_out))."""
+    s, e = target.start, target.end
+    if objective == OBJ_CONDITIONAL:
+        loss_s, grad_s = _ref_ce(c["start"], s)
+        h, cond = c["h"], params.cond
+        d, length = h.shape
+        paired = np.vstack([h, np.tile(h[:, s : s + 1], (1, length))])
+        hidden = np.tanh(cond.w @ paired + cond.b[:, None])
+        loss_e, grad_e = _ref_ce(cond.w_out @ hidden, e)
+        d_hidden = np.outer(cond.w_out, grad_e) * (1.0 - hidden**2)
+        d_paired = cond.w.T @ d_hidden
+        grad_h = d_paired[:d].copy()
+        grad_h[:, s] += d_paired[d:].sum(axis=1)
+        head = (d_hidden @ paired.T, d_hidden.sum(axis=1), hidden @ grad_e)
+        return loss_s + loss_e, grad_s, grad_e, None, grad_h, head
+    joint = indep = None
+    if objective != OBJ_INDEPENDENT:
+        mask = c["mask"]
+        flat_target = int(np.count_nonzero(mask[:s])) + int(np.count_nonzero(mask[s, :e]))
+        loss, flat_grad = _ref_ce(c["scores"][mask], flat_target)
+        grad = np.zeros_like(c["scores"])
+        grad[mask] = flat_grad
+        joint = (loss, grad)
+    if objective != OBJ_JOINT:
+        loss_s, grad_s = _ref_ce(c["start"], s)
+        loss_e, grad_e = _ref_ce(c["end"], e)
+        indep = (loss_s + loss_e, grad_s, grad_e)
+    if indep is None:
+        return joint[0], None, None, joint[1], None, None
+    if joint is None:
+        return indep[0], indep[1], indep[2], None, None, None
+    return joint[0] + 1.0 * indep[0], 1.0 * indep[1], 1.0 * indep[2], joint[1], None, None
+
+
+def _ref_backward(params, c, result, objective):
+    _, g_start, g_end, g_joint, g_h, head = result
+    grads = model.zero_grads(params)
+    h = c["h"]
+    d_h = np.zeros_like(h)
+    if g_start is not None:
+        grads["w_s"] += h @ g_start
+        grads["b_s"] += g_start.sum()
+        d_h += np.outer(params.w_s, g_start)
+    if g_end is not None and objective != OBJ_CONDITIONAL:
+        grads["w_e"] += h @ g_end
+        grads["b_e"] += g_end.sum()
+        d_h += np.outer(params.w_e, g_end)
+    if g_joint is not None:
+        hs, sim = c["hs"], params.similarity
+        d_hs = np.zeros_like(hs)
+        d_he = np.zeros_like(h)
+        if sim.kind == KIND_DOT:
+            d_hs += h @ g_joint.T
+            d_he += hs @ g_joint
+        else:
+            d = h.shape[0]
+            w_s, w_e, w_p = sim.w[:d], sim.w[d : 2 * d], sim.w[2 * d :]
+            d_w = np.zeros_like(sim.w)
+            d_hs += w_p[:, None] * (h @ g_joint.T)
+            d_he += w_p[:, None] * (hs @ g_joint)
+            d_wp = (hs * (h @ g_joint.T)).sum(axis=1)
+            row_mass = g_joint.sum(axis=1)
+            col_mass = g_joint.sum(axis=0)
+            d_hs += np.outer(w_s, row_mass)
+            d_he += np.outer(w_e, col_mass)
+            d_w[:d] = hs @ row_mass
+            d_w[d : 2 * d] = h @ col_mass
+            d_w[-d:] = d_wp
+            grads["w_sim"] += d_w
+        grads["w_joint"] += d_hs @ h.T
+        grads["b_joint"] += d_hs.sum(axis=1)
+        d_h += params.w_joint.T @ d_hs + d_he
+    if head is not None:
+        grads["w_cond"] += head[0]
+        grads["b_cond"] += head[1]
+        grads["w_cond_out"] += head[2]
+    if g_h is not None:
+        d_h += g_h
+    d_pre = d_h * (1.0 - h**2)
+    grads["w_mix"] += d_pre @ c["features"].T
+    grads["b_mix"] += d_pre.sum(axis=1)
+    d_features = params.w_mix.T @ d_pre
+    d = params.dim
+    d_e = d_features[:d] + d_features[d : 2 * d] * c["q"][:, None]
+    d_q = (d_features[d : 2 * d] * c["e"]).sum(axis=1) + d_features[2 * d :].sum(axis=1)
+    grads["w_q"] += np.outer(d_q, c["q_bar"])
+    grads["b_q"] += d_q
+    d_q_bar = params.w_q.T @ d_q
+    n = c["q_ids"].size
+    np.add.at(grads["emb"], c["p_ids"], d_e.T)
+    np.add.at(grads["emb"], c["q_ids"], np.tile(d_q_bar / n, (n, 1)))
+    return grads
+
+
+@dataclass
+class _Example:
+    question_ids: np.ndarray
+    passage_ids: np.ndarray
+    target: SpanTarget
+
+
+VOCAB = 13
+
+
+@st.composite
+def training_batches(draw):
+    """Runs of examples sharing a passage length (a run can exceed one stack)."""
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from((1, 3, 6)), st.integers(1, 10)), min_size=1, max_size=3
+    ))
+    batch = []
+    for length, count in runs:
+        for _ in range(count):
+            start = draw(st.integers(0, length - 1))
+            batch.append(_Example(
+                np.array(draw(st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=4))),
+                np.array(draw(st.lists(st.integers(0, VOCAB - 1), min_size=length, max_size=length))),
+                SpanTarget(start, draw(st.integers(start, length - 1))),
+            ))
+    return batch
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    training_batches(),
+    st.sampled_from(OBJECTIVE_KINDS),
+    st.sampled_from(MASK_POLICIES),
+    st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
+    st.integers(0, 2**16),
+)
+def test_stacked_core_equals_the_one_example_loop_bit_for_bit(batch, objective, policy, sim, seed):
+    params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():  # nonzero biases, so every block carries signal
+        block += rng.normal(0.0, 0.1, size=block.shape)
+
+    ref_losses, ref_grads = [], model.zero_grads(params)
+    for ex in batch:
+        cache = _ref_forward(params, ex.question_ids, ex.passage_ids, policy)
+        result = _ref_loss(params, cache, ex.target, objective)
+        grads = _ref_backward(params, cache, result, objective)
+        ref_losses.append(result[0])
+        for name in ref_grads:
+            ref_grads[name] += grads[name]
+
+    losses, grads = model.batch_loss_and_grads(params, batch, objective, policy)
+    assert losses == ref_losses
+    assert sorted(grads) == sorted(ref_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+    # One AdamW step: train_step against the reference gradients.
+    config = model.TrainConfig(objective=objective, policy=policy, dim=4, similarity=sim)
+    stepped, reference = params.copy(), params.copy()
+    mean_loss = model.train_step(stepped, batch, config, model.AdamW())
+    total = 0.0
+    for loss in ref_losses:
+        total += loss
+    assert mean_loss == total * (1.0 / len(batch))
+    for name in ref_grads:
+        ref_grads[name] *= 1.0 / len(batch)
+    model.AdamW().step(reference, ref_grads)
+    for (name, got), (_, want) in zip(stepped.blocks(), reference.blocks()):
+        assert np.array_equal(got, want), name
+
+
+# ---------------------------------------------------------------------------
+# Objective identities
+
+
+def _vectors(length):
+    return hnp.arrays(np.float64, length, elements=st.floats(-20, 20))
+
+
+@st.composite
+def span_problems(draw, max_length=7):
+    """Start/end score vectors, a span score matrix and an extractable gold span."""
+    length = draw(st.integers(1, max_length))
+    start = draw(st.integers(0, length - 1))
+    target = SpanTarget(start, draw(st.integers(start, length - 1)))
+    values = draw(hnp.arrays(np.float64, (length, length), elements=st.floats(-20, 20)))
+    policy = draw(st.sampled_from(MASK_POLICIES))
+    return draw(_vectors(length)), draw(_vectors(length)), ScoreMatrix.from_values(values, policy), target
+
+
+@PROPERTY
+@given(span_problems(), st.floats(0.0, 4.0))
+def test_compound_is_joint_plus_weighted_independent(problem, aux):
+    start, end, scores, target = problem
+    compound = compound_loss(start, end, scores, target, aux)
+    joint = joint_loss(scores, target)
+    indep = independent_loss(start, end, target)
+    assert compound.loss == joint.loss + aux * indep.loss
+    assert np.array_equal(compound.grad_joint, joint.grad_joint)
+    assert np.array_equal(compound.grad_start, aux * indep.grad_start)
+    assert np.array_equal(compound.grad_end, aux * indep.grad_end)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.integers(0, 2**16), st.sampled_from(MASK_POLICIES))
+def test_compound_parameter_gradients_are_joint_plus_independent(seed, policy):
+    rng = np.random.default_rng(seed)
+    params = model.init_params(VOCAB, dim=4, seed=seed)
+    q_ids, p_ids = rng.integers(0, VOCAB, size=3), rng.integers(0, VOCAB, size=5)
+    start = int(rng.integers(0, 5))
+    target = SpanTarget(start, int(rng.integers(start, 5)))
+    results = {
+        objective: model.loss_and_grads(params, q_ids, p_ids, target, objective, policy)
+        for objective in (OBJ_COMPOUND, OBJ_JOINT, OBJ_INDEPENDENT)
+    }
+    (loss, grads), (j_loss, j_grads), (i_loss, i_grads) = results.values()
+    assert loss == j_loss + i_loss
+    for name in grads:
+        np.testing.assert_allclose(grads[name], j_grads[name] + i_grads[name], rtol=1e-12, atol=1e-15)
+
+
+@PROPERTY
+@given(span_problems(), st.sampled_from(BOUNDARIES))
+def test_shared_norm_over_one_passage_and_one_gold_is_cross_entropy(problem, boundary):
+    start, end, scores, target = problem
+    if boundary == BOUNDARY_JOINT:
+        shared = shared_norm_loss(SharedNormTarget([scores], [[target]]), boundary)
+        plain = joint_loss(scores, target)
+        want_loss, want_grad = plain.loss, plain.grad_joint
+    else:
+        vector, gold = (start, target.start) if boundary == BOUNDARY_START else (end, target.end)
+        logp = log_softmax(vector)
+        want_loss, want_grad = -float(logp[gold]), np.exp(logp)
+        want_grad[gold] -= 1.0
+        shared = shared_norm_loss(SharedNormTarget([vector], [{gold}]), boundary)
+    assert math.isclose(shared.loss, want_loss, rel_tol=1e-12, abs_tol=1e-12)
+    (grad,) = shared.grad_passages
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
+
+
+@PROPERTY
+@given(st.integers(1, 6), st.integers(0, 2**16))
+def test_full_width_beam_is_exhaustive_enumeration(length, seed):
+    rng = np.random.default_rng(seed)
+    params = model.init_params(VOCAB, dim=4, seed=seed)
+    h = np.tanh(rng.normal(size=(4, length)))
+    start_scores = rng.normal(0.0, 3.0, size=length)
+    dist = beam_decode(start_scores, h, params.cond, k=length)
+
+    start_logp = log_softmax(start_scores)
+    exhaustive = {
+        (s, e): math.exp(start_logp[s] + log_softmax(conditional_end_scores(h, s, params.cond))[e])
+        for s in range(length)
+        for e in range(length)
+    }
+    got = {(s, e): p for s, e, p in dist.entries}
+    assert sorted(got) == sorted(exhaustive)
+    raw = math.fsum(exhaustive.values())
+    assert math.isclose(dist.raw_mass, raw, rel_tol=1e-12)
+    assert math.isclose(raw, 1.0, rel_tol=1e-12)
+    for cell, p in exhaustive.items():
+        assert math.isclose(got[cell], p / raw, rel_tol=1e-9, abs_tol=1e-300)
