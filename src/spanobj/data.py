@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MALFORMED_RECORD_ERRORS, ConfigError, InvalidInputError, malformed
-from .numerics import log_softmax
 from .objectives import SpanTarget
 
 UNK_TOKEN = "<unk>"
@@ -362,44 +361,6 @@ def encode_contexts(contexts, vocab: Vocabulary):
     return encoded
 
 
-def retrieval_loss(
-    q_vec: np.ndarray,
-    table: EmbeddingTable,
-    target_id: str,
-    delta: float = 0.35,
-    rng=None,
-    training: bool = True,
-):
-    """Log-bilinear retrieval loss with inverted dropout on the query.
-
-    Returns (loss, gradient w.r.t. q_vec).  Dropout zeroes each query
-    coordinate with probability ``delta`` and rescales the rest by
-    1/(1-delta); it applies only while training and requires an rng so runs
-    stay reproducible.
-    """
-    q_vec = np.asarray(q_vec, dtype=np.float64)
-    if q_vec.shape != (table.dim,):
-        raise InvalidInputError(f"query dim {q_vec.shape} does not match table dim {table.dim}")
-    if not 0.0 <= delta < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {delta}")
-    if target_id not in table.row_of:
-        raise InvalidInputError(f"unknown target passage {target_id!r}")
-    target = table.row_of[target_id]
-
-    scale = np.ones_like(q_vec)
-    if training and delta > 0.0:
-        if rng is None:
-            raise InvalidInputError("dropout needs an rng to stay reproducible")
-        keep = rng.random(q_vec.size) >= delta
-        scale = keep.astype(np.float64) / (1.0 - delta)
-    dropped = q_vec * scale
-
-    logp = log_softmax(table.matrix @ dropped)
-    grad_scores = np.exp(logp)
-    grad_scores[target] -= 1.0
-    return -float(logp[target]), (table.matrix.T @ grad_scores) * scale
-
-
 # ---------------------------------------------------------------------------
 # File formats
 
@@ -519,6 +480,8 @@ def load_contexts(path):
                     passage = Passage.from_text(p["id"], p["text"])
                     gt = {SpanTarget(s, e) for s, e in p["gt"]}
                     passages.append(ContextPassage(passage, p["score"], gt))
+                if not passages:
+                    raise ValueError("context has no passages")
                 tokens, _ = tokenize(record["question"])
                 contexts.append(
                     ContextSet(

@@ -14,8 +14,7 @@ of consecutive examples that share a passage length L, at most
 ``MAX_STACK`` (8) examples and ``MAX_STACK_CELLS`` (180^2) score cells each,
 so a stack at L=180 holds one example.  Forward, loss and backward work on
 (B, ...) arrays; ``forward``, ``example_loss``, ``backward`` and
-``loss_and_grads`` are the same core at B=1, and shared-normalization
-contexts stack their passages through it too.  Stacking changes no bit of
+``loss_and_grads`` are the same core at B=1.  Stacking changes no bit of
 any loss, gradient, optimizer moment or checkpoint, because the core keeps
 to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 
@@ -35,6 +34,22 @@ to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 
 The cap of 8 examples bounds the memory a stack holds; peak memory stays
 within a few percent of a one-example loop.
+
+Shared-normalization training runs a batch of contexts in chunks: runs of
+consecutive supervised contexts holding at most ``MAX_STACK`` passages in
+all (at least one context).  A chunk's passages, sorted stably by length,
+are cut into stacks; each context pays one pooled cross-entropy per factor
+over its passages' scores in passage order (a 1-D log-sum-exp over the
+concatenated scores).  ``context_loss_and_grads`` is that path for one
+context.  The outputs equal a loop over contexts bit for bit because:
+
+* the backward pass returns each passage's contribution on its own
+  instead of adding it into the total;
+* each context sums its passages' contributions in passage order, and the
+  sum is added to the batch total in context order;
+* the sum needs no zeros to start from, and an embedding sum is added only
+  at the ids it touches, because a total that starts at +0.0 never holds
+  -0.0 (``x + 0.0 == x``).
 
 Example records are duck-typed: training consumes objects carrying
 ``question_ids``, ``passage_ids`` and ``target`` (plus ``example`` for text
@@ -64,9 +79,6 @@ from .errors import (
 from .evaluation import em_f1
 from .numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix, span_mask
 from .objectives import (
-    BOUNDARY_END,
-    BOUNDARY_JOINT,
-    BOUNDARY_START,
     OBJ_COMPOUND,
     OBJ_COMPOUND_SHARED,
     OBJ_CONDITIONAL,
@@ -75,13 +87,14 @@ from .objectives import (
     OBJECTIVE_KINDS,
     ConditionalParams,
     LossResult,
-    SharedNormTarget,
     SpanTarget,
+    boundary_gold,
     compound_rows,
     conditional_rows,
     independent_rows,
+    joint_gold,
     joint_rows,
-    shared_norm_loss,
+    pooled_ce,
     stack_one,
     target_arrays,
     unstack_one,
@@ -416,16 +429,25 @@ def _stack_loss(params: ModelParams, stack: _Stack, targets, objective: str) -> 
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-def _accumulate(total: np.ndarray, stack) -> None:
-    # One example after the other, as a per-example loop adds them.
-    for g in stack:
-        total += g
+class _PerExample:
+    """Example ``j``'s contribution ``form(j)``, formed only when it is read."""
+
+    def __init__(self, form) -> None:
+        self.form = form
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self.form(j)
 
 
-def _backward_stack(
-    params: ModelParams, stack: _Stack, result: LossResult, objective: str, grads: dict
-) -> None:
-    """Add every example's parameter gradient to ``grads``, in example order.
+def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, objective: str) -> dict:
+    """Every example's parameter-gradient contribution, not yet added anywhere.
+
+    Maps each block the objective trains to a sequence indexed by example
+    (a stacked array, or per-example products formed when read, so a stack
+    holds no B weight-sized blocks); ``"emb"`` maps to
+    ``(ids, rows)``, the stack's distinct token ids and a (B, ids, d) array
+    of each example's embedding gradient at them.  :func:`_add_rows` and
+    :func:`_add_context` add the contributions up.
 
     The routing depends on the objective: boundary-score gradients flow
     through w_s/w_e, joint-matrix gradients through the joint head and
@@ -436,43 +458,42 @@ def _backward_stack(
     h = stack.h
     size = h.shape[0]
     d_h = np.zeros_like(h)
+    parts = {}
 
     if result.grad_start is not None:
         g = result.grad_start
-        _accumulate(grads["w_s"], (h @ g[:, :, None])[:, :, 0])
-        _accumulate(grads["b_s"], g.sum(axis=1))
+        parts["w_s"] = (h @ g[:, :, None])[:, :, 0]
+        parts["b_s"] = g.sum(axis=1)
         d_h += params.w_s[:, None] * g[:, None, :]
 
     routes_end = objective in (OBJ_INDEPENDENT, OBJ_COMPOUND, OBJ_COMPOUND_SHARED)
     if result.grad_end is not None and routes_end:
         g = result.grad_end
-        _accumulate(grads["w_e"], (h @ g[:, :, None])[:, :, 0])
-        _accumulate(grads["b_e"], g.sum(axis=1))
+        parts["w_e"] = (h @ g[:, :, None])[:, :, 0]
+        parts["b_e"] = g.sum(axis=1)
         d_h += params.w_e[:, None] * g[:, None, :]
 
     if result.grad_joint is not None:
         d_hs, d_he, d_w_sim = span_score_grads(
             stack.h_start, h, params.similarity, result.grad_joint
         )
-        for j in range(size):
-            grads["w_joint"] += d_hs[j] @ h[j].T
-        _accumulate(grads["b_joint"], d_hs.sum(axis=2))
+        parts["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
+        parts["b_joint"] = d_hs.sum(axis=2)
         d_h += params.w_joint.T @ d_hs + d_he
         if d_w_sim is not None:
-            _accumulate(grads["w_sim"], d_w_sim)
+            parts["w_sim"] = d_w_sim
 
     if result.grad_cond is not None:
-        _accumulate(grads["w_cond"], result.grad_cond.w)
-        _accumulate(grads["b_cond"], result.grad_cond.b)
-        _accumulate(grads["w_cond_out"], result.grad_cond.w_out)
+        parts["w_cond"] = result.grad_cond.w
+        parts["b_cond"] = result.grad_cond.b
+        parts["w_cond_out"] = result.grad_cond.w_out
     if result.grad_h is not None:
         d_h += result.grad_h
 
     # Through H = tanh(w_mix F + b_mix).
     d_pre = d_h * (1.0 - h**2)
-    for j in range(size):
-        grads["w_mix"] += d_pre[j] @ stack.features[j].T
-    _accumulate(grads["b_mix"], d_pre.sum(axis=2))
+    parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ stack.features[j].T)
+    parts["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
     d = params.dim
@@ -480,12 +501,12 @@ def _backward_stack(
     d_q = (d_features[:, d : 2 * d] * stack.e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
-    _accumulate(grads["w_q"], d_q[:, :, None] * stack.q_bar[:, None, :])
-    _accumulate(grads["b_q"], d_q)
+    parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * stack.q_bar[j])
+    parts["b_q"] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
     # Embedding rows: each example's passage rows, then its question rows,
-    # summed per example over the stack's distinct ids before the total.
+    # summed per example over the stack's distinct ids.
     q_lengths = stack.question_lengths
     length = h.shape[2]
     token_ids = np.concatenate([stack.passage_ids.ravel(), stack.question_ids])
@@ -503,9 +524,57 @@ def _backward_stack(
     np.add.at(
         local, slot[size * length :], np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
     )
-    rows = grads["emb"][ids]
-    _accumulate(rows, local.reshape(size, ids.size, d))
-    grads["emb"][ids] = rows
+    parts["emb"] = (ids, local.reshape(size, ids.size, d))
+    return parts
+
+
+def _add_rows(grads: dict, parts: dict, size: int) -> None:
+    """Add a stack's contributions to ``grads`` one example after the other."""
+    for name, rows in parts.items():
+        if name != "emb":
+            total = grads[name]
+            for j in range(size):
+                total += rows[j]
+    ids, rows = parts["emb"]
+    emb = grads["emb"][ids]
+    for j in range(size):
+        emb += rows[j]
+    grads["emb"][ids] = emb
+
+
+def _add_context(grads: dict, members) -> None:
+    """Add one context's gradient to ``grads``.
+
+    ``members`` lists the ``(parts, row)`` of the context's passages in
+    passage order.  They are summed in that order and the sum is added to
+    the total: the adds of forming the context's gradient from zeros and
+    adding it to the total.  Skipping the zeros, and adding an embedding
+    sum only at the ids it touches, change no bit, because a total that
+    starts at +0.0 never holds -0.0 (``x + 0.0 == x``).
+    """
+    (first, row), rest = members[0], members[1:]
+    for name, rows in first.items():
+        if name != "emb":
+            total = rows[row]
+            for parts, j in rest:
+                total = total + parts[name][j]
+            grads[name] += total
+    ids = first["emb"][0]
+    if all(parts["emb"][0] is ids for parts, _ in rest):
+        total = first["emb"][1][row]
+        for parts, j in rest:
+            total = total + parts["emb"][1][j]
+    else:
+        # The union of the stacks' ids (np.unique's first call costs 1 MB of imports).
+        seen = np.zeros(len(grads["emb"]), dtype=bool)
+        for parts, _ in members:
+            seen[parts["emb"][0]] = True
+        ids = np.flatnonzero(seen)
+        total = np.zeros((ids.size, grads["emb"].shape[1]))
+        for parts, j in members:
+            stack_ids, rows = parts["emb"]
+            total[np.searchsorted(ids, stack_ids)] += rows[j]
+    grads["emb"][ids] += total
 
 
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
@@ -531,7 +600,7 @@ def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str
         )
         _check_finite(stack)
         result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
-        _backward_stack(params, stack, result, objective, grads)
+        _add_rows(grads, _backward_stack(params, stack, result, objective), hi - lo)
         losses += result.loss.tolist()
     return losses, grads
 
@@ -590,7 +659,7 @@ def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objec
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    _backward_stack(params, _cache_stack(cache), stack_one(result), objective, grads)
+    _add_rows(grads, _backward_stack(params, _cache_stack(cache), stack_one(result), objective), 1)
     return grads
 
 
@@ -612,6 +681,96 @@ def loss_and_grads(
 # Shared-normalization contexts
 
 
+def _supervised(context) -> bool:
+    return any(len(p.gt_spans) for p in context.passages)
+
+
+def _context_chunks(contexts):
+    """Runs of consecutive contexts holding at most ``MAX_STACK`` passages in all.
+
+    A run holds at least one context, so a larger context is a run of its own.
+    """
+    chunk, passages = [], 0
+    for context in contexts:
+        count = len(context.passages)
+        if chunk and passages + count > MAX_STACK:
+            yield chunk
+            chunk, passages = [], 0
+        chunk.append(context)
+        passages += count
+    if chunk:
+        yield chunk
+
+
+def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dict) -> list:
+    """Pooled losses of supervised contexts; adds their gradients to ``grads``.
+
+    The contexts' passages, sorted stably by length, run through the core
+    as stacks.  Each context pays one :func:`~spanobj.objectives.pooled_ce`
+    per factor (start, end, joint) over its passages' scores in passage
+    order, marginalizing every distantly supervised position, and its
+    gradient reaches ``grads`` through :func:`_add_context`, context after
+    context.  Losses and gradients equal a loop of
+    :func:`context_loss_and_grads` over the contexts bit for bit.
+    """
+    passages = [p for context in contexts for p in context.passages]
+    questions = [context.question_ids for context in contexts for _ in context.passages]
+    lengths = [len(p.passage_ids) for p in passages]
+    order = sorted(range(len(passages)), key=lengths.__getitem__)
+    stacks, cells = [], []
+    where = [None] * len(passages)  # passage -> (stack, row)
+    for lo, hi in _stack_bounds([lengths[i] for i in order]):
+        members = order[lo:hi]
+        stack = _forward_stack(
+            params, [questions[i] for i in members], [passages[i].passage_ids for i in members],
+            policy,
+        )
+        _check_finite(stack)
+        stacks.append(stack)
+        # Each row's unmasked span scores, row-major.
+        cells.append(stack.joint.reshape(hi - lo, -1)[:, stack.mask.ravel()])
+        for j, i in enumerate(members):
+            where[i] = (len(stacks) - 1, j)
+    spots, first = [], 0
+    for context in contexts:
+        spots.append(where[first : first + len(context.passages)])
+        first += len(context.passages)
+
+    losses = []
+    score_grads = [
+        (np.zeros(s.start_scores.shape), np.zeros(s.end_scores.shape), np.zeros(c.shape))
+        for s, c in zip(stacks, cells)
+    ]
+    for context, at in zip(contexts, spots):
+        spans = [[(int(t.start), int(t.end)) for t in p.gt_spans] for p in context.passages]
+        starts = [stacks[k].start_scores[j] for k, j in at]
+        ends = [stacks[k].end_scores[j] for k, j in at]
+        start, grad_start = pooled_ce(
+            starts, [boundary_gold([s for s, _ in g], row.size) for g, row in zip(spans, starts)]
+        )
+        end, grad_end = pooled_ce(
+            ends, [boundary_gold([e for _, e in g], row.size) for g, row in zip(spans, ends)]
+        )
+        joint, grad_joint = pooled_ce(
+            [cells[k][j] for k, j in at],
+            [joint_gold(g, stacks[k].mask) for g, (k, _) in zip(spans, at)],
+        )
+        losses.append(joint + start + end)
+        for (k, j), *blocks in zip(at, grad_start, grad_end, grad_joint):
+            for stacked, block in zip(score_grads[k], blocks):
+                stacked[j] = block
+
+    parts = []
+    for stack, (grad_start, grad_end, grad_cells) in zip(stacks, score_grads):
+        grad_joint = np.zeros(stack.joint.shape)
+        grad_joint.reshape(len(grad_joint), -1)[:, stack.mask.ravel()] = grad_cells
+        result = LossResult(0.0, grad_start, grad_end, grad_joint)
+        parts.append(_backward_stack(params, stack, result, OBJ_COMPOUND_SHARED))
+    for at in spots:
+        _add_context(grads, [(parts[k], j) for k, j in at])
+    return losses
+
+
 def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALID):
     """Pooled loss over one retrieval context, or None when unsupervised.
 
@@ -619,49 +778,15 @@ def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALI
     pooled across passages, and each of the three factors pays a
     shared-normalization loss that marginalizes all distantly supervised
     answer positions.  A context whose passages carry no gold span at all
-    yields None (the caller counts the skip).
+    yields None (the caller counts the skip).  This is the one-context view
+    of the chunk path that shared-normalization training runs.
     """
-    passages = list(context.passages)
-    if not passages:
+    if not context.passages:
         raise InvalidInputError("context has no passages")
-    if not any(len(p.gt_spans) for p in passages):
+    if not _supervised(context):
         return None
-
-    bounds = list(_stack_bounds([len(p.passage_ids) for p in passages]))
-    stacks = [
-        _forward_stack(
-            params, [context.question_ids] * (hi - lo),
-            [p.passage_ids for p in passages[lo:hi]], policy,
-        )
-        for lo, hi in bounds
-    ]
-    gt_spans = [
-        [(int(t.start), int(t.end)) for t in p.gt_spans] for p in passages
-    ]
-    start_target = SharedNormTarget(
-        [row for s in stacks for row in s.start_scores], [{s for s, _ in g} for g in gt_spans]
-    )
-    end_target = SharedNormTarget(
-        [row for s in stacks for row in s.end_scores], [{e for _, e in g} for g in gt_spans]
-    )
-    joint_target = SharedNormTarget(
-        [ScoreMatrix(v, s.mask) for s in stacks for v in s.joint], gt_spans
-    )
-
-    start_res = shared_norm_loss(start_target, BOUNDARY_START)
-    end_res = shared_norm_loss(end_target, BOUNDARY_END)
-    joint_res = shared_norm_loss(joint_target, BOUNDARY_JOINT)
-
-    loss = joint_res.loss + start_res.loss + end_res.loss
     grads = zero_grads(params)
-    for (lo, hi), stack in zip(bounds, stacks):
-        partial = LossResult(
-            0.0,
-            grad_start=np.stack(start_res.grad_passages[lo:hi]),
-            grad_end=np.stack(end_res.grad_passages[lo:hi]),
-            grad_joint=np.stack(joint_res.grad_passages[lo:hi]),
-        )
-        _backward_stack(params, stack, partial, OBJ_COMPOUND_SHARED, grads)
+    (loss,) = _chunk_loss_and_grads(params, [context], policy, grads)
     return loss, grads
 
 
@@ -773,25 +898,21 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
 
 
 def _context_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW):
+    """One optimizer step on the supervised contexts of a batch, run in chunks."""
+    supervised = [context for context in batch if _supervised(context)]
     grads = zero_grads(params)
     total = 0.0
-    used = 0
-    skipped = 0
-    for context in batch:
+    for chunk in _context_chunks(supervised):
         try:
-            outcome = context_loss_and_grads(params, context, config.policy)
+            losses = _chunk_loss_and_grads(params, chunk, config.policy, grads)
         except InvalidInputError as err:
             raise DivergenceError(f"non-finite forward pass: {err}") from err
-        if outcome is None:
-            skipped += 1
-            continue
-        loss, ctx_grads = outcome
-        if not np.isfinite(loss):
-            raise DivergenceError(f"non-finite loss {loss!r}")
-        total += loss
-        used += 1
-        for name in grads:
-            grads[name] += ctx_grads[name]
+        for loss in losses:
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite loss {loss!r}")
+            total += loss
+    used = len(supervised)
+    skipped = len(batch) - used
     if used:
         scale = 1.0 / used
         for name in grads:
@@ -885,6 +1006,9 @@ def train_dss(
     contexts = list(contexts)
     if not contexts:
         raise InvalidInputError("empty context list")
+    for i, context in enumerate(contexts):
+        if not context.passages:
+            raise InvalidInputError(f"context {i} has no passages")
     if params is None:
         if vocab_size is None:
             raise ConfigError("vocab_size required when training from scratch")

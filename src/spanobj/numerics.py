@@ -109,7 +109,11 @@ def softmax(scores: np.ndarray) -> np.ndarray:
 
 def logsumexp(scores: np.ndarray) -> float:
     """``ln(sum(exp(scores)))`` computed with the max-shift trick."""
-    scores = _check_finite_vector(scores)
+    return _logsumexp(_check_finite_vector(scores))
+
+
+def _logsumexp(scores: np.ndarray) -> float:
+    # :func:`logsumexp` of a 1-D float64 array already known to be finite.
     m = float(scores.max())
     return m + float(np.log(np.exp(scores - m).sum()))
 

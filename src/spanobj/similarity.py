@@ -210,14 +210,3 @@ def joint_boundary_reps(h: np.ndarray, w: np.ndarray, b: np.ndarray) -> Boundary
         )
     return BoundaryRepresentations(start_reps(h, w, b), h)
 
-
-def bidaf_similarity(q_i: np.ndarray, p_j: np.ndarray, w: np.ndarray) -> float:
-    """Multiplicative-additive similarity ``w . [q; p; q * p]`` of two vectors."""
-    q_i = np.asarray(q_i, dtype=np.float64)
-    p_j = np.asarray(p_j, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if q_i.shape != p_j.shape or q_i.ndim != 1:
-        raise InvalidInputError(f"vector shapes differ: {q_i.shape} vs {p_j.shape}")
-    if w.shape != (3 * q_i.size,):
-        raise InvalidInputError(f"weights must have length {3 * q_i.size}, got {w.shape}")
-    return float(w @ np.concatenate([q_i, p_j, q_i * p_j]))

@@ -380,8 +380,18 @@ def _context_without_passages(pipeline, tmp_path):
     return argv, f"{contexts}:1"
 
 
+def _context_with_empty_passages(pipeline, tmp_path):
+    contexts = tmp_path / "contexts.jsonl"
+    record = {"question_id": "q0", "question": "who?", "passages": [], "short": False}
+    contexts.write_text(json.dumps(record) + "\n")
+    argv = ["train", "--data", str(pipeline["corpus"]), "--out", str(tmp_path / "runs"),
+            "--objective", "compound-shared", "--contexts", str(contexts), "--epochs", "1"]
+    return argv, f"{contexts}:1"
+
+
 @pytest.mark.parametrize("make_input", [
     _corrupt_checkpoint_header, _record_without_answer_starts, _context_without_passages,
+    _context_with_empty_passages,
 ])
 def test_malformed_files_report_one_json_line_naming_file_and_line(
     pipeline, tmp_path, capsys, make_input

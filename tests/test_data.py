@@ -24,7 +24,6 @@ from spanobj.data import (
     load_contexts,
     load_dataset,
     load_embeddings,
-    retrieval_loss,
     save_contexts,
     save_dataset,
     save_embeddings,
@@ -32,7 +31,6 @@ from spanobj.data import (
     tokenize,
 )
 from spanobj.errors import ConfigError, InvalidInputError
-from spanobj.numerics import finite_diff_gradient
 from spanobj.objectives import SpanTarget
 
 
@@ -191,36 +189,6 @@ def test_build_context_is_deterministic_given_a_seed():
         build_context(ranking, "zzz", passages, 0, 99, "q", "w ?")
     with pytest.raises(InvalidInputError):
         build_context([("ghost", 1.0)], "zzz", passages, 1, 99, "q", "w ?")
-
-
-def test_retrieval_loss_eval_mode_is_plain_cross_entropy():
-    rng = np.random.default_rng(7)
-    table = EmbeddingTable([f"p{i}" for i in range(5)], rng.normal(size=(5, 3)))
-    q = rng.normal(size=3)
-    loss, grad = retrieval_loss(q, table, "p2", training=False)
-    scores = table.matrix @ q
-    expect = -float(np.log(np.exp(scores[2]) / np.exp(scores).sum()))
-    assert loss == pytest.approx(expect, abs=1e-10)
-    fd = finite_diff_gradient(
-        lambda v: retrieval_loss(v, table, "p2", training=False)[0], q
-    )
-    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-9)
-
-
-def test_retrieval_loss_dropout_is_seeded_and_guarded():
-    rng = np.random.default_rng(11)
-    table = EmbeddingTable([f"p{i}" for i in range(4)], rng.normal(size=(4, 6)))
-    q = rng.normal(size=6)
-    loss_a, _ = retrieval_loss(q, table, "p1", rng=np.random.default_rng(5))
-    loss_b, _ = retrieval_loss(q, table, "p1", rng=np.random.default_rng(5))
-    assert loss_a == loss_b
-    with pytest.raises(InvalidInputError):
-        retrieval_loss(q, table, "p1")  # training dropout without an rng
-    with pytest.raises(ConfigError):
-        retrieval_loss(q, table, "p1", delta=1.0, rng=np.random.default_rng(0))
-    no_drop, _ = retrieval_loss(q, table, "p1", delta=0.0)
-    eval_mode, _ = retrieval_loss(q, table, "p1", training=False)
-    assert no_drop == eval_mode
 
 
 # ---------------------------------------------------------------------------

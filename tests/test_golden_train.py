@@ -5,9 +5,11 @@ Every objective x masking policy trains for two epochs on the corpus of
 model core), and the SHA-256 of the checkpoint bytes
 (parameters plus both AdamW moments) must match ``golden_train.json``.
 ``compound-shared`` trains through ``train_dss`` on retrieval contexts of
-two passages built the way ``spanobj context`` builds them; one more entry
-trains with a weighted similarity so that its weight gradient is pinned
-too.  A refactor of the training core that claims identical output is
+two passages built the way ``spanobj context`` builds them, and once more
+on contexts of three passages of mixed lengths from a grouped corpus (two
+passages cannot show a sum taken out of passage order, since
+``(0 + a) + b == (0 + b) + a``); one more entry trains with a weighted
+similarity so that its weight gradient is pinned too.  A refactor of the training core that claims identical output is
 held to it byte for byte.
 
 Regenerate the file (only when an output change is intended and explained)
@@ -33,17 +35,23 @@ from test_golden_decode import CORPUS  # noqa: E402
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_train.json")
 EPOCHS = 2
 CONTEXTS = 12
+# Passages of 18 and 24 tokens; three-passage contexts of 16 questions train
+# in batches of 12 and 4.
+GROUPED = data.GeneratorConfig(
+    n_train=16, n_dev=2, subjects=8, attributes=5, value_pool=20,
+    mode=data.MODE_GROUPED, passages_per_topic=3,
+)
 
 
-def _contexts(dataset, vocab):
-    """Two-passage contexts for the first training questions, as ``spanobj context`` builds them."""
+def _contexts(dataset, vocab, count=CONTEXTS, size=2):
+    """Contexts for the first training questions, as ``spanobj context`` builds them."""
     table = dataset.table
     passages_by_id = {p.id: p for p in dataset.passages}
     contexts = []
-    for i, ex in enumerate(dataset.train[:CONTEXTS]):
+    for i, ex in enumerate(dataset.train[:count]):
         ranking = data.score_passages(table.matrix[table.row_of[ex.passage.id]], table)
         contexts.append(
-            data.build_context(ranking, ex.answers[0], passages_by_id, 2, i, ex.id, ex.question)
+            data.build_context(ranking, ex.answers[0], passages_by_id, size, i, ex.id, ex.question)
         )
     return data.encode_contexts(contexts, vocab)
 
@@ -78,6 +86,19 @@ def compute_digests():
             result = model.train(train, config, vocab_size=len(vocab))
         key = f"{objective}/{policy}" + ("" if similarity == KIND_DOT else f"/{similarity}")
         digests[key] = _checkpoint_digest(result, objective)
+
+    grouped = data.generate_synthetic(GROUPED, 5)
+    vocab = data.Vocabulary.from_examples(grouped.train + grouped.dev)
+    config = model.TrainConfig(
+        objective=OBJ_COMPOUND_SHARED, learning_rate=3e-3, batch_size=12, epochs=EPOCHS,
+        seed=0, policy=MASK_POLICIES[0], dim=16,
+    )
+    result = model.train_dss(
+        _contexts(grouped, vocab, count=16, size=3), config, vocab_size=len(vocab)
+    )
+    digests[f"{OBJ_COMPOUND_SHARED}/{MASK_POLICIES[0]}/three-passage"] = _checkpoint_digest(
+        result, OBJ_COMPOUND_SHARED
+    )
     return digests
 
 

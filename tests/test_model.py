@@ -35,6 +35,7 @@ from spanobj.model import (
     save_checkpoint,
     train,
     train_dss,
+    _context_chunks,
     _stack_bounds,
     zero_grads,
 )
@@ -335,6 +336,24 @@ def test_train_dss_runs_and_counts_skips():
     assert result.log[-1]["examples"] == 1
     with pytest.raises(ConfigError):
         train_dss(contexts, config)  # vocab_size required from scratch
+
+
+def test_context_without_passages_is_invalid_input_not_divergence():
+    rng = np.random.default_rng(43)
+    q_ids = rng.integers(1, 15, size=3)
+    contexts = [_Ctx(q_ids, [(rng.integers(1, 15, size=5), {SpanTarget(1, 2)})]), _Ctx(q_ids, [])]
+    config = TrainConfig(objective=OBJ_COMPOUND_SHARED, epochs=1, batch_size=2, dim=6)
+    with pytest.raises(InvalidInputError, match="context 1 has no passages"):
+        train_dss(contexts, config, vocab_size=15)
+    with pytest.raises(InvalidInputError, match="no passages"):
+        context_loss_and_grads(init_params(15, dim=6), contexts[1])
+
+
+def test_context_chunks_hold_at_most_max_stack_passages():
+    sizes = [3, 4, 1, 2, 9, 8, 1, 1]
+    contexts = [_Ctx(np.array([1]), [(np.array([1]), set())] * n) for n in sizes]
+    chunks = [[len(c.passages) for c in chunk] for chunk in _context_chunks(contexts)]
+    assert chunks == [[3, 4, 1], [2], [9], [8], [1, 1]]
 
 
 def test_config_validation():

@@ -5,7 +5,9 @@ The loss properties compare the mask-indexed losses against the index-map
 formulas (a Python list of cells, searched with ``list.index``) that they
 replaced, bit for bit.  The core property compares the stacked model core
 against the one-example forward / loss / backward loop it replaced, bit for
-bit; that loop is written out below as the reference.
+bit; that loop is written out below as the reference.  The chunk property
+holds shared-normalization training, which runs chunks of contexts through
+the core, to a loop over contexts of that one-example reference.
 """
 
 import math
@@ -30,6 +32,7 @@ from spanobj.objectives import (
     BOUNDARY_JOINT,
     BOUNDARY_START,
     OBJ_COMPOUND,
+    OBJ_COMPOUND_SHARED,
     OBJ_CONDITIONAL,
     OBJ_INDEPENDENT,
     OBJ_JOINT,
@@ -412,6 +415,153 @@ def test_stacked_core_equals_the_one_example_loop_bit_for_bit(batch, objective, 
     model.AdamW().step(reference, ref_grads)
     for (name, got), (_, want) in zip(stepped.blocks(), reference.blocks()):
         assert np.array_equal(got, want), name
+
+
+# ---------------------------------------------------------------------------
+# Shared-normalization chunks against the per-context loop
+
+
+def _ref_pooled(rows, golds):
+    """One softmax over the rows concatenated, marginalizing the gold positions."""
+    scores = np.concatenate(rows)
+    flags = np.concatenate([np.isin(np.arange(row.size), sorted(g)) for row, g in zip(rows, golds)])
+    lse_all, lse_gt = logsumexp(scores), logsumexp(scores[flags])
+    grad = np.exp(scores - lse_all)
+    grad[flags] -= np.exp(scores[flags] - lse_gt)
+    bounds = np.cumsum([0] + [row.size for row in rows])
+    return lse_all - lse_gt, [grad[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _ref_context_loss_and_grads(params, context, policy):
+    """One context at a time, each passage through the one-example loop."""
+    caches = [_ref_forward(params, context.question_ids, p.passage_ids, policy) for p in context.passages]
+    spans = [[(t.start, t.end) for t in p.gt_spans] for p in context.passages]
+    start, g_start = _ref_pooled([c["start"] for c in caches], [{s for s, _ in g} for g in spans])
+    end, g_end = _ref_pooled([c["end"] for c in caches], [{e for _, e in g} for g in spans])
+    joint, g_joint = _ref_pooled(
+        [c["scores"][c["mask"]] for c in caches],
+        [{int(np.count_nonzero(c["mask"][:s])) + int(np.count_nonzero(c["mask"][s, :e]))
+          for s, e in g} for c, g in zip(caches, spans)],
+    )
+    grads = model.zero_grads(params)
+    for c, gs, ge, gj in zip(caches, g_start, g_end, g_joint):
+        matrix = np.zeros_like(c["scores"])
+        matrix[c["mask"]] = gj
+        passage = _ref_backward(params, c, (None, gs, ge, matrix, None, None), OBJ_COMPOUND_SHARED)
+        for name in grads:
+            grads[name] += passage[name]
+    return joint + start + end, grads
+
+
+def _ref_context_step(params, batch, policy, optimizer):
+    """The per-context step: contexts in order, unsupervised ones skipped."""
+    grads, total, used = model.zero_grads(params), 0.0, 0
+    for context in batch:
+        if not any(p.gt_spans for p in context.passages):
+            continue
+        loss, ctx_grads = _ref_context_loss_and_grads(params, context, policy)
+        total += loss
+        used += 1
+        for name in grads:
+            grads[name] += ctx_grads[name]
+    if used:
+        for name in grads:
+            grads[name] *= 1.0 / used
+        optimizer.step(params, grads)
+    return (total, used, len(batch) - used), grads
+
+
+@dataclass
+class _Passage:
+    passage_ids: np.ndarray
+    gt_spans: set
+
+
+@dataclass
+class _Context:
+    question_ids: np.ndarray
+    passages: list
+
+
+@st.composite
+def contexts(draw, min_passages=1, max_passages=4):
+    """A context of passages of mixed L, each with 0-3 gold spans (or none at all)."""
+    supervised = draw(st.booleans()) or draw(st.booleans())
+    passages = []
+    for _ in range(draw(st.integers(min_passages, max_passages))):
+        length = draw(st.sampled_from((1, 3, 6)))
+        gold = set()
+        for _ in range(draw(st.integers(0, 3)) if supervised else 0):
+            start = draw(st.integers(0, length - 1))
+            gold.add(SpanTarget(start, draw(st.integers(start, length - 1))))
+        ids = draw(st.lists(st.integers(0, VOCAB - 1), min_size=length, max_size=length))
+        passages.append(_Passage(np.array(ids), gold))
+    question = draw(st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=4))
+    return _Context(np.array(question), passages)
+
+
+@st.composite
+def context_batches(draw):
+    """Contexts, optionally one with more than MAX_STACK passages, and a batch size."""
+    batch = draw(st.lists(contexts(), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        big = draw(contexts(min_passages=model.MAX_STACK + 1, max_passages=model.MAX_STACK + 3))
+        batch.insert(draw(st.integers(0, len(batch))), big)
+    return batch, draw(st.integers(1, 12))
+
+
+class _RecordingAdamW(model.AdamW):
+    def step(self, params, grads):
+        self.seen = {name: g.copy() for name, g in grads.items()}
+        super().step(params, grads)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    context_batches(),
+    st.sampled_from(MASK_POLICIES),
+    st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
+    st.integers(0, 2**16),
+)
+def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed):
+    contexts_, batch_size = case
+    params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():  # nonzero biases, so every block carries signal
+        block += rng.normal(0.0, 0.1, size=block.shape)
+
+    for context in contexts_:
+        got = model.context_loss_and_grads(params, context, policy)
+        if not any(p.gt_spans for p in context.passages):
+            assert got is None
+            continue
+        loss, grads = got
+        want_loss, want_grads = _ref_context_loss_and_grads(params, context, policy)
+        assert loss == want_loss
+        assert sorted(grads) == sorted(want_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], want_grads[name]), name
+
+    # Steps over batches: chunks never cross a batch edge, and a batch edge
+    # need not fall on a chunk edge of the whole list.
+    config = model.TrainConfig(objective=OBJ_COMPOUND_SHARED, policy=policy, dim=4, similarity=sim)
+    stepped, reference = params.copy(), params.copy()
+    optimizer, ref_optimizer = _RecordingAdamW(), model.AdamW()
+    for lo in range(0, len(contexts_), batch_size):
+        batch = contexts_[lo : lo + batch_size]
+        optimizer.seen = None
+        outcome = model._context_step(stepped, batch, config, optimizer)
+        want_outcome, want_grads = _ref_context_step(reference, batch, policy, ref_optimizer)
+        assert outcome == want_outcome
+        if want_outcome[1]:
+            for name in want_grads:
+                assert np.array_equal(optimizer.seen[name], want_grads[name]), name
+        for (name, got), (_, want) in zip(stepped.blocks(), reference.blocks()):
+            assert np.array_equal(got, want), name
+    assert optimizer.t == ref_optimizer.t
+    for name in ref_optimizer.m:
+        assert np.array_equal(optimizer.m[name], ref_optimizer.m[name]), name
+        assert np.array_equal(optimizer.v[name], ref_optimizer.v[name]), name
 
 
 # ---------------------------------------------------------------------------

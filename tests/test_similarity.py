@@ -13,7 +13,6 @@ from spanobj.similarity import (
     KIND_WEIGHTED_DOT,
     SimilarityParams,
     joint_boundary_reps,
-    bidaf_similarity,
     span_scores,
     span_scores_grad,
     weight_length,
@@ -130,17 +129,6 @@ def test_joint_boundary_reps_is_affine_on_start_side_only():
     np.testing.assert_array_equal(reps.h_end, h)
     with pytest.raises(InvalidInputError):
         joint_boundary_reps(h, np.eye(3), b)
-
-
-def test_bidaf_similarity_equals_multiplicative_additive_cell():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        d = int(rng.integers(1, 8))
-        q, p = rng.normal(size=d), rng.normal(size=d)
-        w = rng.normal(size=3 * d)
-        assert bidaf_similarity(q, p, w) == pytest.approx(
-            _cell_score("multiplicative-additive", w, q, p), abs=1e-12
-        )
 
 
 def test_weighted_dot_reduces_to_dot_with_unit_weights():
