@@ -64,9 +64,19 @@ def _apply_config(args: argparse.Namespace, command: str) -> argparse.Namespace:
 
 
 def _resolve(args, defaults: dict) -> None:
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
+    """Fill unset options with defaults; convert numeric ones to the default's type."""
+    for key, default in defaults.items():
+        value = getattr(args, key)
+        if value is None:
+            value = default
+        elif isinstance(default, (int, float)):
+            try:
+                value = type(default)(value)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(
+                    f"option {key!r} takes {type(default).__name__} values, got {value!r}"
+                ) from err
+        setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +100,17 @@ def cmd_generate(args) -> int:
         },
     )
     config = data_mod.GeneratorConfig(
-        n_train=int(args.n_train),
-        n_dev=int(args.n_dev),
-        subjects=int(args.subjects),
-        attributes=int(args.attributes),
-        value_pool=int(args.value_pool),
-        ambiguous_fraction=float(args.ambiguous_fraction),
-        distractors=int(args.distractors),
+        n_train=args.n_train,
+        n_dev=args.n_dev,
+        subjects=args.subjects,
+        attributes=args.attributes,
+        value_pool=args.value_pool,
+        ambiguous_fraction=args.ambiguous_fraction,
+        distractors=args.distractors,
         mode=args.mode,
-        passages_per_topic=int(args.passages_per_topic),
+        passages_per_topic=args.passages_per_topic,
     )
-    dataset = data_mod.generate_synthetic(config, int(args.seed))
+    dataset = data_mod.generate_synthetic(config, args.seed)
     os.makedirs(args.out, exist_ok=True)
     data_mod.save_dataset(dataset.train, os.path.join(args.out, "train.jsonl"))
     data_mod.save_dataset(dataset.dev, os.path.join(args.out, "dev.jsonl"))
@@ -118,11 +128,15 @@ def cmd_generate(args) -> int:
 
 def _parse_seeds(raw) -> list:
     if isinstance(raw, (list, tuple)):
-        return [int(s) for s in raw]
-    parts = [p for p in str(raw).replace(",", " ").split() if p]
+        parts = list(raw)
+    else:
+        parts = [p for p in str(raw).replace(",", " ").split() if p]
     if not parts:
         raise ConfigError("no training seeds given")
-    return [int(p) for p in parts]
+    try:
+        return [int(p) for p in parts]
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"option 'seeds' takes integers, got {raw!r}") from err
 
 
 def cmd_train(args) -> int:
@@ -164,14 +178,14 @@ def cmd_train(args) -> int:
     for seed in seeds:
         config = model.TrainConfig(
             objective=args.objective,
-            learning_rate=float(args.learning_rate),
-            weight_decay=float(args.weight_decay),
-            batch_size=int(args.batch_size),
-            epochs=int(args.epochs),
+            learning_rate=args.learning_rate,
+            weight_decay=args.weight_decay,
+            batch_size=args.batch_size,
+            epochs=args.epochs,
             seed=seed,
             policy=args.policy,
-            context_size=int(args.context_size),
-            dim=int(args.dim),
+            context_size=args.context_size,
+            dim=args.dim,
             similarity=args.similarity,
         )
         ckpt_path = os.path.join(args.out, f"{args.objective}-seed{seed}.ckpt")
@@ -196,7 +210,7 @@ def cmd_train(args) -> int:
             start_epoch=start_epoch,
             dev_set=encoded_dev,
             vocab_size=len(vocab),
-            beam_width=int(args.beam),
+            beam_width=args.beam,
         )
         if shared:
             result = model.train_dss(contexts, config, **kwargs)
@@ -246,14 +260,11 @@ def cmd_decode(args) -> int:
     encoded = data_mod.encode_examples(examples, vocab)
 
     records = []
-    for enc in encoded:
-        dist = model.predict_distribution(
-            ckpt.params, enc.question_ids, enc.passage_ids, ckpt.objective, policy, int(args.beam)
-        )
-        dist = decoding.apply_filters(
-            dist, enc.example.passage, args.filter, int(args.zeta), int(args.surface_k)
-        )
-        for rank, pred in enumerate(decoding.top_k(dist, int(args.top_k), enc.example.passage), 1):
+    dists = model.predict_distributions(ckpt.params, encoded, ckpt.objective, policy, args.beam)
+    for enc, dist in zip(encoded, dists):
+        passage = enc.example.passage
+        dist = decoding.apply_filters(dist, passage, args.filter, args.zeta, args.surface_k)
+        for rank, pred in enumerate(decoding.top_k(dist, args.top_k, passage), 1):
             records.append(
                 {
                     "example_id": enc.id,
@@ -300,7 +311,7 @@ def cmd_eval(args) -> int:
 
     ordered_ids = sorted(ranked)
     lengths = evaluation.avg_topk_span_length(
-        [[t for _, t in ranked[eid]] for eid in ordered_ids], k=int(args.top_k)
+        [[t for _, t in ranked[eid]] for eid in ordered_ids], k=args.top_k
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
@@ -338,10 +349,10 @@ def cmd_context(args) -> int:
             (pid, score) for pid, score in data_mod.score_passages(q_vec, table)
             if pid in passages_by_id
         ]
-        rng = int(args.seed) * 1000003 + i
+        rng = args.seed * 1000003 + i
         contexts.append(
             data_mod.build_context(
-                ranking, ex.answers[0], passages_by_id, int(args.context_size),
+                ranking, ex.answers[0], passages_by_id, args.context_size,
                 rng, ex.id, ex.question,
             )
         )
@@ -398,8 +409,15 @@ def cmd_stats(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as :class:`ConfigError` instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spanobj",
         description="Span-extraction objectives: synthetic experiments end to end.",
     )
@@ -484,9 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args = _apply_config(args, args.command)
         return args.func(args)
     except SpanObjError as err:

@@ -14,6 +14,20 @@ an inverted span (end before start, which the ``full`` policy and the beam
 emit) keeps its mass and rank, is never looked up as text and never pooled;
 a span at probability zero (cut by the length filter, or pooled away by the
 surface-form filter) is skipped by :func:`top_k` like an inverted one.
+
+Decoding core.  ``model.predict_distributions`` runs examples through the
+model in stacks of one passage length (``model.predict_distribution`` is
+its one-example view) and calls the builders here row by row.  The beam
+scores its top starts in stacks too: at most ``MAX_STACK`` starts and
+``MAX_STACK_CELLS`` score cells each (the training caps, so one start per
+stack at L=180, where a wider stack was measured slower), each stack one
+pass of :func:`~spanobj.objectives.conditional_hidden` and one row-wise
+log-softmax, which equal the per-start pass row by row.  The surface-form
+filter slices a dataset passage's text directly and sums only strings that
+occur more than once in its head: ``math.fsum([p]) == p`` for every
+probability but -0.0, which it turns into 0.0, as ``p + 0.0`` does, so a
+string found once keeps its mass plus 0.0.  Every output equals the
+one-example decoders' bit for bit.
 """
 
 from __future__ import annotations
@@ -23,9 +37,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Passage
 from .errors import InvalidInputError
-from .numerics import MASK_VALID, ScoreMatrix, _check_finite_vector, log_softmax, span_mask
-from .objectives import ConditionalParams, SpanTarget, conditional_end_scores
+from .numerics import (
+    MASK_VALID,
+    ScoreMatrix,
+    _check_finite_vector,
+    log_softmax,
+    log_softmax_rows,
+    span_mask,
+    stack_cap,
+)
+from .objectives import ConditionalParams, SpanTarget, conditional_hidden
 
 DEFAULT_MAX_SPAN_LENGTH = 30
 DEFAULT_SURFACE_TOP_K = 100
@@ -191,17 +214,32 @@ def beam_decode(
     P(start) * P(end | start).  The (up to) k^2 candidates are normalized
     over themselves for ranking; ``raw_mass`` keeps their joint-factorized
     total, so raw probabilities are ``probability * raw_mass``.  With k = L
-    this enumerates every pair exactly, inverted ones included.
+    this enumerates every pair exactly, inverted ones included.  The starts
+    are scored in stacks capped like the model core's (``stack_cap``).
     """
     if k < 1:
         raise InvalidInputError(f"beam width must be >= 1, got {k}")
     start_scores = _check_finite_vector(start_scores)
-    width = min(k, start_scores.size)
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != start_scores.size:
+        raise InvalidInputError(
+            f"expected d x {start_scores.size} representations, got {h.shape}"
+        )
+    d, length = h.shape
+    width = min(k, length)
     start_logp = log_softmax(start_scores)
     top_starts = np.argsort(-start_logp, kind="stable")[:width]
-    end_logp = np.stack(
-        [log_softmax(conditional_end_scores(h, i, params)) for i in top_starts.tolist()]
-    )
+    end_logp = np.empty((width, length))
+    cap = stack_cap(length)
+    for lo in range(0, width, cap):
+        starts = top_starts[lo : lo + cap]
+        # Every row of the stack reads the one passage representation.
+        stacked = np.broadcast_to(h, (starts.size, d, length))
+        _, hidden = conditional_hidden(stacked, starts, params)
+        end_scores = params.w_out @ hidden
+        if not np.isfinite(end_scores).all():
+            raise InvalidInputError("score vector contains non-finite entries")
+        end_logp[lo : lo + cap] = log_softmax_rows(end_scores)
     top_ends = np.argsort(-end_logp, axis=1, kind="stable")[:, :width]
     logp = start_logp[top_starts][:, None] + np.take_along_axis(end_logp, top_ends, axis=1)
     probs = _exact_exp(logp.ravel()).astype(np.float64)
@@ -238,16 +276,37 @@ def surface_form_filter(
     if k < 1:
         raise InvalidInputError(f"top-k cutoff must be >= 1, got {k}")
     head = dist.order(k)
+    head = head[dist.ends[head] >= dist.starts[head]]
+    texts = _span_texts(passage, dist.starts[head].tolist(), dist.ends[head].tolist())
     groups: dict[str, list] = {}
-    for row, s, e in zip(head.tolist(), dist.starts[head].tolist(), dist.ends[head].tolist()):
-        if e >= s:
-            groups.setdefault(span_text(passage, s, e), []).append(row)
+    for i, text in enumerate(texts):
+        groups.setdefault(text, []).append(i)
+    mass = dist.probs[head].tolist()
+    # A string's pooled mass is math.fsum over its rows.  For a string found
+    # once that is the row's own value, except that -0.0 sums to 0.0, as
+    # adding 0.0 does; so only repeated strings are summed.
+    pooled = [p + 0.0 for p in mass]
+    for group in groups.values():
+        if len(group) > 1:
+            # Rows arrive rank-ordered, so the first holds the group's mass.
+            pooled[group[0]] = math.fsum([mass[i] for i in group])
+            for i in group[1:]:
+                pooled[i] = 0.0
     probs = dist.probs.copy()
-    for rows in groups.values():
-        # Rows arrive rank-ordered, so the first holds the group's mass.
-        probs[rows[0]] = math.fsum(dist.probs[rows])
-        probs[rows[1:]] = 0.0
+    probs[head] = pooled
     return SpanDistribution.from_arrays(dist.starts, dist.ends, probs, raw_mass=dist.raw_mass)
+
+
+def _span_texts(passage, starts: list, ends: list) -> list:
+    """:func:`span_text` of each extractable span, a dataset passage sliced directly."""
+    if (
+        isinstance(passage, Passage)
+        and min(starts, default=0) >= 0
+        and max(ends, default=0) < len(passage.tokens)
+    ):
+        text, offsets = passage.text, passage.offsets
+        return [text[offsets[s][0] : offsets[e][1]].strip() for s, e in zip(starts, ends)]
+    return [span_text(passage, s, e) for s, e in zip(starts, ends)]
 
 
 def apply_filters(

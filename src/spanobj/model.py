@@ -51,6 +51,15 @@ context.  The outputs equal a loop over contexts bit for bit because:
   at the ids it touches, because a total that starts at +0.0 never holds
   -0.0 (``x + 0.0 == x``).
 
+Decoding runs through the same core.  ``predict_distributions`` takes
+consecutive examples in windows of at most ``MAX_STACK`` full stacks of
+score cells, sorts a window's examples stably by passage length, cuts them
+into stacks as training does, runs each stack forward once (without the
+joint head for the independent and conditional decoders) and yields the
+distributions in input order.  ``predict_distribution`` is its
+one-example view.  Each distribution equals the one-example decode bit for
+bit, because a stacked forward pass equals the B=1 pass row by row.
+
 Example records are duck-typed: training consumes objects carrying
 ``question_ids``, ``passage_ids`` and ``target`` (plus ``example`` for text
 metrics); shared-normalization training consumes contexts carrying
@@ -77,7 +86,15 @@ from .errors import (
     malformed,
 )
 from .evaluation import em_f1
-from .numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix, span_mask
+from .numerics import (
+    MASK_POLICIES,
+    MASK_VALID,
+    MAX_STACK,
+    MAX_STACK_CELLS,
+    ScoreMatrix,
+    span_mask,
+    stack_cap,
+)
 from .objectives import (
     OBJ_COMPOUND,
     OBJ_COMPOUND_SHARED,
@@ -265,12 +282,6 @@ def flatten_grads(params: ModelParams, grads: dict) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Forward / backward
 
-# A stack holds at most this many examples and score cells, so one at
-# L=180 holds a single example.
-MAX_STACK = 8
-MAX_STACK_CELLS = 180 * 180
-
-
 @dataclass
 class ForwardCache:
     """Intermediates of one example, retained for the backward pass."""
@@ -332,7 +343,7 @@ def _stack_bounds(lengths):
     lo = 0
     while lo < len(lengths):
         length = lengths[lo]
-        cap = min(MAX_STACK, max(1, MAX_STACK_CELLS // max(1, length * length)))
+        cap = stack_cap(length)
         hi = lo + 1
         while hi < len(lengths) and hi - lo < cap and lengths[hi] == length:
             hi += 1
@@ -1025,6 +1036,70 @@ def train_dss(
 # Decoding + evaluation glue
 
 
+def _decode_windows(lengths):
+    """``(lo, hi)`` runs of consecutive examples holding at most ``MAX_STACK``
+    full stacks of score cells in all (at least one example)."""
+    lo = 0
+    while lo < len(lengths):
+        hi, cells = lo + 1, lengths[lo] ** 2
+        while hi < len(lengths) and cells + lengths[hi] ** 2 <= MAX_STACK * MAX_STACK_CELLS:
+            cells += lengths[hi] ** 2
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def predict_distributions(
+    params: ModelParams,
+    examples,
+    objective: str,
+    policy: str = MASK_VALID,
+    beam_width: int = decoding.DEFAULT_BEAM_WIDTH,
+):
+    """Span distributions of encoded examples, yielded in input order.
+
+    Compound-family models decode with the joint factor; the independent
+    objective decodes with the boundary product; the conditional objective
+    beam-decodes.  Examples run through the model core in windows of
+    consecutive examples (at most ``MAX_STACK`` full stacks of score cells,
+    so a window's distributions stay small); a window's examples, sorted
+    stably by passage length, are cut into stacks.  Each distribution
+    equals the one-example decode bit for bit.
+    """
+    if objective not in OBJECTIVE_KINDS:
+        raise ConfigError(f"unknown objective {objective!r}")
+    examples = list(examples)
+    lengths = [np.size(ex.passage_ids) for ex in examples]
+    # The independent and conditional decoders never read the joint head.
+    joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
+    for lo, hi in _decode_windows(lengths):
+        order = sorted(range(lo, hi), key=lengths.__getitem__)
+        dists = {}
+        for first, last in _stack_bounds([lengths[i] for i in order]):
+            members = order[first:last]
+            stack = _forward_stack(
+                params,
+                [examples[i].question_ids for i in members],
+                [examples[i].passage_ids for i in members],
+                policy,
+                joint=joint,
+            )
+            _check_finite(stack)
+            for j, i in enumerate(members):
+                if objective == OBJ_INDEPENDENT:
+                    dists[i] = decoding.independent_distribution(
+                        stack.start_scores[j], stack.end_scores[j], policy
+                    )
+                elif objective == OBJ_CONDITIONAL:
+                    dists[i] = decoding.beam_decode(
+                        stack.start_scores[j], stack.h[j], params.cond, beam_width
+                    )
+                else:
+                    dists[i] = decoding.joint_distribution(ScoreMatrix(stack.joint[j], stack.mask))
+        for i in range(lo, hi):
+            yield dists.pop(i)
+
+
 def predict_distribution(
     params: ModelParams,
     question_ids,
@@ -1033,20 +1108,10 @@ def predict_distribution(
     policy: str = MASK_VALID,
     beam_width: int = decoding.DEFAULT_BEAM_WIDTH,
 ) -> decoding.SpanDistribution:
-    """Span distribution for one example under the objective's decoder.
-
-    Compound-family models decode with the joint factor; the independent
-    objective decodes with the boundary product; the conditional objective
-    beam-decodes.
-    """
-    cache = forward(params, question_ids, passage_ids, policy)
-    if objective == OBJ_INDEPENDENT:
-        return decoding.independent_distribution(cache.start_scores, cache.end_scores, policy)
-    if objective in (OBJ_JOINT, OBJ_COMPOUND, OBJ_COMPOUND_SHARED):
-        return decoding.joint_distribution(cache.joint)
-    if objective == OBJ_CONDITIONAL:
-        return decoding.beam_decode(cache.start_scores, cache.h, params.cond, beam_width)
-    raise ConfigError(f"unknown objective {objective!r}")
+    """Span distribution for one example: :func:`predict_distributions` of one."""
+    example = SimpleNamespace(question_ids=question_ids, passage_ids=passage_ids)
+    (dist,) = predict_distributions(params, [example], objective, policy, beam_width)
+    return dist
 
 
 @dataclass
@@ -1074,14 +1139,13 @@ def evaluate_model(
     two candidate answer spans: a decode crosses when its start falls inside
     one candidate and its end inside another.
     """
+    dev_set = list(dev_set)
     em_bits = []
     f1_values = []
     crossings = 0
     eligible = 0
-    for enc in dev_set:
-        dist = predict_distribution(
-            params, enc.question_ids, enc.passage_ids, objective, policy, beam_width
-        )
+    dists = predict_distributions(params, dev_set, objective, policy, beam_width)
+    for enc, dist in zip(dev_set, dists):
         predictions = decoding.top_k(dist, 1, enc.example.passage)
         text = predictions[0].text if predictions else ""
         em_bit, f1_value = em_f1(text, enc.example.answers)

@@ -22,6 +22,17 @@ MASK_VALID = "valid"
 MASK_FULL = "full"
 MASK_POLICIES = (MASK_VALID, MASK_FULL)
 
+# A stack (rows run through one batched array pass: a training or decoding
+# stack of examples, or a stack of beam starts) holds at most this many rows
+# and L x L score cells, so one at L=180 holds a single row.
+MAX_STACK = 8
+MAX_STACK_CELLS = 180 * 180
+
+
+def stack_cap(length: int) -> int:
+    """Rows a stack may hold at passage length ``length`` (at least one)."""
+    return min(MAX_STACK, max(1, MAX_STACK_CELLS // max(1, length * length)))
+
 
 def span_mask(length: int, policy: str = MASK_VALID) -> np.ndarray:
     """Boolean validity mask for spans over a passage of ``length`` tokens.

@@ -278,6 +278,58 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     ], "ConfigError")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["decode", "--checkpoint", "c", "--data", "d", "--out", "o", "--filter", "bogus"], "--filter"),
+    (["train", "--data", "d", "--out", "o", "--epochs", "abc"], "--epochs"),
+    (["train", "--data", "d", "--out", "o", "--seeds", "1,x"], "seeds"),
+    (["decode", "--checkpoint", "c", "--data", "d"], "--out"),
+    ([], "command"),
+])
+def test_usage_errors_report_one_json_line_and_exit_1(capsys, argv, option):
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert option in record["message"]
+
+
+@pytest.mark.parametrize("command, overrides, option", [
+    ("decode", {"zeta": "abc"}, "zeta"),
+    ("decode", {"top_k": [20]}, "top_k"),
+    ("train", {"epochs": "two"}, "epochs"),
+    ("train", {"learning_rate": "fast"}, "learning_rate"),
+])
+def test_config_values_that_do_not_convert_are_config_errors(
+    pipeline, tmp_path, capsys, command, overrides, option
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overrides))
+    argv = {
+        "decode": ["decode", "--checkpoint", str(pipeline["checkpoint"]),
+                   "--data", str(pipeline["corpus"] / "dev.jsonl")],
+        "train": ["train", "--data", str(pipeline["corpus"])],
+    }[command]
+    out = tmp_path / "out"
+    rc = cli.main(argv + ["--out", str(out), "--config", str(config)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    (line,) = captured.err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert option in record["message"]
+    assert not out.exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["decode", "--help"])
+    assert exit_info.value.code == 0
+    assert "--filter" in capsys.readouterr().out
+
+
 def test_shared_objective_requires_contexts(pipeline, tmp_path, capsys):
     _expect_error(capsys, [
         "train", "--data", str(pipeline["corpus"]), "--out", str(tmp_path / "x"),

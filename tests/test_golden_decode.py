@@ -4,7 +4,10 @@ Every objective x masking policy x filter pipeline decodes the dev set of a
 small fixed corpus the way ``spanobj decode`` does (predict, filter, top-20),
 and the SHA-256 of the ranked rows (span, text, probability repr) must match
 ``golden_decode.json``.  A refactor of the decoders that claims identical
-output is held to it byte for byte.
+output is held to it byte for byte.  The ``grouped/`` entries decode a
+grouped-corpus dev set whose passage lengths (18 and 24) interleave, so a
+stacked decode that sorts by length must hand the distributions back in
+input order; they were generated with the one-example decoder.
 
 Regenerate the file (only when an output change is intended and explained)
 with::
@@ -30,15 +33,17 @@ CORPUS = data.GeneratorConfig(
     n_train=24, n_dev=3, subjects=12, attributes=4, value_pool=20,
     ambiguous_fraction=0.3, distractors=6, mode=data.MODE_TWIN,
 )
+# Two facts per passage, grouped: dev passages of 18 and 24 tokens, unsorted.
+GROUPED = data.GeneratorConfig(
+    n_train=48, n_dev=20, subjects=30, attributes=6, value_pool=40,
+    ambiguous_fraction=0.3, distractors=1, mode=data.MODE_GROUPED, passages_per_topic=4,
+)
 
 
 def _ranked_digest(params, dev, objective, policy, pipeline):
     digest = hashlib.sha256()
-    for enc in dev:
+    for enc, dist in zip(dev, model.predict_distributions(params, dev, objective, policy)):
         try:
-            dist = model.predict_distribution(
-                params, enc.question_ids, enc.passage_ids, objective, policy
-            )
             dist = decoding.apply_filters(dist, enc.example.passage, pipeline)
             rows = [
                 (p.span.start, p.span.end, p.text, p.probability)
@@ -50,8 +55,8 @@ def _ranked_digest(params, dev, objective, policy, pipeline):
     return digest.hexdigest()
 
 
-def compute_digests():
-    dataset = data.generate_synthetic(CORPUS, 5)
+def _corpus_digests(corpus, filters, prefix=""):
+    dataset = data.generate_synthetic(corpus, 5)
     vocab = data.Vocabulary.from_examples(dataset.train + dataset.dev)
     train = data.encode_examples(dataset.train, vocab)
     dev = data.encode_examples(dataset.dev, vocab)
@@ -66,10 +71,14 @@ def compute_digests():
                 seed=0, policy=policy, dim=16,
             )
             params = model.train(train, config, vocab_size=len(vocab)).params
-            for pipeline in FILTERS:
-                key = f"{objective}/{policy}/{pipeline}"
+            for pipeline in filters:
+                key = f"{prefix}{objective}/{policy}/{pipeline}"
                 digests[key] = _ranked_digest(params, dev, objective, policy, pipeline)
     return digests
+
+
+def compute_digests():
+    return {**_corpus_digests(CORPUS, FILTERS), **_corpus_digests(GROUPED, ("lf+sf",), "grouped/")}
 
 
 def test_ranked_decode_matches_golden_digests():

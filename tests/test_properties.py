@@ -7,7 +7,10 @@ replaced, bit for bit.  The core property compares the stacked model core
 against the one-example forward / loss / backward loop it replaced, bit for
 bit; that loop is written out below as the reference.  The chunk property
 holds shared-normalization training, which runs chunks of contexts through
-the core, to a loop over contexts of that one-example reference.
+the core, to a loop over contexts of that one-example reference.  The decode
+properties hold the stacked decode, the stacked beam and the surface-form
+filter that pools only repeated strings to copies of the one-example
+decoders they replaced, bit for bit.
 """
 
 import math
@@ -19,10 +22,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spanobj import model
+from spanobj.data import Passage
 from spanobj.decoding import (
     SpanDistribution,
     beam_decode,
+    independent_distribution,
+    joint_distribution,
     length_filter,
+    span_text,
     surface_form_filter,
     top_k,
 )
@@ -655,3 +662,156 @@ def test_full_width_beam_is_exhaustive_enumeration(length, seed):
     assert math.isclose(raw, 1.0, rel_tol=1e-12)
     for cell, p in exhaustive.items():
         assert math.isclose(got[cell], p / raw, rel_tol=1e-9, abs_tol=1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Stacked decoding against the one-example decoders
+
+
+def _ref_beam_decode(start_scores, h, params, k):
+    """The beam that scored one start at a time."""
+    width = min(k, start_scores.size)
+    start_logp = log_softmax(start_scores)
+    top_starts = np.argsort(-start_logp, kind="stable")[:width]
+    end_logp = np.stack(
+        [log_softmax(conditional_end_scores(h, i, params)) for i in top_starts.tolist()]
+    )
+    top_ends = np.argsort(-end_logp, axis=1, kind="stable")[:, :width]
+    logp = start_logp[top_starts][:, None] + np.take_along_axis(end_logp, top_ends, axis=1)
+    probs = np.array([math.exp(x) for x in logp.ravel().tolist()])
+    raw = math.fsum(probs)
+    return SpanDistribution.from_arrays(
+        np.repeat(top_starts, width), top_ends.ravel(), probs / raw, raw_mass=raw
+    )
+
+
+def _ref_predict_distribution(params, question_ids, passage_ids, objective, policy, beam_width):
+    """The decode that ran one example at a time through ``forward``."""
+    cache = model.forward(params, question_ids, passage_ids, policy)
+    if objective == OBJ_INDEPENDENT:
+        return independent_distribution(cache.start_scores, cache.end_scores, policy)
+    if objective == OBJ_CONDITIONAL:
+        return _ref_beam_decode(cache.start_scores, cache.h, params.cond, beam_width)
+    return joint_distribution(cache.joint)
+
+
+def _ref_surface_form_filter(dist, passage, k):
+    """The filter that wrote a pooled mass for every string, repeated or not."""
+    head = dist.order(k)
+    groups = {}
+    for row, s, e in zip(head.tolist(), dist.starts[head].tolist(), dist.ends[head].tolist()):
+        if e >= s:
+            groups.setdefault(span_text(passage, s, e), []).append(row)
+    probs = dist.probs.copy()
+    for rows in groups.values():
+        probs[rows[0]] = math.fsum(dist.probs[rows])
+        probs[rows[1:]] = 0.0
+    return SpanDistribution.from_arrays(dist.starts, dist.ends, probs, raw_mass=dist.raw_mass)
+
+
+def _assert_same_bits(got, want):
+    for name in ("starts", "ends", "probs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.raw_mass.hex() == want.raw_mass.hex()
+
+
+@dataclass
+class _Query:
+    question_ids: np.ndarray
+    passage_ids: np.ndarray
+
+
+@st.composite
+def decode_sets(draw):
+    """Unsorted examples of mixed L up to 180; sometimes more at L=180 than a window holds."""
+    lengths = draw(st.lists(st.sampled_from((1, 5, 12, 24, 60, 90, 180)), min_size=1, max_size=12))
+    if draw(st.booleans()):
+        lengths += [180] * (model.MAX_STACK + 1)
+    lengths = draw(st.permutations(lengths))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return [
+        _Query(rng.integers(0, VOCAB, size=int(rng.integers(1, 5))), rng.integers(0, VOCAB, size=L))
+        for L in lengths
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    decode_sets(),
+    st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
+    st.sampled_from((1, 3, 10, 200)),
+    st.integers(0, 2**16),
+)
+def test_stacked_decode_equals_the_one_example_decode_bit_for_bit(
+    examples, sim, beam_width, seed
+):
+    params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():
+        block += rng.normal(0.0, 0.1, size=block.shape)
+    for objective in OBJECTIVE_KINDS:
+        for policy in MASK_POLICIES:
+            got = list(model.predict_distributions(params, examples, objective, policy, beam_width))
+            assert len(got) == len(examples)
+            for ex, dist in zip(examples, got):
+                want = _ref_predict_distribution(
+                    params, ex.question_ids, ex.passage_ids, objective, policy, beam_width
+                )
+                _assert_same_bits(dist, want)
+            first = examples[0]
+            _assert_same_bits(
+                model.predict_distribution(
+                    params, first.question_ids, first.passage_ids, objective, policy, beam_width
+                ),
+                got[0],
+            )
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from((1, 2, 7, 12, 60, 90, 180)),
+    st.sampled_from((4, 32)),
+    st.sampled_from((1, 3, 10, None)),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_stacked_beam_equals_the_per_start_beam_bit_for_bit(length, dim, k, ties, seed):
+    rng = np.random.default_rng(seed)
+    params = model.init_params(VOCAB, dim=dim, seed=seed)
+    h = np.tanh(rng.normal(size=(dim, length)))
+    start_scores = rng.normal(0.0, 3.0, size=length)
+    if ties:  # quantized scores tie, so the stable start order matters
+        start_scores = np.round(start_scores)
+    k = length if k is None else k  # None stands for k = L
+    _assert_same_bits(
+        beam_decode(start_scores, h, params.cond, k),
+        _ref_beam_decode(start_scores, h, params.cond, k),
+    )
+
+
+@PROPERTY
+@given(
+    distributions(),
+    st.integers(1, 70),
+    st.lists(st.booleans(), min_size=64, max_size=64),
+    st.lists(st.sampled_from(("a", "b", "ab")), min_size=8, max_size=8),
+    st.lists(st.sampled_from(("", " ", "  ", "\t", " \n ")), min_size=9, max_size=9),
+    st.booleans(),
+)
+def test_surface_form_filter_equals_the_pool_every_string_filter_bit_for_bit(
+    case, k, negative, words, gaps, as_passage
+):
+    _, dist = case
+    # Some zero rows hold -0.0; a string found once turns its row to +0.0.
+    flip = np.array(negative[: len(dist)]) & (dist.probs == 0.0)
+    dist = SpanDistribution.from_arrays(dist.starts, dist.ends, np.where(flip, -0.0, dist.probs))
+    if as_passage:
+        text = gaps[0] + "".join(word + " " + gap for word, gap in zip(words, gaps[1:]))
+        passage = Passage.from_text("p", text)
+        assert len(passage) == 8
+    else:  # token lists whose joins differ only in whitespace
+        passage = [gap + word for word, gap in zip(words, gaps)]
+    _assert_same_bits(
+        surface_form_filter(dist, passage, k), _ref_surface_form_filter(dist, passage, k)
+    )
