@@ -20,7 +20,7 @@ import sys
 
 from . import data as data_mod
 from . import decoding, evaluation, model, stats
-from .errors import ConfigError, InvalidInputError, SpanObjError
+from .errors import MALFORMED_RECORD_ERRORS, ConfigError, InvalidInputError, SpanObjError, malformed
 from .numerics import MASK_VALID
 from .objectives import OBJ_COMPOUND_SHARED, OBJECTIVE_KINDS
 from .similarity import KIND_DOT
@@ -39,6 +39,27 @@ _CONFIGURABLE = {
     "context": {"data", "embeddings", "out", "context_size", "seed"},
     "stats": {"metrics", "comparisons", "out"},
 }
+
+
+# Options each command needs, from a flag or the config file.
+_REQUIRED = {
+    "generate": ("out",),
+    "train": ("data", "out"),
+    "decode": ("checkpoint", "data", "out"),
+    "eval": ("predictions", "gold", "out"),
+    "context": ("data", "embeddings", "out"),
+    "stats": ("metrics", "comparisons"),
+}
+
+
+def _check_required(args: argparse.Namespace, command: str) -> None:
+    for key in _REQUIRED[command]:
+        value = getattr(args, key)
+        if value is None:
+            raise ConfigError(f"{command}: option --{key} is required (a flag or a config key)")
+        values = value if key == "metrics" and isinstance(value, list) else [value]
+        if not all(isinstance(v, str) for v in values):
+            raise ConfigError(f"option {key!r} takes a path or string, got {value!r}")
 
 
 def _apply_config(args: argparse.Namespace, command: str) -> argparse.Namespace:
@@ -259,27 +280,27 @@ def cmd_decode(args) -> int:
     examples = data_mod.load_dataset(args.data)
     encoded = data_mod.encode_examples(examples, vocab)
 
-    records = []
+    # One encoder for every record: json.dumps with options builds one per call.
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = []
     dists = model.predict_distributions(ckpt.params, encoded, ckpt.objective, policy, args.beam)
     for enc, dist in zip(encoded, dists):
         passage = enc.example.passage
         dist = decoding.apply_filters(dist, passage, args.filter, args.zeta, args.surface_k)
         for rank, pred in enumerate(decoding.top_k(dist, args.top_k, passage), 1):
-            records.append(
-                {
-                    "example_id": enc.id,
-                    "rank": rank,
-                    "start": pred.span.start,
-                    "end": pred.span.end,
-                    "text": pred.text,
-                    "probability": pred.probability,
-                }
-            )
+            lines.append(encode({
+                "example_id": enc.id,
+                "rank": rank,
+                "start": pred.span.start,
+                "end": pred.span.end,
+                "text": pred.text,
+                "probability": pred.probability,
+            }))
     with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        for line in lines:
+            fh.write(line)
             fh.write("\n")
-    print(f"wrote {len(records)} predictions for {len(encoded)} examples to {args.out}")
+    print(f"wrote {len(lines)} predictions for {len(encoded)} examples to {args.out}")
     return 0
 
 
@@ -295,12 +316,18 @@ def cmd_eval(args) -> int:
 
     ranked: dict = {}
     with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            ranked.setdefault(record["example_id"], []).append((record["rank"], record["text"]))
+            try:
+                record = json.loads(line)
+                rank, text = record["rank"], record["text"]
+                if type(rank) is not int or not isinstance(text, str):
+                    raise TypeError(f"rank {rank!r} must be an integer, text {text!r} a string")
+                ranked.setdefault(record["example_id"], []).append((rank, text))
+            except MALFORMED_RECORD_ERRORS as err:
+                raise malformed(args.predictions, line_no, "prediction", err) from err
     if not ranked:
         raise InvalidInputError(f"{args.predictions}: no predictions")
     for texts in ranked.values():
@@ -375,12 +402,15 @@ def cmd_stats(args) -> int:
     seed_sets = {}
     for path in metric_files:
         with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        for key in ("label", "seeds", "values"):
-            if key not in record:
-                raise InvalidInputError(f"{path}: metric file lacks {key!r}")
-        samples.append(stats.RunSample(record["label"], record["values"]))
-        seed_sets[record["label"]] = list(record["seeds"])
+            try:
+                record = json.load(fh)
+                samples.append(stats.RunSample(record["label"], record["values"]))
+                seed_sets[record["label"]] = list(record["seeds"])
+            except SpanObjError:
+                raise
+            except MALFORMED_RECORD_ERRORS as err:
+                # A metric file is one JSON object; a parse error knows its line.
+                raise malformed(path, getattr(err, "lineno", 1), "metric file", err) from err
     seed_lists = list(seed_sets.values())
     if any(s != seed_lists[0] for s in seed_lists[1:]):
         raise InvalidInputError(f"metric files carry different seed sets: {seed_sets}")
@@ -428,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic train/dev corpus")
     add_config(p)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     p.add_argument("--seed", type=int)
     p.add_argument("--n-train", dest="n_train", type=int)
     p.add_argument("--n-dev", dest="n_dev", type=int)
@@ -443,8 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one checkpoint per seed")
     add_config(p)
-    p.add_argument("--data", required=True, help="directory holding train.jsonl / dev.jsonl")
-    p.add_argument("--out", required=True)
+    p.add_argument("--data", help="directory holding train.jsonl / dev.jsonl")
+    p.add_argument("--out")
     p.add_argument("--objective", choices=OBJECTIVE_KINDS)
     p.add_argument("--seeds", help="comma-separated training seeds")
     p.add_argument("--epochs", type=int)
@@ -464,9 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", help="write ranked predictions for a dataset")
     add_config(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--checkpoint")
+    p.add_argument("--data")
+    p.add_argument("--out")
     p.add_argument("--filter", choices=["none", "lf", "lf+sf"])
     p.add_argument("--zeta", type=int)
     p.add_argument("--surface-k", dest="surface_k", type=int)
@@ -476,26 +506,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="score predictions against gold answers")
     add_config(p)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--gold", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--predictions")
+    p.add_argument("--gold")
+    p.add_argument("--out")
     p.add_argument("--hist-out", dest="hist_out")
     p.add_argument("--top-k", dest="top_k", type=int)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("context", help="build retrieval contexts with distant supervision")
     add_config(p)
-    p.add_argument("--data", required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--data")
+    p.add_argument("--embeddings")
+    p.add_argument("--out")
     p.add_argument("--context-size", dest="context_size", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_context)
 
     p = sub.add_parser("stats", help="significance report over per-seed metric samples")
     add_config(p)
-    p.add_argument("--metrics", nargs="+", required=True, help="per-run sample files")
-    p.add_argument("--comparisons", required=True, help="e.g. 'compound>independent'")
+    p.add_argument("--metrics", nargs="+", help="per-run sample files")
+    p.add_argument("--comparisons", help="e.g. 'compound>independent'")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
     return parser
@@ -505,6 +535,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args = _apply_config(args, args.command)
+        _check_required(args, args.command)
         return args.func(args)
     except SpanObjError as err:
         sys.stderr.write(

@@ -168,12 +168,28 @@ class Vocabulary:
         return np.array([self.index.get(t, 0) for t in tokens], dtype=np.int64)
 
 
+def _passage_encoder(vocab: Vocabulary):
+    """``vocab.encode`` of a passage's tokens, encoded once per Passage object."""
+    encoded = {}
+
+    def encode(passage: Passage) -> np.ndarray:
+        # The passage is held with its ids, so its id() is never reused.
+        held = encoded.get(id(passage))
+        if held is None:
+            held = encoded[id(passage)] = (passage, vocab.encode(passage.tokens))
+        return held[1]
+
+    return encode
+
+
 def encode_examples(examples, vocab: Vocabulary):
+    """Encoded examples; examples sharing one Passage share one id array."""
+    encode_passage = _passage_encoder(vocab)
     return [
         EncodedExample(
             ex.id,
             vocab.encode(ex.question_tokens),
-            vocab.encode(ex.passage.tokens),
+            encode_passage(ex.passage),
             ex.gold_span,
             ex,
         )
@@ -346,6 +362,8 @@ class EncodedContext:
 
 
 def encode_contexts(contexts, vocab: Vocabulary):
+    """Encoded contexts; passages sharing one Passage share one id array."""
+    encode_passage = _passage_encoder(vocab)
     encoded = []
     for ctx in contexts:
         encoded.append(
@@ -353,7 +371,7 @@ def encode_contexts(contexts, vocab: Vocabulary):
                 ctx.question_id,
                 vocab.encode(ctx.question_tokens),
                 [
-                    EncodedContextPassage(vocab.encode(p.passage.tokens), p.gt_spans, p.passage)
+                    EncodedContextPassage(encode_passage(p.passage), p.gt_spans, p.passage)
                     for p in ctx.passages
                 ],
             )
@@ -389,8 +407,20 @@ def save_dataset(examples, path) -> None:
             fh.write("\n")
 
 
+def _intern(passages: dict, pid, text) -> Passage:
+    """The one Passage of ``(pid, text)`` in ``passages``, tokenized on first use."""
+    key = (pid, text)
+    passage = passages.get(key)
+    if passage is None:
+        passage = passages[key] = Passage.from_text(pid, text)
+    return passage
+
+
 def load_dataset(path):
+    """Examples of a dataset file; records with one ``(passage_id, passage)``
+    share one :class:`Passage`."""
     examples = []
+    passages = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -398,7 +428,7 @@ def load_dataset(path):
                 continue
             try:
                 record = json.loads(line)
-                passage = Passage.from_text(record["passage_id"], record["passage"])
+                passage = _intern(passages, record["passage_id"], record["passage"])
                 gold = char_span_to_token_span(
                     passage, record["answer_starts"][0], record["answers"][0]
                 )
@@ -428,20 +458,23 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingTable:
+    ids, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InvalidInputError(f"{path}: bad embedding header")
-        rows, dim = int(header[0]), int(header[1])
-        ids = []
-        matrix = np.zeros((rows, dim))
-        for i in range(rows):
-            parts = fh.readline().split()
-            if len(parts) != dim + 1:
-                raise InvalidInputError(f"{path}: row {i} malformed")
-            ids.append(parts[0])
-            matrix[i] = [float(v) for v in parts[1:]]
-    return EmbeddingTable(ids, matrix)
+        line_no = 1
+        try:
+            count, dim = (int(v) for v in fh.readline().split())
+            if count < 0 or dim < 1:
+                raise ValueError(f"table of {count} rows of {dim} values")
+            for line_no in range(2, count + 2):
+                parts = fh.readline().split()
+                if len(parts) != dim + 1:
+                    raise ValueError(f"expected an id and {dim} values, got {len(parts)} fields")
+                ids.append(parts[0])
+                rows.append([float(v) for v in parts[1:]])
+        except MALFORMED_RECORD_ERRORS as err:
+            what = "embedding header" if line_no == 1 else "embedding row"
+            raise malformed(path, line_no, what, err) from err
+    return EmbeddingTable(ids, np.array(rows).reshape(len(rows), dim))
 
 
 def save_contexts(contexts, path) -> None:
@@ -467,7 +500,10 @@ def save_contexts(contexts, path) -> None:
 
 
 def load_contexts(path):
+    """Contexts of a contexts file; passages with one ``(id, text)`` share one
+    :class:`Passage`."""
     contexts = []
+    interned = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -477,7 +513,7 @@ def load_contexts(path):
                 record = json.loads(line)
                 passages = []
                 for p in record["passages"]:
-                    passage = Passage.from_text(p["id"], p["text"])
+                    passage = _intern(interned, p["id"], p["text"])
                     gt = {SpanTarget(s, e) for s, e in p["gt"]}
                     passages.append(ContextPassage(passage, p["score"], gt))
                 if not passages:

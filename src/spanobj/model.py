@@ -9,10 +9,16 @@ joint span head, and a conditional end head.
 Nothing here autodiffs.  ``backward`` applies the chain rule explicitly, and
 the test suite holds every path to central finite differences.
 
-Training runs through one batched core.  A batch is cut into stacks: runs
-of consecutive examples that share a passage length L, at most
-``MAX_STACK`` (8) examples and ``MAX_STACK_CELLS`` (180^2) score cells each,
-so a stack at L=180 holds one example.  Forward, loss and backward work on
+Training runs through one batched core.  A batch is cut into windows: runs
+of consecutive examples holding at most ``MAX_WINDOW_CELLS`` (180^2 / 2)
+score cells in all, at least one example.  A window's examples, sorted
+stably by passage length, are cut into stacks: runs that share a passage
+length L, at most ``MAX_STACK`` (8) examples and ``MAX_STACK_CELLS``
+(180^2) score cells each, so a stack at L=180 holds one example.  After each
+stack, every example whose predecessors have all been added is added to the
+gradient total, in example order, as runs of one stack's rows (one
+embedding gather and scatter per run).  A window of one length is the loop
+over consecutive stacks it replaced.  Forward, loss and backward work on
 (B, ...) arrays; ``forward``, ``example_loss``, ``backward`` and
 ``loss_and_grads`` are the same core at B=1.  Stacking changes no bit of
 any loss, gradient, optimizer moment or checkpoint, because the core keeps
@@ -23,25 +29,35 @@ to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
   reshaped product, ``einsum`` and ``q @ W.T`` do not match.  A
   matrix-vector product is ``W @ v[:, :, None]``;
 * softmax and row sums run over C-contiguous rows;
+* a stacked forward pass equals the B=1 pass row by row, whatever order
+  the rows were sorted into;
 * each example's gradient is added to the total in example order; the
   ``w_mix`` and ``w_joint`` gradients are formed per example
   (``a[j] @ b[j]``) rather than as (B, d, 3d) stacks, and embedding rows
   are summed per example over the stack's distinct ids before they reach
-  the total;
+  the total.  An example's rows at ids it does not touch are +0.0, and
+  adding +0.0 changes no total, because a total that starts at +0.0 never
+  holds -0.0;
 * questions of different lengths are padded, the padding is zeroed by a
   0/1 mask and the sum divided by the true count, which equals
   ``.mean(axis=0)``.
 
-The cap of 8 examples bounds the memory a stack holds; peak memory stays
-within a few percent of a one-example loop.
+The cap of 8 examples bounds the memory a stack holds.  A window holds the
+contributions of its stacks until they are added; stacks run in the order
+of their first examples, so the adds start soonest.  The window budget is
+set by memory: on the cli-pipeline benchmark a window of
+``MAX_STACK_CELLS`` raised peak RSS by 3.8-4.0% over chunks of 8
+passages and unsorted runs of one length, and trained no faster than half
+of it, which raised peak RSS by 1.0-1.1%.
 
 Shared-normalization training runs a batch of contexts in chunks: runs of
-consecutive supervised contexts holding at most ``MAX_STACK`` passages in
-all (at least one context).  A chunk's passages, sorted stably by length,
-are cut into stacks; each context pays one pooled cross-entropy per factor
-over its passages' scores in passage order (a 1-D log-sum-exp over the
-concatenated scores).  ``context_loss_and_grads`` is that path for one
-context.  The outputs equal a loop over contexts bit for bit because:
+consecutive supervised contexts whose passages hold at most
+``MAX_WINDOW_CELLS`` score cells in all (at least one context).  A chunk's
+passages, sorted stably by length, are cut into stacks; each context pays
+one pooled cross-entropy per factor over its passages' scores in passage
+order (a 1-D log-sum-exp over the concatenated scores).
+``context_loss_and_grads`` is that path for one context.  The outputs
+equal a loop over contexts bit for bit because:
 
 * the backward pass returns each passage's contribution on its own
   instead of adding it into the total;
@@ -91,6 +107,7 @@ from .numerics import (
     MASK_VALID,
     MAX_STACK,
     MAX_STACK_CELLS,
+    MAX_WINDOW_CELLS,
     ScoreMatrix,
     span_mask,
     stack_cap,
@@ -351,6 +368,19 @@ def _stack_bounds(lengths):
         lo = hi
 
 
+def _cell_windows(cells, budget: int):
+    """``(lo, hi)`` runs of consecutive items holding at most ``budget`` of
+    the items' ``cells`` in all (at least one item)."""
+    lo, count = 0, len(cells)
+    while lo < count:
+        hi, total = lo + 1, cells[lo]
+        while hi < count and total + cells[hi] <= budget:
+            total += cells[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
 def _forward_stack(
     params: ModelParams, question_ids, passage_ids, policy: str, joint: bool = True
 ) -> _Stack:
@@ -466,7 +496,9 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, obje
     representation and head gradients (its grad_end lives in conditional
     end-score space and must not touch w_e).
     """
-    h = stack.h
+    # The per-example closures below hold only the arrays they read, so a
+    # held contribution does not keep the stack's score matrices alive.
+    h, features, q_bar = stack.h, stack.features, stack.q_bar
     size = h.shape[0]
     d_h = np.zeros_like(h)
     parts = {}
@@ -503,7 +535,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, obje
 
     # Through H = tanh(w_mix F + b_mix).
     d_pre = d_h * (1.0 - h**2)
-    parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ stack.features[j].T)
+    parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
     parts["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
@@ -512,7 +544,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, obje
     d_q = (d_features[:, d : 2 * d] * stack.e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
-    parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * stack.q_bar[j])
+    parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
     parts["b_q"] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
@@ -539,16 +571,17 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, obje
     return parts
 
 
-def _add_rows(grads: dict, parts: dict, size: int) -> None:
-    """Add a stack's contributions to ``grads`` one example after the other."""
+def _add_rows(grads: dict, parts: dict, lo: int, hi: int) -> None:
+    """Add rows ``lo..hi-1`` of a stack's contributions to ``grads``, one
+    example after the other."""
     for name, rows in parts.items():
         if name != "emb":
             total = grads[name]
-            for j in range(size):
+            for j in range(lo, hi):
                 total += rows[j]
     ids, rows = parts["emb"]
     emb = grads["emb"][ids]
-    for j in range(size):
+    for j in range(lo, hi):
         emb += rows[j]
     grads["emb"][ids] = emb
 
@@ -591,29 +624,72 @@ def _add_context(grads: dict, members) -> None:
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
     """Per-example losses and the summed parameter gradients of a batch.
 
-    The batch runs through the model core as stacks of consecutive examples
-    that share a passage length.  Losses and gradients equal a loop of
-    :func:`loss_and_grads` over the batch bit for bit, the gradients added
-    up in example order.
+    The batch runs through the model core in windows of consecutive examples
+    holding at most ``MAX_WINDOW_CELLS`` score cells; a window's examples,
+    sorted stably by passage length, are cut into stacks.  After each stack,
+    every example whose predecessors have all been added is added, in
+    example order, as runs of one stack's rows.  Losses and gradients equal
+    a loop of :func:`loss_and_grads` over the batch bit for bit.
     """
     grads = zero_grads(params)
-    losses = []
+    losses = [0.0] * len(batch)
     # The independent and conditional objectives never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    for lo, hi in _stack_bounds([np.size(ex.passage_ids) for ex in batch]):
-        examples = batch[lo:hi]
-        stack = _forward_stack(
-            params,
-            [ex.question_ids for ex in examples],
-            [ex.passage_ids for ex in examples],
-            policy,
-            joint=joint,
-        )
-        _check_finite(stack)
-        result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
-        _add_rows(grads, _backward_stack(params, stack, result, objective), hi - lo)
-        losses += result.loss.tolist()
+    lengths = [np.size(ex.passage_ids) for ex in batch]
+    for lo, hi in _cell_windows([n * n for n in lengths], MAX_WINDOW_CELLS):
+        order, stacks, held = range(lo, hi), _stack_bounds(lengths[lo:hi]), None
+        if min(lengths[lo:hi]) != max(lengths[lo:hi]):
+            order = sorted(order, key=lengths.__getitem__)
+            # A stack's members rise in example order, so consecutive
+            # examples of one stack sit in consecutive rows.  Running the
+            # stacks in the order of their first members lets the adds start
+            # soonest, which bounds the contributions held.
+            stacks = sorted(
+                _stack_bounds([lengths[i] for i in order]), key=lambda bounds: order[bounds[0]]
+            )
+            held, added = {}, lo  # every example before ``added`` has been added
+        for first, last in stacks:
+            members = order[first:last]
+            examples = [batch[i] for i in members]
+            stack = _forward_stack(
+                params,
+                [ex.question_ids for ex in examples],
+                [ex.passage_ids for ex in examples],
+                policy,
+                joint=joint,
+            )
+            _check_finite(stack)
+            result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
+            for i, loss in zip(members, result.loss.tolist()):
+                losses[i] = loss
+            if held is None:  # one length: a stack holds the next examples
+                _add_rows(grads, _backward_stack(params, stack, result, objective), 0, len(members))
+            else:
+                held[members[0]] = _backward_stack(params, stack, result, objective), members, 0
+                added = _add_held(grads, held, added)
     return losses, grads
+
+
+def _add_held(grads: dict, held: dict, added: int) -> int:
+    """Add examples ``added``, ``added + 1``, ... while a stack holds them.
+
+    ``held`` maps a stack's first example not yet added to the stack's
+    contributions, its members (rising example numbers) and that example's
+    row.  Consecutive examples of one stack are added as one run of rows.
+    Returns the first example not added.
+    """
+    while added in held:
+        parts, members, row = held.pop(added)
+        size = len(members)
+        end = size
+        if members[-1] - added != size - 1 - row:  # a later member is not next
+            end = row + 1
+            while members[end] == members[end - 1] + 1:
+                end += 1
+            held[members[end]] = parts, members, end
+        _add_rows(grads, parts, row, end)
+        added = members[end - 1] + 1
+    return added
 
 
 def _cache_stack(cache: ForwardCache) -> _Stack:
@@ -670,7 +746,8 @@ def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objec
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    _add_rows(grads, _backward_stack(params, _cache_stack(cache), stack_one(result), objective), 1)
+    parts = _backward_stack(params, _cache_stack(cache), stack_one(result), objective)
+    _add_rows(grads, parts, 0, 1)
     return grads
 
 
@@ -697,20 +774,14 @@ def _supervised(context) -> bool:
 
 
 def _context_chunks(contexts):
-    """Runs of consecutive contexts holding at most ``MAX_STACK`` passages in all.
+    """Runs of consecutive contexts whose passages hold at most
+    ``MAX_WINDOW_CELLS`` score cells in all.
 
     A run holds at least one context, so a larger context is a run of its own.
     """
-    chunk, passages = [], 0
-    for context in contexts:
-        count = len(context.passages)
-        if chunk and passages + count > MAX_STACK:
-            yield chunk
-            chunk, passages = [], 0
-        chunk.append(context)
-        passages += count
-    if chunk:
-        yield chunk
+    cells = [sum(len(p.passage_ids) ** 2 for p in context.passages) for context in contexts]
+    for lo, hi in _cell_windows(cells, MAX_WINDOW_CELLS):
+        yield contexts[lo:hi]
 
 
 def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dict) -> list:
@@ -738,8 +809,10 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         )
         _check_finite(stack)
         stacks.append(stack)
-        # Each row's unmasked span scores, row-major.
+        # Each row's unmasked span scores, row-major; the backward pass
+        # never reads the full matrices.
         cells.append(stack.joint.reshape(hi - lo, -1)[:, stack.mask.ravel()])
+        stack.joint = None
         for j, i in enumerate(members):
             where[i] = (len(stacks) - 1, j)
     spots, first = [], 0
@@ -771,12 +844,17 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
             for stacked, block in zip(score_grads[k], blocks):
                 stacked[j] = block
 
+    del cells
     parts = []
-    for stack, (grad_start, grad_end, grad_cells) in zip(stacks, score_grads):
-        grad_joint = np.zeros(stack.joint.shape)
-        grad_joint.reshape(len(grad_joint), -1)[:, stack.mask.ravel()] = grad_cells
+    for k, stack in enumerate(stacks):
+        grad_start, grad_end, grad_cells = score_grads[k]
+        size, _, length = stack.h.shape
+        grad_joint = np.zeros((size, length, length))
+        grad_joint.reshape(size, -1)[:, stack.mask.ravel()] = grad_cells
         result = LossResult(0.0, grad_start, grad_end, grad_joint)
         parts.append(_backward_stack(params, stack, result, OBJ_COMPOUND_SHARED))
+        # Free what the contributions do not hold.
+        stacks[k] = score_grads[k] = None
     for at in spots:
         _add_context(grads, [(parts[k], j) for k, j in at])
     return losses
@@ -1036,19 +1114,6 @@ def train_dss(
 # Decoding + evaluation glue
 
 
-def _decode_windows(lengths):
-    """``(lo, hi)`` runs of consecutive examples holding at most ``MAX_STACK``
-    full stacks of score cells in all (at least one example)."""
-    lo = 0
-    while lo < len(lengths):
-        hi, cells = lo + 1, lengths[lo] ** 2
-        while hi < len(lengths) and cells + lengths[hi] ** 2 <= MAX_STACK * MAX_STACK_CELLS:
-            cells += lengths[hi] ** 2
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
 def predict_distributions(
     params: ModelParams,
     examples,
@@ -1072,7 +1137,7 @@ def predict_distributions(
     lengths = [np.size(ex.passage_ids) for ex in examples]
     # The independent and conditional decoders never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    for lo, hi in _decode_windows(lengths):
+    for lo, hi in _cell_windows([n * n for n in lengths], MAX_STACK * MAX_STACK_CELLS):
         order = sorted(range(lo, hi), key=lengths.__getitem__)
         dists = {}
         for first, last in _stack_bounds([lengths[i] for i in order]):

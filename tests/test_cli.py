@@ -323,6 +323,22 @@ def test_config_values_that_do_not_convert_are_config_errors(
     assert not out.exists()
 
 
+def test_required_options_can_come_from_the_config_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    out = tmp_path / "corpus"
+    config.write_text(json.dumps({"out": str(out), "seed": 3, "n_train": 4, "n_dev": 2}))
+    assert cli.main(["generate", "--config", str(config)]) == 0
+    assert len(data.load_dataset(os.fspath(out / "train.jsonl"))) == 4
+    capsys.readouterr()
+    # Neither a flag nor a config key: a ConfigError naming the option.
+    config.write_text(json.dumps({"out": str(tmp_path / "report.json")}))
+    rc = cli.main(["eval", "--predictions", "p.jsonl", "--config", str(config)])
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    record = json.loads(line)
+    assert rc == 1 and record["error"] == "ConfigError"
+    assert "--gold" in record["message"]
+
+
 def test_help_still_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["decode", "--help"])
@@ -441,9 +457,46 @@ def _context_with_empty_passages(pipeline, tmp_path):
     return argv, f"{contexts}:1"
 
 
+def _embeddings_with_bad_header(pipeline, tmp_path):
+    table = tmp_path / "embeddings.txt"
+    table.write_text("a b\n")
+    argv = ["context", "--data", str(pipeline["corpus"] / "train.jsonl"),
+            "--embeddings", str(table), "--out", str(tmp_path / "ctx.jsonl")]
+    return argv, f"{table}:1"
+
+
+def _metric_files(tmp_path, first):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    paths[0].write_text(first)
+    paths[1].write_text(json.dumps({"label": "b", "seeds": [1, 2], "values": [1.0, 2.0]}))
+    return ["stats", "--metrics", *map(str, paths), "--comparisons", "a>b"], paths[0]
+
+
+def _metric_file_not_json(pipeline, tmp_path):
+    argv, path = _metric_files(tmp_path, '{"label": "a",\n "seeds": [1, 2\n')
+    return argv, f"{path}:3"
+
+
+def _metric_values_not_numbers(pipeline, tmp_path):
+    argv, path = _metric_files(
+        tmp_path, json.dumps({"label": "a", "seeds": [1, 2], "values": ["x", 1.0]})
+    )
+    return argv, f"{path}:1"
+
+
+def _prediction_without_rank(pipeline, tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    record = {"example_id": "dev-0000", "rank": 1, "text": "x"}
+    preds.write_text(json.dumps(record) + "\n" + json.dumps({"example_id": "dev-0000"}) + "\n")
+    argv = ["eval", "--predictions", str(preds), "--gold", str(pipeline["corpus"] / "dev.jsonl"),
+            "--out", str(tmp_path / "report.json")]
+    return argv, f"{preds}:2"
+
+
 @pytest.mark.parametrize("make_input", [
     _corrupt_checkpoint_header, _record_without_answer_starts, _context_without_passages,
-    _context_with_empty_passages,
+    _context_with_empty_passages, _embeddings_with_bad_header, _metric_file_not_json,
+    _metric_values_not_numbers, _prediction_without_rank,
 ])
 def test_malformed_files_report_one_json_line_naming_file_and_line(
     pipeline, tmp_path, capsys, make_input

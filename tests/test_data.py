@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from spanobj.data import (
+    ContextPassage,
+    ContextSet,
     EmbeddingTable,
     Example,
     GeneratorConfig,
@@ -254,6 +256,108 @@ def test_loaders_reject_empty_and_malformed_files(tmp_path):
     bad.write_text("{not json\n")
     with pytest.raises(InvalidInputError):
         load_dataset(os.fspath(bad))
+
+
+def _grouped_files(tmp_path):
+    """A grouped train file, where records share passages, and its contexts file.
+
+    One record keeps its passage id but gets a longer text.  Returns the
+    paths and that record's line index.
+    """
+    config = GeneratorConfig(
+        n_train=40, n_dev=4, subjects=3, attributes=3, value_pool=8, mode=MODE_GROUPED,
+        passages_per_topic=2,
+    )
+    dataset = generate_synthetic(config, seed=3)
+    passages_by_id = {p.id: p for p in dataset.passages}
+    table = dataset.table
+    contexts = [
+        build_context(
+            score_passages(table.matrix[table.row_of[ex.passage.id]], table), ex.answers[0],
+            passages_by_id, 2, i, ex.id, ex.question,
+        )
+        for i, ex in enumerate(dataset.train)
+    ]
+    contexts_path = os.fspath(tmp_path / "contexts.jsonl")
+    save_contexts(contexts, contexts_path)
+
+    train_path = tmp_path / "train.jsonl"
+    save_dataset(dataset.train, os.fspath(train_path))
+    lines = train_path.read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])["passage_id"]
+    changed = next(i for i, line in enumerate(lines) if i and json.loads(line)["passage_id"] == first)
+    record = json.loads(lines[changed])
+    record["passage"] += " extra ."
+    lines[changed] = json.dumps(record)
+    train_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return os.fspath(train_path), contexts_path, changed
+
+
+def _plain_load_dataset(path):
+    """``load_dataset`` without interning: one Passage per record."""
+    examples = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            r = json.loads(line)
+            passage = Passage.from_text(r["passage_id"], r["passage"])
+            examples.append(Example.build(
+                r["id"], r["question"], passage, r["answers"],
+                char_span_to_token_span(passage, r["answer_starts"][0], r["answers"][0]),
+                [char_span_to_token_span(passage, c["start"], c["text"]) for c in r["candidates"]],
+            ))
+    return examples
+
+
+def _plain_load_contexts(path):
+    """``load_contexts`` without interning: one Passage per context passage."""
+    contexts = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            r = json.loads(line)
+            passages = [
+                ContextPassage(
+                    Passage.from_text(p["id"], p["text"]), p["score"],
+                    {SpanTarget(s, e) for s, e in p["gt"]},
+                )
+                for p in r["passages"]
+            ]
+            contexts.append(ContextSet(
+                r["question_id"], r["question"], tokenize(r["question"])[0], passages, r["short"]
+            ))
+    return contexts
+
+
+def _assert_interned(pairs):
+    """Each (id, text) has one Passage, and each Passage one id array."""
+    passages, arrays = {}, {}
+    for passage, ids in pairs:
+        assert passages.setdefault((passage.id, passage.text), passage) is passage
+        assert arrays.setdefault(id(passage), ids) is ids
+    assert len(passages) < len(pairs)  # some passage is shared
+
+
+def test_records_with_one_passage_share_one_passage_and_one_id_array(tmp_path):
+    train_path, contexts_path, changed = _grouped_files(tmp_path)
+    examples = load_dataset(train_path)
+    contexts = load_contexts(contexts_path)
+    vocab = Vocabulary.from_examples(examples)
+    encoded = encode_examples(examples, vocab)
+    _assert_interned([(ex.passage, enc.passage_ids) for ex, enc in zip(examples, encoded)])
+    _assert_interned([
+        (p.passage, e.passage_ids)
+        for ctx, enc in zip(contexts, encode_contexts(contexts, vocab))
+        for p, e in zip(ctx.passages, enc.passages)
+    ])
+    # The same id with another text is a passage of its own.
+    first, other = examples[0].passage, examples[changed].passage
+    assert other.id == first.id and other is not first
+    assert encoded[changed].passage_ids is not encoded[0].passage_ids
+
+
+def test_an_interned_load_equals_a_plain_load_field_by_field(tmp_path):
+    train_path, contexts_path, _ = _grouped_files(tmp_path)
+    assert load_dataset(train_path) == _plain_load_dataset(train_path)
+    assert load_contexts(contexts_path) == _plain_load_contexts(contexts_path)
 
 
 # ---------------------------------------------------------------------------

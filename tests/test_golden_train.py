@@ -9,8 +9,11 @@ two passages built the way ``spanobj context`` builds them, and once more
 on contexts of three passages of mixed lengths from a grouped corpus (two
 passages cannot show a sum taken out of passage order, since
 ``(0 + a) + b == (0 + b) + a``); one more entry trains with a weighted
-similarity so that its weight gradient is pinned too.  A refactor of the training core that claims identical output is
-held to it byte for byte.
+similarity so that its weight gradient is pinned too.  The ``grouped``
+entries train every other objective on that grouped corpus, whose
+interleaved passage lengths the core sorts into stacks, so a gradient added
+out of example order changes their bytes.  A refactor of the training core
+that claims identical output is held to it byte for byte.
 
 Regenerate the file (only when an output change is intended and explained)
 with::
@@ -99,6 +102,19 @@ def compute_digests():
     digests[f"{OBJ_COMPOUND_SHARED}/{MASK_POLICIES[0]}/three-passage"] = _checkpoint_digest(
         result, OBJ_COMPOUND_SHARED
     )
+
+    # Plain training on interleaved passage lengths: sorted into stacks,
+    # added back in example order.
+    train = data.encode_examples(grouped.train, vocab)
+    for objective in OBJECTIVE_KINDS:
+        if objective == OBJ_COMPOUND_SHARED:
+            continue
+        config = model.TrainConfig(
+            objective=objective, learning_rate=3e-3, batch_size=12, epochs=EPOCHS,
+            seed=0, policy=MASK_POLICIES[0], dim=16,
+        )
+        result = model.train(train, config, vocab_size=len(vocab))
+        digests[f"grouped/{objective}/{MASK_POLICIES[0]}"] = _checkpoint_digest(result, objective)
     return digests
 
 

@@ -17,6 +17,7 @@ from spanobj.errors import (
 from spanobj.model import (
     MAX_STACK,
     MAX_STACK_CELLS,
+    MAX_WINDOW_CELLS,
     AdamW,
     ModelParams,
     TrainConfig,
@@ -349,11 +350,21 @@ def test_context_without_passages_is_invalid_input_not_divergence():
         context_loss_and_grads(init_params(15, dim=6), contexts[1])
 
 
-def test_context_chunks_hold_at_most_max_stack_passages():
-    sizes = [3, 4, 1, 2, 9, 8, 1, 1]
-    contexts = [_Ctx(np.array([1]), [(np.array([1]), set())] * n) for n in sizes]
-    chunks = [[len(c.passages) for c in chunk] for chunk in _context_chunks(contexts)]
-    assert chunks == [[3, 4, 1], [2], [9], [8], [1, 1]]
+def test_context_chunks_hold_at_most_a_window_of_cells():
+    # Passages of 60, 90 and 180 tokens hold 3,600, 8,100 and 32,400 cells.
+    lengths = [[60, 90], [60], [90], [180], [90], [90], [60, 60], [60]]
+    contexts = [
+        _Ctx(np.array([1]), [(np.zeros(n, dtype=np.int64), set()) for n in sizes])
+        for sizes in lengths
+    ]
+    chunks = [
+        [[len(p.passage_ids) for p in c.passages] for c in chunk]
+        for chunk in _context_chunks(contexts)
+    ]
+    assert chunks == [
+        [[60, 90], [60]], [[90]], [[180]], [[90], [90]], [[60, 60], [60]],
+    ]
+    assert MAX_WINDOW_CELLS == 2 * 90 * 90
 
 
 def test_config_validation():

@@ -5,9 +5,11 @@ The loss properties compare the mask-indexed losses against the index-map
 formulas (a Python list of cells, searched with ``list.index``) that they
 replaced, bit for bit.  The core property compares the stacked model core
 against the one-example forward / loss / backward loop it replaced, bit for
-bit; that loop is written out below as the reference.  The chunk property
-holds shared-normalization training, which runs chunks of contexts through
-the core, to a loop over contexts of that one-example reference.  The decode
+bit; that loop is written out below as the reference.  The window property
+holds batches of interleaved passage lengths, sorted in windows before they
+are stacked, to the same loop.  The chunk property holds
+shared-normalization training, which runs chunks of contexts through the
+core, to a loop over contexts of that one-example reference.  The decode
 properties hold the stacked decode, the stacked beam and the surface-form
 filter that pools only repeated strings to copies of the one-example
 decoders they replaced, bit for bit.
@@ -15,6 +17,7 @@ decoders they replaced, bit for bit.
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -424,6 +427,56 @@ def test_stacked_core_equals_the_one_example_loop_bit_for_bit(batch, objective, 
         assert np.array_equal(got, want), name
 
 
+@st.composite
+def windowed_batches(draw):
+    """Examples of interleaved lengths (sometimes one at L=180) and a window budget.
+
+    Budgets below a batch's cells put window edges inside the batch.
+    """
+    lengths = draw(st.lists(st.sampled_from((1, 3, 6)), min_size=1, max_size=20))
+    if draw(st.booleans()):
+        lengths.insert(draw(st.integers(0, len(lengths))), 180)
+    batch = []
+    for length in lengths:
+        start = draw(st.integers(0, length - 1))
+        batch.append(_Example(
+            np.array(draw(st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=4))),
+            np.array(draw(st.lists(st.integers(0, VOCAB - 1), min_size=length, max_size=length))),
+            SpanTarget(start, draw(st.integers(start, length - 1))),
+        ))
+    return batch, draw(st.sampled_from((model.MAX_WINDOW_CELLS, 1, 10, 40)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    windowed_batches(),
+    st.sampled_from(OBJECTIVE_KINDS),
+    st.sampled_from(MASK_POLICIES),
+    st.integers(0, 2**16),
+)
+def test_sorted_windows_equal_the_one_example_loop_bit_for_bit(case, objective, policy, seed):
+    batch, budget = case
+    params = model.init_params(VOCAB, dim=4, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():
+        block += rng.normal(0.0, 0.1, size=block.shape)
+
+    ref_losses, ref_grads = [], model.zero_grads(params)
+    for ex in batch:
+        cache = _ref_forward(params, ex.question_ids, ex.passage_ids, policy)
+        result = _ref_loss(params, cache, ex.target, objective)
+        ref_losses.append(result[0])
+        for name, grad in _ref_backward(params, cache, result, objective).items():
+            ref_grads[name] += grad
+
+    with mock.patch.object(model, "MAX_WINDOW_CELLS", budget):
+        losses, grads = model.batch_loss_and_grads(params, batch, objective, policy)
+    assert losses == ref_losses
+    assert sorted(grads) == sorted(ref_grads)
+    for name in grads:
+        assert np.array_equal(grads[name], ref_grads[name]), name
+
+
 # ---------------------------------------------------------------------------
 # Shared-normalization chunks against the per-context loop
 
@@ -529,8 +582,9 @@ class _RecordingAdamW(model.AdamW):
     st.sampled_from(MASK_POLICIES),
     st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
     st.integers(0, 2**16),
+    st.sampled_from((model.MAX_WINDOW_CELLS, 1, 20, 60)),
 )
-def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed):
+def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed, budget):
     contexts_, batch_size = case
     params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
     rng = np.random.default_rng(seed)
@@ -550,14 +604,16 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
             assert np.array_equal(grads[name], want_grads[name]), name
 
     # Steps over batches: chunks never cross a batch edge, and a batch edge
-    # need not fall on a chunk edge of the whole list.
+    # need not fall on a chunk edge of the whole list.  Budgets below a
+    # batch's cells put chunk edges inside the batch.
     config = model.TrainConfig(objective=OBJ_COMPOUND_SHARED, policy=policy, dim=4, similarity=sim)
     stepped, reference = params.copy(), params.copy()
     optimizer, ref_optimizer = _RecordingAdamW(), model.AdamW()
     for lo in range(0, len(contexts_), batch_size):
         batch = contexts_[lo : lo + batch_size]
         optimizer.seen = None
-        outcome = model._context_step(stepped, batch, config, optimizer)
+        with mock.patch.object(model, "MAX_WINDOW_CELLS", budget):
+            outcome = model._context_step(stepped, batch, config, optimizer)
         want_outcome, want_grads = _ref_context_step(reference, batch, policy, ref_optimizer)
         assert outcome == want_outcome
         if want_outcome[1]:
