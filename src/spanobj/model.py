@@ -9,20 +9,22 @@ joint span head, and a conditional end head.
 Nothing here autodiffs.  ``backward`` applies the chain rule explicitly, and
 the test suite holds every path to central finite differences.
 
-Training runs through one batched core.  A batch is cut into windows: runs
-of consecutive examples holding at most ``MAX_WINDOW_CELLS`` (180^2 / 2)
-score cells in all, at least one example.  A window's examples, sorted
-stably by passage length, are cut into stacks: runs that share a passage
-length L, at most ``MAX_STACK`` (8) examples and ``MAX_STACK_CELLS``
-(180^2) score cells each, so a stack at L=180 holds one example.  After each
-stack, every example whose predecessors have all been added is added to the
-gradient total, in example order, as runs of one stack's rows (one
-embedding gather and scatter per run).  A window of one length is the loop
-over consecutive stacks it replaced.  Forward, loss and backward work on
-(B, ...) arrays; ``forward``, ``example_loss``, ``backward`` and
-``loss_and_grads`` are the same core at B=1.  Stacking changes no bit of
-any loss, gradient, optimizer moment or checkpoint, because the core keeps
-to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
+Training runs through one batched core.  A batch is cut into runs of
+consecutive examples that share a passage length L, at most ``MAX_STACK``
+(8) examples and ``MAX_STACK_CELLS`` (180^2) score cells each, so a run at
+L=180 holds one example.  Consecutive runs form windows holding at most
+``MAX_WINDOW_CELLS`` (180^2 / 2) score cells in all, at least one run.  A
+window's examples, sorted stably by passage length, are cut into stacks
+by the same rule, so sorting only merges runs: a batch of one length runs
+as exactly its runs, and a window mixing lengths runs as fewer stacks.
+After each stack, every example whose predecessors have all been added is
+added to the gradient total, in example order, as runs of one stack's
+rows (one embedding gather and scatter per run).  Forward, loss and
+backward work on (B, ...) arrays; ``forward``, ``example_loss``,
+``backward`` and ``loss_and_grads`` are the same core at B=1.  Stacking
+changes no bit of any loss, gradient, optimizer moment or checkpoint,
+because the core keeps to rules measured on NumPy 2.4 with OpenBLAS
+0.3.31:
 
 * products are stacked ``np.matmul`` (``W @ X[B]``, ``A[B] @ C[B]``,
   transposed views included), matching the 2-D products; one wide
@@ -45,19 +47,15 @@ to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 The cap of 8 examples bounds the memory a stack holds.  A window holds the
 contributions of its stacks until they are added; stacks run in the order
 of their first examples, so the adds start soonest.  The window budget is
-set by memory: on the cli-pipeline benchmark a window of
-``MAX_STACK_CELLS`` raised peak RSS by 3.8-4.0% over chunks of 8
-passages and unsorted runs of one length, and trained no faster than half
-of it, which raised peak RSS by 1.0-1.1%.
+set by memory (see ``numerics.MAX_WINDOW_CELLS``).
 
 Shared-normalization training runs a batch of contexts in chunks: runs of
-consecutive supervised contexts whose passages hold at most
-``MAX_WINDOW_CELLS`` score cells in all (at least one context).  A chunk's
-passages, sorted stably by length, are cut into stacks; each context pays
-one pooled cross-entropy per factor over its passages' scores in passage
-order (a 1-D log-sum-exp over the concatenated scores).
-``context_loss_and_grads`` is that path for one context.  The outputs
-equal a loop over contexts bit for bit because:
+consecutive supervised contexts holding at most ``MAX_STACK`` passages in
+all (at least one context).  A chunk's passages, sorted stably by length,
+are cut into stacks; each context pays one pooled cross-entropy per factor
+over its passages' scores in passage order (a 1-D log-sum-exp over the
+concatenated scores).  ``context_loss_and_grads`` is that path for one
+context.  The outputs equal a loop over contexts bit for bit because:
 
 * the backward pass returns each passage's contribution on its own
   instead of adding it into the total;
@@ -624,30 +622,35 @@ def _add_context(grads: dict, members) -> None:
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
     """Per-example losses and the summed parameter gradients of a batch.
 
-    The batch runs through the model core in windows of consecutive examples
-    holding at most ``MAX_WINDOW_CELLS`` score cells; a window's examples,
-    sorted stably by passage length, are cut into stacks.  After each stack,
-    every example whose predecessors have all been added is added, in
-    example order, as runs of one stack's rows.  Losses and gradients equal
-    a loop of :func:`loss_and_grads` over the batch bit for bit.
+    The batch is cut into runs of consecutive examples that share a passage
+    length (:func:`_stack_bounds`), and consecutive runs into windows
+    holding at most ``MAX_WINDOW_CELLS`` score cells (at least one run).  A
+    window's examples, sorted stably by passage length, are cut into stacks;
+    after each stack, every example whose predecessors have all been added
+    is added, in example order, as runs of one stack's rows.  Losses and
+    gradients equal a loop of :func:`loss_and_grads` over the batch bit for
+    bit.
     """
     grads = zero_grads(params)
     losses = [0.0] * len(batch)
     # The independent and conditional objectives never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
     lengths = [np.size(ex.passage_ids) for ex in batch]
-    for lo, hi in _cell_windows([n * n for n in lengths], MAX_WINDOW_CELLS):
-        order, stacks, held = range(lo, hi), _stack_bounds(lengths[lo:hi]), None
-        if min(lengths[lo:hi]) != max(lengths[lo:hi]):
-            order = sorted(order, key=lengths.__getitem__)
-            # A stack's members rise in example order, so consecutive
-            # examples of one stack sit in consecutive rows.  Running the
-            # stacks in the order of their first members lets the adds start
-            # soonest, which bounds the contributions held.
-            stacks = sorted(
-                _stack_bounds([lengths[i] for i in order]), key=lambda bounds: order[bounds[0]]
-            )
-            held, added = {}, lo  # every example before ``added`` has been added
+    # A window holds whole runs, so a window of one length is cut into
+    # exactly its runs, and sorting can only merge runs.
+    runs = list(_stack_bounds(lengths))
+    held, added = {}, 0  # every example before ``added`` has been added
+    for first_run, last_run in _cell_windows(
+        [(hi - lo) * lengths[lo] ** 2 for lo, hi in runs], MAX_WINDOW_CELLS
+    ):
+        order = sorted(range(runs[first_run][0], runs[last_run - 1][1]), key=lengths.__getitem__)
+        # A stack's members rise in example order, so consecutive examples
+        # of one stack sit in consecutive rows.  Running the stacks in the
+        # order of their first members lets the adds start soonest, which
+        # bounds the contributions held.
+        stacks = sorted(
+            _stack_bounds([lengths[i] for i in order]), key=lambda bounds: order[bounds[0]]
+        )
         for first, last in stacks:
             members = order[first:last]
             examples = [batch[i] for i in members]
@@ -662,11 +665,8 @@ def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str
             result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
             for i, loss in zip(members, result.loss.tolist()):
                 losses[i] = loss
-            if held is None:  # one length: a stack holds the next examples
-                _add_rows(grads, _backward_stack(params, stack, result, objective), 0, len(members))
-            else:
-                held[members[0]] = _backward_stack(params, stack, result, objective), members, 0
-                added = _add_held(grads, held, added)
+            held[members[0]] = _backward_stack(params, stack, result, objective), members, 0
+            added = _add_held(grads, held, added)
     return losses, grads
 
 
@@ -774,13 +774,11 @@ def _supervised(context) -> bool:
 
 
 def _context_chunks(contexts):
-    """Runs of consecutive contexts whose passages hold at most
-    ``MAX_WINDOW_CELLS`` score cells in all.
+    """Runs of consecutive contexts holding at most ``MAX_STACK`` passages in all.
 
     A run holds at least one context, so a larger context is a run of its own.
     """
-    cells = [sum(len(p.passage_ids) ** 2 for p in context.passages) for context in contexts]
-    for lo, hi in _cell_windows(cells, MAX_WINDOW_CELLS):
+    for lo, hi in _cell_windows([len(context.passages) for context in contexts], MAX_STACK):
         yield contexts[lo:hi]
 
 
@@ -809,10 +807,8 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         )
         _check_finite(stack)
         stacks.append(stack)
-        # Each row's unmasked span scores, row-major; the backward pass
-        # never reads the full matrices.
+        # Each row's unmasked span scores, row-major.
         cells.append(stack.joint.reshape(hi - lo, -1)[:, stack.mask.ravel()])
-        stack.joint = None
         for j, i in enumerate(members):
             where[i] = (len(stacks) - 1, j)
     spots, first = [], 0
@@ -844,17 +840,12 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
             for stacked, block in zip(score_grads[k], blocks):
                 stacked[j] = block
 
-    del cells
     parts = []
-    for k, stack in enumerate(stacks):
-        grad_start, grad_end, grad_cells = score_grads[k]
-        size, _, length = stack.h.shape
-        grad_joint = np.zeros((size, length, length))
-        grad_joint.reshape(size, -1)[:, stack.mask.ravel()] = grad_cells
+    for stack, (grad_start, grad_end, grad_cells) in zip(stacks, score_grads):
+        grad_joint = np.zeros(stack.joint.shape)
+        grad_joint.reshape(len(grad_joint), -1)[:, stack.mask.ravel()] = grad_cells
         result = LossResult(0.0, grad_start, grad_end, grad_joint)
         parts.append(_backward_stack(params, stack, result, OBJ_COMPOUND_SHARED))
-        # Free what the contributions do not hold.
-        stacks[k] = score_grads[k] = None
     for at in spots:
         _add_context(grads, [(parts[k], j) for k, j in at])
     return losses

@@ -27,12 +27,14 @@ MASK_POLICIES = (MASK_VALID, MASK_FULL)
 # and L x L score cells, so one at L=180 holds a single row.
 MAX_STACK = 8
 MAX_STACK_CELLS = 180 * 180
-# A training window (consecutive examples or contexts sorted by length
-# before they are cut into stacks) holds at most this many score cells, so
-# one at L=180 holds a single example.  A window keeps its stacks'
-# gradient contributions alive until they are added in order.  On the
-# cli-pipeline benchmark a window of MAX_STACK_CELLS raised peak RSS by
-# 3.8-4.0% and trained no faster; half of it raised peak RSS by 1.0-1.1%.
+# A training window (consecutive runs of one-length examples, sorted by
+# length before they are cut into stacks) holds at most this many score
+# cells, at least one run, so one at L=180 holds a single example.  A
+# window keeps its stacks' gradient contributions alive until they are
+# added.  On the cli-pipeline benchmark a window of MAX_STACK_CELLS trained
+# no faster and held the same peak RSS (four 15 s runs, seeds 41-44), so
+# the smaller budget is kept; see BENCH_batch_windows.json for its
+# ten-pair figures against unsorted runs.
 MAX_WINDOW_CELLS = MAX_STACK_CELLS // 2
 
 

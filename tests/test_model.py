@@ -2,6 +2,7 @@
 
 import io
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from spanobj.errors import (
 from spanobj.model import (
     MAX_STACK,
     MAX_STACK_CELLS,
-    MAX_WINDOW_CELLS,
     AdamW,
     ModelParams,
     TrainConfig,
@@ -324,6 +324,33 @@ def test_stacks_are_runs_of_one_length_capped_by_examples_and_cells():
     assert MAX_STACK == 8 and MAX_STACK_CELLS // (90 * 90) == 4
 
 
+def test_batches_of_one_length_run_as_their_unsorted_stacks(monkeypatch):
+    import spanobj.model as model
+
+    sizes = []
+    forward_stack = model._forward_stack
+
+    def recording(params, question_ids, passage_ids, *args, **kwargs):
+        sizes.append(len(passage_ids))
+        return forward_stack(params, question_ids, passage_ids, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_forward_stack", recording)
+    rng = np.random.default_rng(47)
+    params = init_params(15, dim=2, seed=0)
+    for length in (12, 42, 60, 90, 110, 150, 180):
+        batch = [
+            SimpleNamespace(
+                question_ids=rng.integers(1, 15, size=3),
+                passage_ids=rng.integers(1, 15, size=length),
+                target=SpanTarget(0, 1),
+            )
+            for _ in range(32)
+        ]
+        sizes.clear()
+        model.batch_loss_and_grads(params, batch, OBJ_INDEPENDENT)
+        assert sizes == [hi - lo for lo, hi in _stack_bounds([length] * 32)], length
+
+
 def test_train_dss_runs_and_counts_skips():
     rng = np.random.default_rng(41)
     q_ids = rng.integers(1, 15, size=3)
@@ -350,21 +377,11 @@ def test_context_without_passages_is_invalid_input_not_divergence():
         context_loss_and_grads(init_params(15, dim=6), contexts[1])
 
 
-def test_context_chunks_hold_at_most_a_window_of_cells():
-    # Passages of 60, 90 and 180 tokens hold 3,600, 8,100 and 32,400 cells.
-    lengths = [[60, 90], [60], [90], [180], [90], [90], [60, 60], [60]]
-    contexts = [
-        _Ctx(np.array([1]), [(np.zeros(n, dtype=np.int64), set()) for n in sizes])
-        for sizes in lengths
-    ]
-    chunks = [
-        [[len(p.passage_ids) for p in c.passages] for c in chunk]
-        for chunk in _context_chunks(contexts)
-    ]
-    assert chunks == [
-        [[60, 90], [60]], [[90]], [[180]], [[90], [90]], [[60, 60], [60]],
-    ]
-    assert MAX_WINDOW_CELLS == 2 * 90 * 90
+def test_context_chunks_hold_at_most_max_stack_passages():
+    sizes = [3, 4, 1, 2, 9, 8, 1, 1]
+    contexts = [_Ctx(np.array([1]), [(np.array([1]), set())] * n) for n in sizes]
+    chunks = [[len(c.passages) for c in chunk] for chunk in _context_chunks(contexts)]
+    assert chunks == [[3, 4, 1], [2], [9], [8], [1, 1]]
 
 
 def test_config_validation():

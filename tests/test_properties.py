@@ -582,9 +582,8 @@ class _RecordingAdamW(model.AdamW):
     st.sampled_from(MASK_POLICIES),
     st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
     st.integers(0, 2**16),
-    st.sampled_from((model.MAX_WINDOW_CELLS, 1, 20, 60)),
 )
-def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed, budget):
+def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed):
     contexts_, batch_size = case
     params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
     rng = np.random.default_rng(seed)
@@ -604,16 +603,14 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
             assert np.array_equal(grads[name], want_grads[name]), name
 
     # Steps over batches: chunks never cross a batch edge, and a batch edge
-    # need not fall on a chunk edge of the whole list.  Budgets below a
-    # batch's cells put chunk edges inside the batch.
+    # need not fall on a chunk edge of the whole list.
     config = model.TrainConfig(objective=OBJ_COMPOUND_SHARED, policy=policy, dim=4, similarity=sim)
     stepped, reference = params.copy(), params.copy()
     optimizer, ref_optimizer = _RecordingAdamW(), model.AdamW()
     for lo in range(0, len(contexts_), batch_size):
         batch = contexts_[lo : lo + batch_size]
         optimizer.seen = None
-        with mock.patch.object(model, "MAX_WINDOW_CELLS", budget):
-            outcome = model._context_step(stepped, batch, config, optimizer)
+        outcome = model._context_step(stepped, batch, config, optimizer)
         want_outcome, want_grads = _ref_context_step(reference, batch, policy, ref_optimizer)
         assert outcome == want_outcome
         if want_outcome[1]:
