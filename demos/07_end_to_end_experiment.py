@@ -45,7 +45,7 @@ for objective in (OBJ_INDEPENDENT, OBJ_COMPOUND):
         cfg = TrainConfig(
             objective=objective, learning_rate=3e-3, weight_decay=0.01,
             batch_size=32, epochs=EPOCHS, seed=seed, policy="valid",
-            context_size=2, dim=32, similarity="dot",
+            dim=32, similarity="dot",
         )
         out = train(enc_train, cfg, vocab_size=len(vocab))
         report = evaluate_model(out.params, enc_dev, objective)

@@ -9,128 +9,37 @@ Every command draws all randomness from one explicit seed, validates its
 inputs before writing anything, and emits deterministic bytes, so a rerun
 with the same inputs reproduces every output file exactly.  A JSON config
 file can supply any value option; explicit flags win over the file.
+
+Each option is declared once, in ``_OPTIONS``.  Defaults come from the
+library: ``generate`` and ``train`` options are the fields of ``GeneratorConfig``
+and ``TrainConfig``, and ``decode``'s are the ``decoding.DEFAULT_*`` constants.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import data as data_mod
 from . import decoding, evaluation, model, stats
 from .errors import MALFORMED_RECORD_ERRORS, ConfigError, InvalidInputError, SpanObjError, malformed
 from .numerics import MASK_VALID
 from .objectives import OBJ_COMPOUND_SHARED, OBJECTIVE_KINDS
-from .similarity import KIND_DOT
-
-_CONFIGURABLE = {
-    "generate": {
-        "out", "seed", "n_train", "n_dev", "subjects", "attributes", "value_pool",
-        "ambiguous_fraction", "distractors", "mode", "passages_per_topic",
-    },
-    "train": {
-        "data", "out", "objective", "seeds", "epochs", "batch_size", "learning_rate",
-        "weight_decay", "policy", "dim", "similarity", "context_size", "contexts", "beam",
-    },
-    "decode": {"checkpoint", "data", "out", "filter", "zeta", "surface_k", "top_k", "beam"},
-    "eval": {"predictions", "gold", "out", "hist_out", "top_k"},
-    "context": {"data", "embeddings", "out", "context_size", "seed"},
-    "stats": {"metrics", "comparisons", "out"},
-}
 
 
-# Options each command needs, from a flag or the config file.
-_REQUIRED = {
-    "generate": ("out",),
-    "train": ("data", "out"),
-    "decode": ("checkpoint", "data", "out"),
-    "eval": ("predictions", "gold", "out"),
-    "context": ("data", "embeddings", "out"),
-    "stats": ("metrics", "comparisons"),
-}
-
-
-def _check_required(args: argparse.Namespace, command: str) -> None:
-    for key in _REQUIRED[command]:
-        value = getattr(args, key)
-        if value is None:
-            raise ConfigError(f"{command}: option --{key} is required (a flag or a config key)")
-        values = value if key == "metrics" and isinstance(value, list) else [value]
-        if not all(isinstance(v, str) for v in values):
-            raise ConfigError(f"option {key!r} takes a path or string, got {value!r}")
-
-
-def _apply_config(args: argparse.Namespace, command: str) -> argparse.Namespace:
-    """Fill unset options from the JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"bad config file {args.config}: {err}") from err
-    if not isinstance(overrides, dict):
-        raise ConfigError("config file must hold a JSON object")
-    allowed = _CONFIGURABLE[command]
-    for key, value in overrides.items():
-        if key not in allowed:
-            raise ConfigError(
-                f"unknown config key {key!r} for {command!r} (allowed: {sorted(allowed)})"
-            )
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
-
-
-def _resolve(args, defaults: dict) -> None:
-    """Fill unset options with defaults; convert numeric ones to the default's type."""
-    for key, default in defaults.items():
-        value = getattr(args, key)
-        if value is None:
-            value = default
-        elif isinstance(default, (int, float)):
-            try:
-                value = type(default)(value)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(
-                    f"option {key!r} takes {type(default).__name__} values, got {value!r}"
-                ) from err
-        setattr(args, key, value)
-
-
-# ---------------------------------------------------------------------------
-# generate
+def _config_fields(args: argparse.Namespace, config_cls) -> dict:
+    """The options that are fields of ``config_cls``, ready to splat into it."""
+    names = (f.name for f in dataclasses.fields(config_cls))
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def cmd_generate(args) -> int:
-    _resolve(
-        args,
-        {
-            "seed": 0,
-            "n_train": 2000,
-            "n_dev": 500,
-            "subjects": 30,
-            "attributes": 6,
-            "value_pool": 40,
-            "ambiguous_fraction": 0.3,
-            "distractors": 1,
-            "mode": data_mod.MODE_TWIN,
-            "passages_per_topic": 4,
-        },
-    )
-    config = data_mod.GeneratorConfig(
-        n_train=args.n_train,
-        n_dev=args.n_dev,
-        subjects=args.subjects,
-        attributes=args.attributes,
-        value_pool=args.value_pool,
-        ambiguous_fraction=args.ambiguous_fraction,
-        distractors=args.distractors,
-        mode=args.mode,
-        passages_per_topic=args.passages_per_topic,
-    )
+    """write a synthetic train/dev corpus"""
+    config = data_mod.GeneratorConfig(**_config_fields(args, data_mod.GeneratorConfig))
     dataset = data_mod.generate_synthetic(config, args.seed)
     os.makedirs(args.out, exist_ok=True)
     data_mod.save_dataset(dataset.train, os.path.join(args.out, "train.jsonl"))
@@ -143,44 +52,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# train
-
-
-def _parse_seeds(raw) -> list:
-    if isinstance(raw, (list, tuple)):
-        parts = list(raw)
-    else:
-        parts = [p for p in str(raw).replace(",", " ").split() if p]
-    if not parts:
-        raise ConfigError("no training seeds given")
-    try:
-        return [int(p) for p in parts]
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"option 'seeds' takes integers, got {raw!r}") from err
-
-
 def cmd_train(args) -> int:
-    _resolve(
-        args,
-        {
-            "objective": "compound",
-            "seeds": "0",
-            "epochs": 10,
-            "batch_size": 32,
-            "learning_rate": 1e-3,
-            "weight_decay": 0.01,
-            "policy": MASK_VALID,
-            "dim": 32,
-            "similarity": KIND_DOT,
-            "context_size": 2,
-            "contexts": None,
-            "beam": decoding.DEFAULT_BEAM_WIDTH,
-        },
-    )
-    seeds = _parse_seeds(args.seeds)
-    if args.objective not in OBJECTIVE_KINDS:
-        raise ConfigError(f"unknown objective {args.objective!r}")
+    """train one checkpoint per seed"""
+    try:
+        seeds = [int(s) for s in args.seeds.replace(",", " ").split()]
+    except ValueError as err:
+        raise ConfigError(f"option 'seeds' takes integers, got {args.seeds!r}") from err
+    if not seeds:
+        raise ConfigError("no training seeds given")
+    # Every config is checked before anything is read or written.
+    configs = [model.TrainConfig(seed=s, **_config_fields(args, model.TrainConfig)) for s in seeds]
     shared = args.objective == OBJ_COMPOUND_SHARED
     if shared and not args.contexts:
         raise ConfigError("shared-normalization training needs --contexts (see the context command)")
@@ -196,19 +77,8 @@ def cmd_train(args) -> int:
         contexts = data_mod.encode_contexts(data_mod.load_contexts(args.contexts), vocab)
 
     os.makedirs(args.out, exist_ok=True)
-    for seed in seeds:
-        config = model.TrainConfig(
-            objective=args.objective,
-            learning_rate=args.learning_rate,
-            weight_decay=args.weight_decay,
-            batch_size=args.batch_size,
-            epochs=args.epochs,
-            seed=seed,
-            policy=args.policy,
-            context_size=args.context_size,
-            dim=args.dim,
-            similarity=args.similarity,
-        )
+    for config in configs:
+        seed = config.seed
         ckpt_path = os.path.join(args.out, f"{args.objective}-seed{seed}.ckpt")
         log_path = os.path.join(args.out, f"{args.objective}-seed{seed}-log.json")
 
@@ -257,21 +127,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# decode
-
-
 def cmd_decode(args) -> int:
-    _resolve(
-        args,
-        {
-            "filter": "lf+sf",
-            "zeta": decoding.DEFAULT_MAX_SPAN_LENGTH,
-            "surface_k": decoding.DEFAULT_SURFACE_TOP_K,
-            "top_k": 20,
-            "beam": decoding.DEFAULT_BEAM_WIDTH,
-        },
-    )
+    """write ranked predictions for a dataset"""
     ckpt = model.load_checkpoint(args.checkpoint)
     if ckpt.vocab is None:
         raise InvalidInputError(f"{args.checkpoint} carries no vocabulary; cannot decode")
@@ -304,12 +161,8 @@ def cmd_decode(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# eval
-
-
 def cmd_eval(args) -> int:
-    _resolve(args, {"hist_out": None, "top_k": 20})
+    """score predictions against gold answers"""
     golds = {}
     for ex in data_mod.load_dataset(args.gold):
         golds[ex.id] = ex.answers
@@ -351,19 +204,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# context
-
-
 def cmd_context(args) -> int:
-    _resolve(args, {"context_size": 2, "seed": 0})
+    """build retrieval contexts with distant supervision"""
     if not os.path.exists(args.embeddings):
         raise InvalidInputError(f"missing embedding table {args.embeddings}")
     table = data_mod.load_embeddings(args.embeddings)
     examples = data_mod.load_dataset(args.data)
     passages_by_id = {}
     for ex in examples:
-        passages_by_id.setdefault(ex.passage.id, ex.passage)
+        if passages_by_id.setdefault(ex.passage.id, ex.passage).text != ex.passage.text:
+            raise InvalidInputError(f"{args.data}: passage {ex.passage.id!r} has two texts")
     missing = [ex.id for ex in examples if ex.passage.id not in table.row_of]
     if missing:
         raise InvalidInputError(f"examples reference passages missing from the table: {missing[:5]}")
@@ -389,18 +239,13 @@ def cmd_context(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# stats
-
-
 def cmd_stats(args) -> int:
-    _resolve(args, {"out": None})
-    metric_files = args.metrics if isinstance(args.metrics, list) else [args.metrics]
-    if len(metric_files) < 2:
+    """significance report over per-seed metric samples"""
+    if len(args.metrics) < 2:
         raise ConfigError("need at least two metric files to compare")
     samples = []
     seed_sets = {}
-    for path in metric_files:
+    for path in args.metrics:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 record = json.load(fh)
@@ -416,7 +261,7 @@ def cmd_stats(args) -> int:
         raise InvalidInputError(f"metric files carry different seed sets: {seed_sets}")
 
     comparisons = []
-    for clause in str(args.comparisons).split(","):
+    for clause in args.comparisons.split(","):
         clause = clause.strip()
         if not clause:
             continue
@@ -435,15 +280,74 @@ def cmd_stats(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# parser
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as :class:`ConfigError` instead of exiting 2."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+
+class _Option(NamedTuple):
+    """One row of the option table; build rows with :func:`_option`."""
+
+    commands: list
+    name: str
+    flag: str
+    required: bool
+    arguments: dict  # add_argument keywords
+
+
+def _option(commands: str, name: str, default=None, required=False, **arguments) -> _Option:
+    """An option of the space-separated ``commands``.  Its type is its
+    default's, a path's when None; a bool default makes an on/off flag."""
+    if isinstance(default, bool):
+        arguments["action"] = "store_true"
+    elif default is not None:
+        arguments.update(type=type(default), default=default)
+    # Keywords left at None would only slow add_argument, which every command runs.
+    arguments = {key: value for key, value in arguments.items() if value is not None}
+    flag = "--" + name.replace("_", "-")
+    return _Option(commands.split(), name, flag, required, dict(arguments, dest=name))
+
+
+def _fields(command: str, config_cls, skip: str, **choices) -> list:
+    """One option per field of a library config class, defaulting as the class does."""
+    return [
+        _option(command, f.name, f.default, choices=choices.get(f.name))
+        for f in dataclasses.fields(config_cls) if f.name != skip
+    ]
+
+
+# Every option, in --help order.  The parser, the config keys, the defaults
+# and the required checks all come from this table.
+_OPTIONS = [
+    _option("decode", "checkpoint", required=True),
+    _option("eval", "predictions", required=True),
+    _option("eval", "gold", required=True),
+    _option("train", "data", required=True, help="directory holding train.jsonl / dev.jsonl"),
+    _option("decode context", "data", required=True),
+    _option("context", "embeddings", required=True),
+    _option("stats", "metrics", required=True, help="per-run sample files", nargs="+"),
+    _option("stats", "comparisons", required=True, help="e.g. 'compound>independent'"),
+    _option("generate train decode eval context", "out", required=True),
+    _option("stats", "out"),
+    _option("context", "context_size", 2),
+    _option("generate context", "seed", 0),
+    # The embedding noise has never been a CLI option.
+    *_fields("generate", data_mod.GeneratorConfig, "embedding_noise", mode=data_mod.GENERATOR_MODES),
+    *_fields("train", model.TrainConfig, "seed", objective=OBJECTIVE_KINDS),
+    _option("train", "seeds", "0", help="comma-separated training seeds"),
+    _option("train", "contexts", help="context file for shared-normalization training"),
+    # The default runs every filter: length, then surface form.
+    _option("decode", "filter", decoding.FILTER_PIPELINES[-1], choices=decoding.FILTER_PIPELINES),
+    _option("decode", "zeta", decoding.DEFAULT_MAX_SPAN_LENGTH),
+    _option("decode", "surface_k", decoding.DEFAULT_SURFACE_TOP_K),
+    _option("eval", "hist_out"),
+    _option("decode eval", "top_k", 20),
+    _option("train decode", "beam", decoding.DEFAULT_BEAM_WIDTH),
+    _option("train", "log_dev", False, help="evaluate the dev set after every epoch"),
+    _option("train", "resume", False, help="continue from an existing checkpoint"),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,98 +356,75 @@ def build_parser() -> argparse.ArgumentParser:
         description="Span-extraction objectives: synthetic experiments end to end.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p):
+    parsers = {}
+    for func in (cmd_generate, cmd_train, cmd_decode, cmd_eval, cmd_context, cmd_stats):
+        command = func.__name__.removeprefix("cmd_")
+        parsers[command] = p = sub.add_parser(command, help=func.__doc__)
         p.add_argument("--config", help="JSON file of default option values (flags win)")
-
-    p = sub.add_parser("generate", help="write a synthetic train/dev corpus")
-    add_config(p)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--n-dev", dest="n_dev", type=int)
-    p.add_argument("--subjects", type=int)
-    p.add_argument("--attributes", type=int)
-    p.add_argument("--value-pool", dest="value_pool", type=int)
-    p.add_argument("--ambiguous-fraction", dest="ambiguous_fraction", type=float)
-    p.add_argument("--distractors", type=int)
-    p.add_argument("--mode", choices=data_mod.GENERATOR_MODES)
-    p.add_argument("--passages-per-topic", dest="passages_per_topic", type=int)
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("train", help="train one checkpoint per seed")
-    add_config(p)
-    p.add_argument("--data", help="directory holding train.jsonl / dev.jsonl")
-    p.add_argument("--out")
-    p.add_argument("--objective", choices=OBJECTIVE_KINDS)
-    p.add_argument("--seeds", help="comma-separated training seeds")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--policy")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--similarity")
-    p.add_argument("--context-size", dest="context_size", type=int)
-    p.add_argument("--contexts", help="context file for shared-normalization training")
-    p.add_argument("--beam", type=int)
-    p.add_argument("--log-dev", dest="log_dev", action="store_true",
-                   help="evaluate the dev set after every epoch")
-    p.add_argument("--resume", action="store_true", help="continue from an existing checkpoint")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("decode", help="write ranked predictions for a dataset")
-    add_config(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--out")
-    p.add_argument("--filter", choices=["none", "lf", "lf+sf"])
-    p.add_argument("--zeta", type=int)
-    p.add_argument("--surface-k", dest="surface_k", type=int)
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.add_argument("--beam", type=int)
-    p.set_defaults(func=cmd_decode)
-
-    p = sub.add_parser("eval", help="score predictions against gold answers")
-    add_config(p)
-    p.add_argument("--predictions")
-    p.add_argument("--gold")
-    p.add_argument("--out")
-    p.add_argument("--hist-out", dest="hist_out")
-    p.add_argument("--top-k", dest="top_k", type=int)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("context", help="build retrieval contexts with distant supervision")
-    add_config(p)
-    p.add_argument("--data")
-    p.add_argument("--embeddings")
-    p.add_argument("--out")
-    p.add_argument("--context-size", dest="context_size", type=int)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_context)
-
-    p = sub.add_parser("stats", help="significance report over per-seed metric samples")
-    add_config(p)
-    p.add_argument("--metrics", nargs="+", help="per-run sample files")
-    p.add_argument("--comparisons", help="e.g. 'compound>independent'")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_stats)
+        p.set_defaults(func=func)
+    for option in _OPTIONS:
+        for command in option.commands:
+            parsers[command].add_argument(option.flag, **option.arguments)
     return parser
+
+
+def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> list:
+    """The config file's values as flags, each parsed alone so that an error names its key."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            overrides = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"bad config file {path}: {err}") from err
+    if not isinstance(overrides, dict):
+        raise ConfigError("config file must hold a JSON object")
+    options = {o.name: o for o in _OPTIONS if command in o.commands and "action" not in o.arguments}
+    flags = []
+    for key, value in overrides.items():
+        if key not in options:
+            raise ConfigError(
+                f"unknown config key {key!r} for {command!r} (allowed: {sorted(options)})"
+            )
+        if key == "seeds" and isinstance(value, list):
+            value = ",".join(map(str, value))  # the flag's comma-separated form
+        values = value if "nargs" in options[key].arguments and isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in values):
+            raise ConfigError(f"option {key!r} takes strings or numbers, got {value!r}")
+        # An integral float is written as the int that an int flag takes.
+        texts = [str(int(v)) if isinstance(v, float) and v.is_integer() else str(v) for v in values]
+        given = [options[key].flag, *texts]
+        try:
+            parser.parse_args([command, *given])
+        except ConfigError as err:
+            raise ConfigError(f"config key {key!r}: {err}") from err
+        flags += given
+    return flags
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Each option from its flag, else the config file, else its default."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # The command line's flags follow the file's, so they win.
+        flags = _config_flags(parser, args.command, args.config)
+        args = parser.parse_args([args.command, *flags, *argv[1:]])
+    for option in _OPTIONS:
+        if (args.command in option.commands and option.required
+                and getattr(args, option.name) is None):
+            raise ConfigError(
+                f"{args.command}: option {option.flag} is required (a flag or a config key)"
+            )
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        args = _apply_config(args, args.command)
-        _check_required(args, args.command)
+        # The parser is dropped before the command runs: held, it raises peak RSS.
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
-    except SpanObjError as err:
-        sys.stderr.write(
-            json.dumps({"error": type(err).__name__, "message": str(err)}) + "\n"
-        )
-        return 1
-    except OSError as err:
-        sys.stderr.write(json.dumps({"error": "OSError", "message": str(err)}) + "\n")
+    except (SpanObjError, OSError) as err:
+        kind = type(err).__name__ if isinstance(err, SpanObjError) else "OSError"
+        sys.stderr.write(json.dumps({"error": kind, "message": str(err)}) + "\n")
         return 1
 
 

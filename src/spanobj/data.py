@@ -311,6 +311,8 @@ def build_context(
     if k < 1:
         raise ConfigError(f"context size must be >= 1, got {k}")
     if isinstance(rng, (int, np.integer)):
+        if rng < 0:
+            raise ConfigError(f"context seed must be >= 0, got {rng}")
         rng = np.random.default_rng(np.random.SeedSequence([int(rng)]))
     needle = answer.strip().lower()
     bearing = []
@@ -691,6 +693,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticDataset:
     each passage with its subject (plus seeded noise), standing in for a
     trained retrieval encoder.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng_facts = np.random.default_rng(np.random.SeedSequence([int(seed), 10]))
     rng_train = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
     rng_dev = np.random.default_rng(np.random.SeedSequence([int(seed), 12]))

@@ -53,6 +53,8 @@ from .objectives import ConditionalParams, SpanTarget, conditional_hidden
 DEFAULT_MAX_SPAN_LENGTH = 30
 DEFAULT_SURFACE_TOP_K = 100
 DEFAULT_BEAM_WIDTH = 10
+# Filter pipelines by name; each adds one filter to the one before it.
+FILTER_PIPELINES = ("none", "lf", "lf+sf")
 
 # math.exp elementwise: NumPy's vectorized exp can differ from libm's in the
 # last ulp, and beam probabilities are pinned by the golden decode digests.
@@ -316,18 +318,19 @@ def apply_filters(
     zeta: int = DEFAULT_MAX_SPAN_LENGTH,
     k: int = DEFAULT_SURFACE_TOP_K,
 ) -> SpanDistribution:
-    """Run the named filter pipeline: "none", "lf", or "lf+sf".
+    """Run the named filter pipeline, one of :data:`FILTER_PIPELINES`.
 
     Surface-form aggregation always runs on a length-filtered distribution;
     there is no SF-only pipeline.
     """
-    if pipeline == "none":
-        return dist
-    if pipeline == "lf":
-        return length_filter(dist, zeta)
-    if pipeline == "lf+sf":
-        return surface_form_filter(length_filter(dist, zeta), passage, k)
-    raise InvalidInputError(f"unknown filter pipeline {pipeline!r}")
+    if pipeline not in FILTER_PIPELINES:
+        raise InvalidInputError(f"unknown filter pipeline {pipeline!r}")
+    stages = FILTER_PIPELINES.index(pipeline)
+    if stages >= 1:
+        dist = length_filter(dist, zeta)
+    if stages >= 2:
+        dist = surface_form_filter(dist, passage, k)
+    return dist
 
 
 def top_k(dist: SpanDistribution, k: int, passage=None) -> list[Prediction]:

@@ -926,7 +926,6 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     policy: str = MASK_VALID
-    context_size: int = 2
     dim: int = 32
     similarity: str = KIND_DOT
 
@@ -939,8 +938,10 @@ class TrainConfig:
             raise ConfigError(f"unknown similarity kind {self.similarity!r}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigError("learning rate must be positive, weight decay non-negative")
-        if min(self.batch_size, self.epochs, self.context_size, self.dim) < 1:
-            raise ConfigError("batch size, epochs, context size and dim must be >= 1")
+        if min(self.batch_size, self.epochs, self.dim) < 1:
+            raise ConfigError("batch size, epochs and dim must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

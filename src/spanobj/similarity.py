@@ -10,8 +10,6 @@ one-line change:
 * ``weighted-dot``            -- ``w . (h_s * h_e)``,           w in R^d
 * ``additive``                -- ``w . [h_s; h_e]``,            w in R^2d
 * ``additive-weighted-dot``   -- ``w . [h_s; h_e; h_s * h_e]``, w in R^3d
-* ``multiplicative-additive`` -- same form as above; the name used when the
-  two inputs are question/passage vectors rather than boundary vectors.
 """
 
 from __future__ import annotations
@@ -27,22 +25,15 @@ KIND_DOT = "dot"
 KIND_WEIGHTED_DOT = "weighted-dot"
 KIND_ADDITIVE = "additive"
 KIND_ADDITIVE_WEIGHTED_DOT = "additive-weighted-dot"
-KIND_MULTIPLICATIVE_ADDITIVE = "multiplicative-additive"
-SIMILARITY_KINDS = (
-    KIND_DOT,
-    KIND_WEIGHTED_DOT,
-    KIND_ADDITIVE,
-    KIND_ADDITIVE_WEIGHTED_DOT,
-    KIND_MULTIPLICATIVE_ADDITIVE,
-)
 
+# Weight-vector length in multiples of the model dimension, for every kind.
 _WEIGHT_MULTIPLIER = {
     KIND_DOT: 0,
     KIND_WEIGHTED_DOT: 1,
     KIND_ADDITIVE: 2,
     KIND_ADDITIVE_WEIGHTED_DOT: 3,
-    KIND_MULTIPLICATIVE_ADDITIVE: 3,
 }
+SIMILARITY_KINDS = tuple(_WEIGHT_MULTIPLIER)
 
 
 def weight_length(kind: str, dim: int) -> int:

@@ -411,7 +411,7 @@ def test_criterion_07_objective_comparison_experiment(tmp_path, capsys):
                 cfg = model.TrainConfig(
                     objective=objective, learning_rate=3e-3, weight_decay=0.01,
                     batch_size=32, epochs=8, seed=seed, policy=MASK_VALID,
-                    context_size=2, dim=32, similarity=KIND_DOT,
+                    dim=32, similarity=KIND_DOT,
                 )
                 result = model.train(enc_train, cfg, vocab_size=len(vocab))
                 report = model.evaluate_model(result.params, enc_dev, objective)

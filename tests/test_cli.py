@@ -7,8 +7,10 @@ its outputs and check the error paths that ``main`` converts into JSON
 records on stderr.
 """
 
+import argparse
 import json
 import os
+import re
 
 import pytest
 
@@ -301,6 +303,11 @@ def test_usage_errors_report_one_json_line_and_exit_1(capsys, argv, option):
     ("decode", {"top_k": [20]}, "top_k"),
     ("train", {"epochs": "two"}, "epochs"),
     ("train", {"learning_rate": "fast"}, "learning_rate"),
+    ("train", {"epochs": 2.7}, "epochs"),
+    ("train", {"epochs": True}, "epochs"),
+    ("train", {"learning_rate": True}, "learning_rate"),
+    ("decode", {"top_k": 2.5}, "top_k"),
+    ("train", {"seeds": [1.5]}, "seeds"),
 ])
 def test_config_values_that_do_not_convert_are_config_errors(
     pipeline, tmp_path, capsys, command, overrides, option
@@ -320,6 +327,122 @@ def test_config_values_that_do_not_convert_are_config_errors(
     record = json.loads(line)
     assert record["error"] == "ConfigError"
     assert option in record["message"]
+    assert not out.exists()
+
+
+# Every flag each command's --help lists, and the value each option that is
+# not required resolves to when neither a flag nor a config file gives it.
+CLI_SURFACE = {
+    "generate": (
+        ["--ambiguous-fraction", "--attributes", "--config", "--distractors", "--help",
+         "--mode", "--n-dev", "--n-train", "--out", "--passages-per-topic", "--seed",
+         "--subjects", "--value-pool"],
+        {"seed": 0, "n_train": 2000, "n_dev": 500, "subjects": 30, "attributes": 6,
+         "value_pool": 40, "ambiguous_fraction": 0.3, "distractors": 1, "mode": "twin",
+         "passages_per_topic": 4},
+    ),
+    "train": (
+        ["--batch-size", "--beam", "--config", "--contexts", "--data",
+         "--dim", "--epochs", "--help", "--learning-rate", "--log-dev", "--objective",
+         "--out", "--policy", "--resume", "--seeds", "--similarity", "--weight-decay"],
+        {"objective": "compound", "seeds": "0", "epochs": 10, "batch_size": 32,
+         "learning_rate": 1e-3, "weight_decay": 0.01, "policy": "valid", "dim": 32,
+         "similarity": "dot", "contexts": None, "beam": 10,
+         "log_dev": False, "resume": False},
+    ),
+    "decode": (
+        ["--beam", "--checkpoint", "--config", "--data", "--filter", "--help", "--out",
+         "--surface-k", "--top-k", "--zeta"],
+        {"filter": "lf+sf", "zeta": 30, "surface_k": 100, "top_k": 20, "beam": 10},
+    ),
+    "eval": (
+        ["--config", "--gold", "--help", "--hist-out", "--out", "--predictions", "--top-k"],
+        {"hist_out": None, "top_k": 20},
+    ),
+    "context": (
+        ["--config", "--context-size", "--data", "--embeddings", "--help", "--out", "--seed"],
+        {"context_size": 2, "seed": 0},
+    ),
+    "stats": (
+        ["--comparisons", "--config", "--help", "--metrics", "--out"],
+        {"out": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_cli_surface_lists_every_flag_and_default(tmp_path, capsys, monkeypatch, command):
+    flags, defaults = CLI_SURFACE[command]
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    shown = re.findall(r"^\s+(?:-h, )?(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)
+    assert sorted(shown) == flags
+
+    # Required paths point at nothing, so each command stops at its first
+    # read, after every option has been resolved; generate stops before
+    # it builds the corpus.
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a, **k: parsed.append(parse_args(self, *a, **k)) or parsed[-1])
+
+    def stop(*args, **kwargs):
+        raise OSError("stop")
+
+    monkeypatch.setattr(data, "generate_synthetic", stop)
+    missing = str(tmp_path / "missing")
+    required = {
+        "generate": {"out": missing},
+        "train": {"data": missing, "out": missing},
+        "decode": {"checkpoint": missing, "data": missing, "out": missing},
+        "eval": {"predictions": missing, "gold": missing, "out": missing},
+        "context": {"data": missing, "embeddings": missing, "out": missing},
+        "stats": {"metrics": [missing, missing], "comparisons": "a>b"},
+    }[command]
+    argv = [command]
+    for key, value in required.items():
+        argv += [f"--{key}", *(value if isinstance(value, list) else [value])]
+    assert cli.main(argv) == 1
+    capsys.readouterr()
+    resolved = {key: value for key, value in vars(parsed[-1]).items()
+                if key not in required and key not in ("command", "config", "func")}
+    assert resolved == defaults
+    assert {k: type(v) for k, v in resolved.items()} == {k: type(v) for k, v in defaults.items()}
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "context"])
+def test_negative_seeds_are_config_errors(pipeline, tmp_path, capsys, command):
+    corpus = pipeline["corpus"]
+    out = tmp_path / "out"
+    argv = {
+        "generate": ["generate", "--seed=-1", "--n-train", "4", "--n-dev", "2"],
+        "train": ["train", "--data", str(corpus), "--seeds=-1", "--epochs", "1"],
+        "context": ["context", "--data", str(corpus / "train.jsonl"),
+                    "--embeddings", str(corpus / "embeddings.txt"), "--seed=-3"],
+    }[command]
+    record = _expect_error(capsys, argv + ["--out", str(out)], "ConfigError")
+    assert "seed" in record["message"]
+    assert not out.exists()
+
+
+def test_context_rejects_a_passage_id_with_two_texts(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["generate", "--out", str(corpus), "--mode", "grouped", "--seed", "1",
+                     "--n-train", "12", "--n-dev", "2", "--subjects", "4",
+                     "--attributes", "2", "--value-pool", "6"]) == 0
+    lines = (corpus / "train.jsonl").read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    ids = [r["passage_id"] for r in records]
+    last = max(i for i, pid in enumerate(ids) if ids.count(pid) > 1)
+    records[last]["passage"] += " ent00 has prop0 va00 vb00 ."
+    lines[last] = json.dumps(records[last])
+    (corpus / "train.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "contexts.jsonl"
+    record = _expect_error(capsys, [
+        "context", "--data", str(corpus / "train.jsonl"),
+        "--embeddings", str(corpus / "embeddings.txt"), "--out", str(out),
+    ], "InvalidInputError")
+    assert repr(ids[last]) in record["message"]
     assert not out.exists()
 
 

@@ -45,7 +45,7 @@ def test_weight_length_by_kind():
     assert weight_length("weighted-dot", 5) == 5
     assert weight_length("additive", 5) == 10
     assert weight_length("additive-weighted-dot", 5) == 15
-    assert weight_length("multiplicative-additive", 5) == 15
+    assert "multiplicative-additive" not in SIMILARITY_KINDS
 
 
 def test_params_validation():
