@@ -206,6 +206,8 @@ def cmd_eval(args) -> int:
 
 def cmd_context(args) -> int:
     """build retrieval contexts with distant supervision"""
+    if args.seed < 0:  # checked here, where it is still the flag's value
+        raise ConfigError(f"context seed must be >= 0, got {args.seed}")
     if not os.path.exists(args.embeddings):
         raise InvalidInputError(f"missing embedding table {args.embeddings}")
     table = data_mod.load_embeddings(args.embeddings)

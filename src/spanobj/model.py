@@ -7,7 +7,13 @@ representation feeds four heads — start scores, end scores, a bilinear-style
 joint span head, and a conditional end head.
 
 Nothing here autodiffs.  ``backward`` applies the chain rule explicitly, and
-the test suite holds every path to central finite differences.
+the test suite holds every path to central finite differences.  It routes
+each gradient the loss reports, whatever the objective.  Parameters are one
+table of named blocks (:class:`ModelParams`), in serialization order.  One
+:func:`train_step`, under the one epoch loop of ``train`` and ``train_dss``,
+trains every objective: a batch of examples through
+:func:`batch_loss_and_grads`, a batch of contexts through the
+shared-normalization chunks below.
 
 Training runs through one batched core.  A batch is cut into runs of
 consecutive examples that share a passage length L, at most ``MAX_STACK``
@@ -149,33 +155,52 @@ CHECKPOINT_MAGIC = "spanobj-checkpoint 1"
 # Parameters
 
 
-@dataclass
-class ModelParams:
-    """Every trainable array, in the declared block order.
+def _block_shapes(vocab_size: int, dim: int, similarity_kind: str) -> dict:
+    """The parameter table: block name -> shape, in serialization order."""
+    d = dim
+    shapes = {
+        "emb": (vocab_size, d),
+        "w_q": (d, d), "b_q": (d,),
+        "w_mix": (d, 3 * d), "b_mix": (d,),
+        "w_s": (d,), "b_s": (1,),
+        "w_e": (d,), "b_e": (1,),
+        "w_joint": (d, d), "b_joint": (d,),
+        "w_cond": (d, 2 * d), "b_cond": (d,), "w_cond_out": (d,),
+    }
+    sim_len = weight_length(similarity_kind, d)
+    if sim_len:
+        shapes["w_sim"] = (sim_len,)
+    return shapes
 
-    ``emb`` is the V x d token embedding table.  ``w_q``/``b_q`` transform
-    the mean question embedding into the conditioning vector q.  ``w_mix``/
-    ``b_mix`` map the per-token feature [e_t; e_t*q; q] to the d x L passage
-    representation H (through tanh).  ``w_s``/``b_s`` and ``w_e``/``b_e``
-    score boundaries; ``w_joint``/``b_joint`` derive start representations
-    for the joint head; ``cond`` holds the conditional end head; and
-    ``similarity`` configures how joint span scores combine the boundary
-    representations.
+
+class ModelParams:
+    """Every trainable array, one table of named blocks in serialization order.
+
+    ``arrays`` maps each block name to its array.  ``emb`` is the V x d
+    token embedding table.  ``w_q``/``b_q`` transform the mean question
+    embedding into the conditioning vector q.  ``w_mix``/``b_mix`` map the
+    per-token feature [e_t; e_t*q; q] to the d x L passage representation H
+    (through tanh).  ``w_s``/``b_s`` and ``w_e``/``b_e`` score boundaries;
+    ``w_joint``/``b_joint`` derive start representations for the joint
+    head; ``w_cond``/``b_cond``/``w_cond_out`` are the conditional end head;
+    and ``w_sim``, present when the similarity kind has weights, combines
+    the boundary representations into span scores.
+
+    Each block is also an attribute (``params.w_s``), and ``cond`` and
+    ``similarity`` are views over the same arrays.  Blocks are updated in
+    place (:class:`AdamW`, :func:`assign_flat`), so the views stay valid.
     """
 
-    emb: np.ndarray
-    w_q: np.ndarray
-    b_q: np.ndarray
-    w_mix: np.ndarray
-    b_mix: np.ndarray
-    w_s: np.ndarray
-    b_s: np.ndarray
-    w_e: np.ndarray
-    b_e: np.ndarray
-    w_joint: np.ndarray
-    b_joint: np.ndarray
-    cond: ConditionalParams
-    similarity: SimilarityParams
+    def __init__(self, arrays: dict, similarity_kind: str) -> None:
+        vocab_size, dim = arrays["emb"].shape
+        shapes = _block_shapes(vocab_size, dim, similarity_kind)
+        if [(name, arr.shape) for name, arr in arrays.items()] != list(shapes.items()):
+            raise InvalidInputError(f"parameter blocks do not match the table {shapes}")
+        self.arrays = arrays
+        for name, arr in arrays.items():
+            setattr(self, name, arr)  # keeps attribute loads as fast as a dataclass's
+        self.cond = ConditionalParams(arrays["w_cond"], arrays["b_cond"], arrays["w_cond_out"])
+        self.similarity = SimilarityParams(similarity_kind, arrays.get("w_sim"))
 
     @property
     def dim(self) -> int:
@@ -187,46 +212,11 @@ class ModelParams:
 
     def blocks(self) -> list:
         """Ordered (name, array) pairs; the order is the serialization order."""
-        pairs = [
-            ("emb", self.emb),
-            ("w_q", self.w_q),
-            ("b_q", self.b_q),
-            ("w_mix", self.w_mix),
-            ("b_mix", self.b_mix),
-            ("w_s", self.w_s),
-            ("b_s", self.b_s),
-            ("w_e", self.w_e),
-            ("b_e", self.b_e),
-            ("w_joint", self.w_joint),
-            ("b_joint", self.b_joint),
-            ("w_cond", self.cond.w),
-            ("b_cond", self.cond.b),
-            ("w_cond_out", self.cond.w_out),
-        ]
-        if self.similarity.w is not None:
-            pairs.append(("w_sim", self.similarity.w))
-        return pairs
+        return list(self.arrays.items())
 
     def copy(self) -> "ModelParams":
-        sim = SimilarityParams(
-            self.similarity.kind,
-            None if self.similarity.w is None else self.similarity.w.copy(),
-        )
-        return ModelParams(
-            emb=self.emb.copy(),
-            w_q=self.w_q.copy(),
-            b_q=self.b_q.copy(),
-            w_mix=self.w_mix.copy(),
-            b_mix=self.b_mix.copy(),
-            w_s=self.w_s.copy(),
-            b_s=self.b_s.copy(),
-            w_e=self.w_e.copy(),
-            b_e=self.b_e.copy(),
-            w_joint=self.w_joint.copy(),
-            b_joint=self.b_joint.copy(),
-            cond=ConditionalParams(self.cond.w.copy(), self.cond.b.copy(), self.cond.w_out.copy()),
-            similarity=sim,
-        )
+        arrays = {name: arr.copy() for name, arr in self.arrays.items()}
+        return ModelParams(arrays, self.similarity.kind)
 
 
 def init_params(
@@ -237,38 +227,26 @@ def init_params(
 ) -> ModelParams:
     """Seeded initialization; identical seeds give identical parameters.
 
-    Weight matrices draw from N(0, 1/fan_in); biases start at zero so that
-    zeroed embeddings yield exactly uniform score distributions.
+    Biases start at zero, so that zeroed embeddings yield exactly uniform
+    score distributions.  ``emb`` draws from N(0, 0.5^2), ``w_sim`` from
+    N(0, 1/d) and every other weight from N(0, 1/fan_in).
     """
     if vocab_size < 1 or dim < 1:
         raise ConfigError(f"bad model dimensions V={vocab_size}, d={dim}")
     if similarity_kind not in SIMILARITY_KINDS:
         raise ConfigError(f"unknown similarity kind {similarity_kind!r}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0]))
-    d = dim
-    sim_len = weight_length(similarity_kind, d)
-    w_sim = None
-    if sim_len:
-        w_sim = rng.normal(0.0, 1.0 / np.sqrt(d), size=sim_len)
-    return ModelParams(
-        emb=rng.normal(0.0, 0.5, size=(vocab_size, d)),
-        w_q=rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
-        b_q=np.zeros(d),
-        w_mix=rng.normal(0.0, 1.0 / np.sqrt(3 * d), size=(d, 3 * d)),
-        b_mix=np.zeros(d),
-        w_s=rng.normal(0.0, 1.0 / np.sqrt(d), size=d),
-        b_s=np.zeros(1),
-        w_e=rng.normal(0.0, 1.0 / np.sqrt(d), size=d),
-        b_e=np.zeros(1),
-        w_joint=rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
-        b_joint=np.zeros(d),
-        cond=ConditionalParams(
-            w=rng.normal(0.0, 1.0 / np.sqrt(2 * d), size=(d, 2 * d)),
-            b=np.zeros(d),
-            w_out=rng.normal(0.0, 1.0 / np.sqrt(d), size=d),
-        ),
-        similarity=SimilarityParams(similarity_kind, w_sim),
-    )
+    shapes = _block_shapes(vocab_size, dim, similarity_kind)
+    scales = {"emb": 0.5, "w_sim": 1.0 / np.sqrt(dim)}
+    arrays = {}
+    # w_sim is drawn first, so a seed keeps the parameters it has always had.
+    for name in sorted(shapes, key=lambda name: name != "w_sim"):
+        shape = shapes[name]
+        if name.startswith("b_"):
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = rng.normal(0.0, scales.get(name, 1.0 / np.sqrt(shape[-1])), size=shape)
+    return ModelParams({name: arrays[name] for name in shapes}, similarity_kind)
 
 
 def zero_grads(params: ModelParams) -> dict:
@@ -478,21 +456,20 @@ class _PerExample:
         return self.form(j)
 
 
-def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, objective: str) -> dict:
+def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> dict:
     """Every example's parameter-gradient contribution, not yet added anywhere.
 
-    Maps each block the objective trains to a sequence indexed by example
+    Maps each block the loss trains to a sequence indexed by example
     (a stacked array, or per-example products formed when read, so a stack
     holds no B weight-sized blocks); ``"emb"`` maps to
     ``(ids, rows)``, the stack's distinct token ids and a (B, ids, d) array
     of each example's embedding gradient at them.  :func:`_add_rows` and
     :func:`_add_context` add the contributions up.
 
-    The routing depends on the objective: boundary-score gradients flow
-    through w_s/w_e, joint-matrix gradients through the joint head and
-    similarity weights, and the conditional objective supplies its own
-    representation and head gradients (its grad_end lives in conditional
-    end-score space and must not touch w_e).
+    Each gradient the result reports takes its one route: boundary scores
+    through w_s/w_e, the joint matrix through the joint head and similarity
+    weights, and the conditional head's gradients straight to its blocks
+    and the passage representations.
     """
     # The per-example closures below hold only the arrays they read, so a
     # held contribution does not keep the stack's score matrices alive.
@@ -507,8 +484,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, obje
         parts["b_s"] = g.sum(axis=1)
         d_h += params.w_s[:, None] * g[:, None, :]
 
-    routes_end = objective in (OBJ_INDEPENDENT, OBJ_COMPOUND, OBJ_COMPOUND_SHARED)
-    if result.grad_end is not None and routes_end:
+    if result.grad_end is not None:
         g = result.grad_end
         parts["w_e"] = (h @ g[:, :, None])[:, :, 0]
         parts["b_e"] = g.sum(axis=1)
@@ -665,7 +641,7 @@ def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str
             result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
             for i, loss in zip(members, result.loss.tolist()):
                 losses[i] = loss
-            held[members[0]] = _backward_stack(params, stack, result, objective), members, 0
+            held[members[0]] = _backward_stack(params, stack, result), members, 0
             added = _add_held(grads, held, added)
     return losses, grads
 
@@ -740,13 +716,13 @@ def example_loss(params: ModelParams, cache: ForwardCache, target: SpanTarget, o
 
 
 def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objective: str) -> dict:
-    """Chain rule from a one-example LossResult back to every parameter block."""
+    """Chain rule from a one-example LossResult to every block; ``objective`` is only checked."""
     if objective not in OBJECTIVE_KINDS:
         raise ConfigError(f"unknown objective {objective!r}")
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    parts = _backward_stack(params, _cache_stack(cache), stack_one(result), objective)
+    parts = _backward_stack(params, _cache_stack(cache), stack_one(result))
     _add_rows(grads, parts, 0, 1)
     return grads
 
@@ -845,7 +821,7 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         grad_joint = np.zeros(stack.joint.shape)
         grad_joint.reshape(len(grad_joint), -1)[:, stack.mask.ravel()] = grad_cells
         result = LossResult(0.0, grad_start, grad_end, grad_joint)
-        parts.append(_backward_stack(params, stack, result, OBJ_COMPOUND_SHARED))
+        parts.append(_backward_stack(params, stack, result))
     for at in spots:
         _add_context(grads, [(parts[k], j) for k, j in at])
     return losses
@@ -911,6 +887,10 @@ class AdamW:
             p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
 
 
+# The AdamW fields a checkpoint header records.
+_ADAMW_SETTINGS = ("t", "lr", "weight_decay", "beta1", "beta2", "eps")
+
+
 # ---------------------------------------------------------------------------
 # Training
 
@@ -958,12 +938,32 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), 1, int(epoch)]))
 
 
-def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW) -> float:
-    """One optimizer step on a batch of encoded examples; returns mean loss."""
+def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW) -> tuple:
+    """One optimizer step on a batch; returns ``(loss total, used, skipped)``.
+
+    A batch of contexts (items with ``passages``) trains shared
+    normalization, so ``config.objective`` must be ``compound-shared``:
+    contexts without a gold position are skipped, the rest
+    run in chunks, and the total is the sum of their pooled losses.  A batch
+    of examples trains ``config.objective``, and its total is the mean loss
+    times the batch size, the figure the epoch log has always added.  The
+    step follows the mean gradient over the items used; a batch that uses
+    none takes no step.
+    """
     if not batch:
         raise InvalidInputError("empty batch")
+    shared = hasattr(batch[0], "passages")
+    if shared and config.objective != OBJ_COMPOUND_SHARED:
+        raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {config.objective!r}")
     try:
-        losses, grads = batch_loss_and_grads(params, batch, config.objective, config.policy)
+        if shared:
+            used = [context for context in batch if _supervised(context)]
+            grads, losses = zero_grads(params), []
+            for chunk in _context_chunks(used):
+                losses += _chunk_loss_and_grads(params, chunk, config.policy, grads)
+        else:
+            used = batch
+            losses, grads = batch_loss_and_grads(params, batch, config.objective, config.policy)
     except InvalidInputError as err:
         raise DivergenceError(f"non-finite forward pass: {err}") from err
     total = 0.0
@@ -971,38 +971,22 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss!r}")
         total += loss
-    scale = 1.0 / len(batch)
-    for name in grads:
-        grads[name] *= scale
-    optimizer.step(params, grads)
-    return total * scale
-
-
-def _context_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW):
-    """One optimizer step on the supervised contexts of a batch, run in chunks."""
-    supervised = [context for context in batch if _supervised(context)]
-    grads = zero_grads(params)
-    total = 0.0
-    for chunk in _context_chunks(supervised):
-        try:
-            losses = _chunk_loss_and_grads(params, chunk, config.policy, grads)
-        except InvalidInputError as err:
-            raise DivergenceError(f"non-finite forward pass: {err}") from err
-        for loss in losses:
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite loss {loss!r}")
-            total += loss
-    used = len(supervised)
-    skipped = len(batch) - used
     if used:
-        scale = 1.0 / used
+        scale = 1.0 / len(used)
         for name in grads:
             grads[name] *= scale
         optimizer.step(params, grads)
-    return total, used, skipped
+        if not shared:
+            total = total * scale * len(used)
+    return total, len(used), len(batch) - len(used)
 
 
-def _run_epochs(items, config, params, optimizer, start_epoch, step_fn, dev_set, beam_width):
+def _train(items, config, params, optimizer, start_epoch, dev_set, vocab_size, beam_width):
+    """Initialize what the caller did not pass, then run the epochs."""
+    if params is None:
+        params = init_params(vocab_size, config.dim, config.similarity, config.seed)
+    if optimizer is None:
+        optimizer = AdamW(lr=config.learning_rate, weight_decay=config.weight_decay)
     log = []
     for epoch in range(start_epoch, config.epochs):
         order = _epoch_rng(config.seed, epoch).permutation(len(items))
@@ -1011,7 +995,7 @@ def _run_epochs(items, config, params, optimizer, start_epoch, step_fn, dev_set,
         skipped = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[lo : lo + config.batch_size]]
-            batch_total, batch_used, batch_skipped = step_fn(params, batch, config, optimizer)
+            batch_total, batch_used, batch_skipped = train_step(params, batch, config, optimizer)
             total += batch_total
             used += batch_used
             skipped += batch_skipped
@@ -1026,7 +1010,7 @@ def _run_epochs(items, config, params, optimizer, start_epoch, step_fn, dev_set,
             entry["dev_em"] = report.em
             entry["dev_f1"] = report.f1
         log.append(entry)
-    return log
+    return TrainResult(params, log, optimizer, config.epochs)
 
 
 def train(
@@ -1051,21 +1035,11 @@ def train(
         raise InvalidInputError("empty dataset")
     if config.objective == OBJ_COMPOUND_SHARED:
         raise ConfigError("shared-normalization training goes through train_dss")
-    if params is None:
-        if vocab_size is None:
-            vocab_size = 1 + int(
-                max(max(np.max(ex.question_ids), np.max(ex.passage_ids)) for ex in dataset)
-            )
-        params = init_params(vocab_size, config.dim, config.similarity, config.seed)
-    if optimizer is None:
-        optimizer = AdamW(lr=config.learning_rate, weight_decay=config.weight_decay)
-
-    def step(p, batch, cfg, opt):
-        loss = train_step(p, batch, cfg, opt)
-        return loss * len(batch), len(batch), 0
-
-    log = _run_epochs(dataset, config, params, optimizer, start_epoch, step, dev_set, beam_width)
-    return TrainResult(params, log, optimizer, config.epochs)
+    if params is None and vocab_size is None:
+        vocab_size = 1 + int(
+            max(max(np.max(ex.question_ids), np.max(ex.passage_ids)) for ex in dataset)
+        )
+    return _train(dataset, config, params, optimizer, start_epoch, dev_set, vocab_size, beam_width)
 
 
 def train_dss(
@@ -1081,25 +1055,21 @@ def train_dss(
 ) -> TrainResult:
     """Train with shared normalization over retrieval contexts.
 
-    Contexts without any distantly supervised position are skipped and
-    counted in the log rather than failing the run.
+    The objective must be ``compound-shared``.  Contexts without any
+    distantly supervised position are skipped and counted in the log rather
+    than failing the run.
     """
+    if config.objective != OBJ_COMPOUND_SHARED:
+        raise ConfigError(f"train_dss trains {OBJ_COMPOUND_SHARED!r}, not {config.objective!r}")
     contexts = list(contexts)
     if not contexts:
         raise InvalidInputError("empty context list")
     for i, context in enumerate(contexts):
         if not context.passages:
             raise InvalidInputError(f"context {i} has no passages")
-    if params is None:
-        if vocab_size is None:
-            raise ConfigError("vocab_size required when training from scratch")
-        params = init_params(vocab_size, config.dim, config.similarity, config.seed)
-    if optimizer is None:
-        optimizer = AdamW(lr=config.learning_rate, weight_decay=config.weight_decay)
-    log = _run_epochs(
-        contexts, config, params, optimizer, start_epoch, _context_step, dev_set, beam_width
-    )
-    return TrainResult(params, log, optimizer, config.epochs)
+    if params is None and vocab_size is None:
+        raise ConfigError("vocab_size required when training from scratch")
+    return _train(contexts, config, params, optimizer, start_epoch, dev_set, vocab_size, beam_width)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,14 +1233,7 @@ def save_checkpoint(
         "optimizer": None,
     }
     if optimizer is not None:
-        header["optimizer"] = {
-            "t": optimizer.t,
-            "lr": optimizer.lr,
-            "weight_decay": optimizer.weight_decay,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-        }
+        header["optimizer"] = {key: getattr(optimizer, key) for key in _ADAMW_SETTINGS}
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
@@ -1278,12 +1241,10 @@ def save_checkpoint(
         for _, arr in blocks:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         if optimizer is not None:
-            for name, arr in blocks:
-                moment = optimizer.m.get(name, np.zeros_like(arr))
-                fh.write(np.ascontiguousarray(moment, dtype="<f8").tobytes())
-            for name, arr in blocks:
-                moment = optimizer.v.get(name, np.zeros_like(arr))
-                fh.write(np.ascontiguousarray(moment, dtype="<f8").tobytes())
+            for moments in (optimizer.m, optimizer.v):
+                for name, arr in blocks:
+                    moment = moments.get(name, np.zeros_like(arr))
+                    fh.write(np.ascontiguousarray(moment, dtype="<f8").tobytes())
 
 
 @dataclass
@@ -1322,40 +1283,13 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _read_checkpoint(fh) -> Checkpoint:
     header = json.loads(fh.readline().decode("utf-8"))
-    arrays = {}
-    for name, shape in header["blocks"]:
-        arrays[name] = _read_block(fh, shape)
-    sim = SimilarityParams(header["similarity"], arrays.get("w_sim"))
-    params = ModelParams(
-        emb=arrays["emb"],
-        w_q=arrays["w_q"],
-        b_q=arrays["b_q"],
-        w_mix=arrays["w_mix"],
-        b_mix=arrays["b_mix"],
-        w_s=arrays["w_s"],
-        b_s=arrays["b_s"],
-        w_e=arrays["w_e"],
-        b_e=arrays["b_e"],
-        w_joint=arrays["w_joint"],
-        b_joint=arrays["b_joint"],
-        cond=ConditionalParams(arrays["w_cond"], arrays["b_cond"], arrays["w_cond_out"]),
-        similarity=sim,
-    )
+    arrays = {name: _read_block(fh, shape) for name, shape in header["blocks"]}
+    params = ModelParams(arrays, header["similarity"])
     optimizer = None
     if header.get("optimizer"):
-        meta = header["optimizer"]
-        optimizer = AdamW(
-            lr=meta["lr"],
-            weight_decay=meta["weight_decay"],
-            beta1=meta["beta1"],
-            beta2=meta["beta2"],
-            eps=meta["eps"],
-            t=meta["t"],
-        )
-        for name, shape in header["blocks"]:
-            optimizer.m[name] = _read_block(fh, shape)
-        for name, shape in header["blocks"]:
-            optimizer.v[name] = _read_block(fh, shape)
+        optimizer = AdamW(**{key: header["optimizer"][key] for key in _ADAMW_SETTINGS})
+        for moments in (optimizer.m, optimizer.v):
+            moments.update((name, _read_block(fh, shape)) for name, shape in header["blocks"])
     return Checkpoint(
         params=params,
         objective=header["objective"],

@@ -307,6 +307,8 @@ def conditional_rows(start_scores, h, params: ConditionalParams, starts, ends) -
     """Conditional objective over a stack: (B, L) start scores, (B, d, L) representations.
 
     Head gradients come back stacked, one (hidden x 2d) block per example.
+    The gradient of the conditional end scores is folded into ``grad_h`` and
+    ``grad_cond``; ``grad_end`` is for the boundary end scores only.
     """
     d = h.shape[1]
     _check_targets(starts, ends, h.shape[2])
@@ -325,7 +327,6 @@ def conditional_rows(start_scores, h, params: ConditionalParams, starts, ends) -
     return LossResult(
         loss_s + loss_e,
         grad_start=grad_s,
-        grad_end=grad_e,
         grad_h=grad_h,
         grad_cond=ConditionalGrads(d_w, d_b, d_w_out),
     )

@@ -422,6 +422,8 @@ def test_negative_seeds_are_config_errors(pipeline, tmp_path, capsys, command):
     }[command]
     record = _expect_error(capsys, argv + ["--out", str(out)], "ConfigError")
     assert "seed" in record["message"]
+    # The message names the seed given, not one derived from it.
+    assert record["message"].endswith("got " + {"context": "-3"}.get(command, "-1"))
     assert not out.exists()
 
 

@@ -40,7 +40,7 @@ from spanobj.model import (
     _stack_bounds,
     zero_grads,
 )
-from spanobj.numerics import MASK_VALID, finite_diff_gradient
+from spanobj.numerics import MASK_POLICIES, MASK_VALID, finite_diff_gradient
 from spanobj.objectives import (
     OBJ_COMPOUND,
     OBJ_COMPOUND_SHARED,
@@ -366,6 +366,39 @@ def test_train_dss_runs_and_counts_skips():
         train_dss(contexts, config)  # vocab_size required from scratch
 
 
+@pytest.mark.parametrize("objective", PER_EXAMPLE_OBJECTIVES)
+def test_train_dss_rejects_every_other_objective(objective):
+    rng = np.random.default_rng(41)
+    contexts = [_Ctx(rng.integers(1, 15, size=3), [(rng.integers(1, 15, size=5), {SpanTarget(1, 2)})])]
+    config = TrainConfig(objective=objective, epochs=1, dim=6)
+    with pytest.raises(ConfigError, match=OBJ_COMPOUND_SHARED):
+        train_dss(contexts, config, vocab_size=15)
+    with pytest.raises(ConfigError, match=OBJ_COMPOUND_SHARED):
+        train(contexts, config, vocab_size=15)  # contexts never train another objective
+
+
+@pytest.mark.parametrize("policy", MASK_POLICIES)
+def test_shared_normalization_over_one_passage_trains_as_compound(policy):
+    # A one-passage context with one gold span pools nothing, so each
+    # pooled cross-entropy is the plain one and the loss is compound's.
+    # The two agree to rounding, not bit for bit: pooled_ce takes 1-D
+    # log-sum-exps over the concatenated scores, softmax_ce_rows row-wise
+    # log-softmaxes, and the two round differently (here by at most 4e-11).
+    rng = np.random.default_rng(61)
+    dataset = _toy_dataset(rng, n=12)
+    contexts = [_Ctx(ex.question_ids, [(ex.passage_ids, {ex.target})]) for ex in dataset]
+    settings = dict(epochs=2, batch_size=4, seed=5, dim=8, policy=policy)
+    plain = train(dataset, TrainConfig(objective=OBJ_COMPOUND, **settings), vocab_size=15)
+    shared = train_dss(
+        contexts, TrainConfig(objective=OBJ_COMPOUND_SHARED, **settings), vocab_size=15
+    )
+    assert [entry["examples"] for entry in shared.log] == [len(dataset)] * 2
+    for got, want in zip(shared.log, plain.log):
+        assert abs(got["loss"] - want["loss"]) <= 1e-9
+    for (name, got), (_, want) in zip(shared.params.blocks(), plain.params.blocks()):
+        assert np.max(np.abs(got - want)) <= 1e-9, name
+
+
 def test_context_without_passages_is_invalid_input_not_divergence():
     rng = np.random.default_rng(43)
     q_ids = rng.integers(1, 15, size=3)
@@ -382,6 +415,20 @@ def test_context_chunks_hold_at_most_max_stack_passages():
     contexts = [_Ctx(np.array([1]), [(np.array([1]), set())] * n) for n in sizes]
     chunks = [[len(c.passages) for c in chunk] for chunk in _context_chunks(contexts)]
     assert chunks == [[3, 4, 1], [2], [9], [8], [1, 1]]
+
+
+def test_params_must_hold_the_block_table_in_order():
+    params = init_params(12, dim=4, similarity_kind=KIND_ADDITIVE_WEIGHTED_DOT)
+    arrays = dict(params.blocks())
+    with pytest.raises(InvalidInputError):
+        ModelParams(arrays, KIND_DOT)  # a dot model has no w_sim
+    with pytest.raises(InvalidInputError):
+        ModelParams(dict(reversed(params.blocks())), KIND_ADDITIVE_WEIGHTED_DOT)
+    with pytest.raises(InvalidInputError):
+        ModelParams({**arrays, "w_q": np.zeros((4, 5))}, KIND_ADDITIVE_WEIGHTED_DOT)
+    copy = params.copy()
+    assert copy.cond.w is copy.w_cond and copy.similarity.w is copy.w_sim
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(copy.blocks(), params.blocks()))
 
 
 def test_config_validation():

@@ -415,11 +415,11 @@ def test_stacked_core_equals_the_one_example_loop_bit_for_bit(batch, objective, 
     # One AdamW step: train_step against the reference gradients.
     config = model.TrainConfig(objective=objective, policy=policy, dim=4, similarity=sim)
     stepped, reference = params.copy(), params.copy()
-    mean_loss = model.train_step(stepped, batch, config, model.AdamW())
+    outcome = model.train_step(stepped, batch, config, model.AdamW())
     total = 0.0
     for loss in ref_losses:
         total += loss
-    assert mean_loss == total * (1.0 / len(batch))
+    assert outcome == (total * (1.0 / len(batch)) * len(batch), len(batch), 0)
     for name in ref_grads:
         ref_grads[name] *= 1.0 / len(batch)
     model.AdamW().step(reference, ref_grads)
@@ -610,7 +610,7 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
     for lo in range(0, len(contexts_), batch_size):
         batch = contexts_[lo : lo + batch_size]
         optimizer.seen = None
-        outcome = model._context_step(stepped, batch, config, optimizer)
+        outcome = model.train_step(stepped, batch, config, optimizer)
         want_outcome, want_grads = _ref_context_step(reference, batch, policy, ref_optimizer)
         assert outcome == want_outcome
         if want_outcome[1]:
