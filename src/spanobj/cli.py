@@ -352,21 +352,31 @@ _OPTIONS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
+_COMMANDS = {
+    func.__name__.removeprefix("cmd_"): func
+    for func in (cmd_generate, cmd_train, cmd_decode, cmd_eval, cmd_context, cmd_stats)
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given ``command``, of that one.
+
+    Every subcommand is listed either way; only the options of the ones
+    built are added, since adding them is most of the parser's cost.
+    """
     parser = _Parser(
         prog="spanobj",
         description="Span-extraction objectives: synthetic experiments end to end.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for func in (cmd_generate, cmd_train, cmd_decode, cmd_eval, cmd_context, cmd_stats):
-        command = func.__name__.removeprefix("cmd_")
-        parsers[command] = p = sub.add_parser(command, help=func.__doc__)
-        p.add_argument("--config", help="JSON file of default option values (flags win)")
+    for name, func in _COMMANDS.items():
+        p = sub.add_parser(name, help=func.__doc__)
         p.set_defaults(func=func)
-    for option in _OPTIONS:
-        for command in option.commands:
-            parsers[command].add_argument(option.flag, **option.arguments)
+        if command in (None, name):
+            p.add_argument("--config", help="JSON file of default option values (flags win)")
+            for option in _OPTIONS:
+                if name in option.commands:
+                    p.add_argument(option.flag, **option.arguments)
     return parser
 
 
@@ -404,7 +414,9 @@ def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> l
 
 def _parse(argv: list) -> argparse.Namespace:
     """Each option from its flag, else the config file, else its default."""
-    parser = build_parser()
+    # Only the named command gets its options.  With none named, parsing ends
+    # at the top level (help or a usage error), and every command is built.
+    parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
     args = parser.parse_args(argv)
     if args.config:
         # The command line's flags follow the file's, so they win.

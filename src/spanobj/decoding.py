@@ -26,7 +26,12 @@ log-softmax, which equal the per-start pass row by row.  The surface-form
 filter slices a dataset passage's text directly and sums only strings that
 occur more than once in its head: ``math.fsum([p]) == p`` for every
 probability but -0.0, which it turns into 0.0, as ``p + 0.0`` does, so a
-string found once keeps its mass plus 0.0.  Every output equals the
+string found once keeps its mass plus 0.0.  The product decoder reads its
+cells from the cache of :func:`~spanobj.numerics.span_cells` and sums its
+L^2 products with :func:`~spanobj.numerics._fsum`, which equals
+``math.fsum`` bit for bit and runs an exact binned kernel from
+``_BINNED_FSUM_MIN`` values up; the joint decoder reads the cached cells
+when its mask is a cached ``span_mask`` object.  Every output equals the
 one-example decoders' bit for bit.
 """
 
@@ -43,9 +48,11 @@ from .numerics import (
     MASK_VALID,
     ScoreMatrix,
     _check_finite_vector,
+    _fsum,
     log_softmax,
     log_softmax_rows,
-    span_mask,
+    mask_cells,
+    span_cells,
     stack_cap,
 )
 from .objectives import ConditionalParams, SpanTarget, conditional_hidden
@@ -127,7 +134,7 @@ class SpanDistribution:
 
     @property
     def normalization(self) -> float:
-        return math.fsum(self.probs)
+        return _fsum(self.probs)
 
     def order(self, n: int | None = None) -> np.ndarray:
         """Row indices of the ``n`` highest-ranked spans (all when ``None``)."""
@@ -190,15 +197,17 @@ def independent_distribution(
         raise InvalidInputError("start/end score lengths differ")
     p_start = np.exp(log_softmax(start_scores))
     p_end = np.exp(log_softmax(end_scores))
-    starts, ends = np.nonzero(span_mask(start_scores.size, policy))
-    probs = p_start[starts] * p_end[ends]
-    raw = math.fsum(probs)
-    return SpanDistribution.from_arrays(starts, ends, probs / raw, raw_mass=raw)
+    starts, ends = span_cells(start_scores.size, policy)
+    probs = p_start[starts]
+    probs *= p_end[ends]
+    raw = _fsum(probs)
+    probs /= raw
+    return SpanDistribution.from_arrays(starts, ends, probs, raw_mass=raw)
 
 
 def joint_distribution(scores: ScoreMatrix) -> SpanDistribution:
     """Softmax over every unmasked span score, cells in row-major order."""
-    starts, ends = np.nonzero(scores.mask)
+    starts, ends = mask_cells(scores.mask)
     probs = np.exp(log_softmax(scores.values[scores.mask]))
     return SpanDistribution.from_arrays(starts, ends, probs, raw_mass=1.0)
 
@@ -245,7 +254,7 @@ def beam_decode(
     top_ends = np.argsort(-end_logp, axis=1, kind="stable")[:, :width]
     logp = start_logp[top_starts][:, None] + np.take_along_axis(end_logp, top_ends, axis=1)
     probs = _exact_exp(logp.ravel()).astype(np.float64)
-    raw = math.fsum(probs)
+    raw = _fsum(probs)
     return SpanDistribution.from_arrays(
         np.repeat(top_starts, width), top_ends.ravel(), probs / raw, raw_mass=raw
     )

@@ -1009,6 +1009,7 @@ def _train(items, config, params, optimizer, start_epoch, dev_set, vocab_size, b
             report = evaluate_model(params, dev_set, config.objective, config.policy, beam_width)
             entry["dev_em"] = report.em
             entry["dev_f1"] = report.f1
+            entry["dev_cross_rate"] = report.cross_rate
         log.append(entry)
     return TrainResult(params, log, optimizer, config.epochs)
 
@@ -1035,6 +1036,8 @@ def train(
         raise InvalidInputError("empty dataset")
     if config.objective == OBJ_COMPOUND_SHARED:
         raise ConfigError("shared-normalization training goes through train_dss")
+    if any(hasattr(item, "passages") for item in dataset):
+        raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r} through train_dss, not train")
     if params is None and vocab_size is None:
         vocab_size = 1 + int(
             max(max(np.max(ex.question_ids), np.max(ex.passage_ids)) for ex in dataset)

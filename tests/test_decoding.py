@@ -122,6 +122,24 @@ def test_joint_distribution_is_softmax_over_valid_cells():
             assert dist.probability(int(i), int(j)) == pytest.approx(math.exp(lp), abs=1e-12)
 
 
+def test_joint_distribution_over_a_caller_built_mask_uses_that_mask():
+    rng = np.random.default_rng(17)
+    values = rng.normal(size=(12, 12))
+    # Read-only like a cached mask, full-looking in its corner, yet neither policy.
+    mask = np.ones((12, 12), dtype=bool)
+    mask[0, 11] = mask[4, 7] = False
+    mask.setflags(write=False)
+    dist = joint_distribution(ScoreMatrix(values, mask))
+    starts, ends = np.nonzero(mask)
+    assert np.array_equal(dist.starts, starts) and np.array_equal(dist.ends, ends)
+    assert dist.probs.tobytes() == np.exp(log_softmax(values[mask])).tobytes()
+    # An equal copy of a cached mask decodes as the cached mask does.
+    cached = joint_distribution(ScoreMatrix.from_values(values, MASK_FULL))
+    copied = joint_distribution(ScoreMatrix(values, np.ones((12, 12), dtype=bool)))
+    for name in ("starts", "ends", "probs"):
+        assert getattr(copied, name).tobytes() == getattr(cached, name).tobytes()
+
+
 def test_joint_argmax_agrees_with_matrix_argmax():
     rng = np.random.default_rng(13)
     for _ in range(200):

@@ -7,7 +7,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spanobj.data import EncodedExample, Example, Passage, Vocabulary, encode_examples
+from spanobj.data import (
+    EncodedExample,
+    Example,
+    GeneratorConfig,
+    Passage,
+    Vocabulary,
+    encode_examples,
+    generate_synthetic,
+)
 from spanobj.decoding import top_k
 from spanobj.errors import (
     ConfigError,
@@ -304,6 +312,35 @@ def test_train_rejects_shared_objective_and_empty_data():
         train([object()], config)
     with pytest.raises(InvalidInputError):
         train([], TrainConfig())
+
+
+@pytest.mark.parametrize("vocab_size", (None, 15))
+def test_train_rejects_contexts_before_reading_their_ids(vocab_size):
+    # Vocabulary inference reads passage_ids, which a context does not carry.
+    rng = np.random.default_rng(41)
+    contexts = [_Ctx(rng.integers(1, 15, size=3), [(rng.integers(1, 15, size=5), {SpanTarget(1, 2)})])]
+    with pytest.raises(ConfigError, match="train_dss"):
+        train(contexts, TrainConfig(objective=OBJ_COMPOUND), vocab_size=vocab_size)
+
+
+def test_dev_log_carries_em_f1_and_cross_rate_every_epoch():
+    corpus = generate_synthetic(GeneratorConfig(n_train=40, n_dev=20), seed=5)
+    vocab = Vocabulary.from_examples(corpus.train + corpus.dev)
+    train_set = encode_examples(corpus.train, vocab)
+    dev_set = encode_examples(corpus.dev, vocab)
+    config = TrainConfig(objective=OBJ_COMPOUND, epochs=3, batch_size=8, dim=8, seed=2)
+    result = train(train_set, config, dev_set=dev_set, vocab_size=len(vocab))
+    assert [entry["epoch"] for entry in result.log] == [0, 1, 2]
+    for entry in result.log:
+        assert 0.0 <= entry["dev_em"] <= 100.0
+        assert 0.0 <= entry["dev_f1"] <= 100.0
+        assert 0.0 <= entry["dev_cross_rate"] <= 1.0
+    report = evaluate_model(result.params, dev_set, OBJ_COMPOUND)
+    assert report.cross_eligible > 0  # the twin corpus records two candidates
+    last = result.log[-1]
+    assert (last["dev_em"], last["dev_f1"], last["dev_cross_rate"]) == (
+        report.em, report.f1, report.cross_rate
+    )
 
 
 def test_train_step_raises_divergence_on_poisoned_params():

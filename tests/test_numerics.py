@@ -15,7 +15,9 @@ from spanobj.numerics import (
     finite_diff_gradient,
     log_softmax,
     logsumexp,
+    mask_cells,
     softmax,
+    span_cells,
     span_mask,
     vectorize,
 )
@@ -90,11 +92,31 @@ def test_span_mask_full_keeps_everything():
     assert mask.all() and mask.shape == (5, 5)
 
 
+@pytest.mark.parametrize("policy", (MASK_VALID, MASK_FULL))
+@pytest.mark.parametrize("length", (1, 12, 180))
+def test_span_cells_are_the_masks_cached_read_only_nonzero_cells(length, policy):
+    mask = span_mask(length, policy)
+    cells = span_cells(length, policy)
+    for got, want in zip(cells, np.nonzero(mask)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 1
+    assert span_cells(length, policy) is cells
+    assert mask_cells(mask) is cells
+    # An equal mask that span_mask did not make is searched, not looked up.
+    copy = mask.copy()
+    assert all(np.array_equal(a, b) for a, b in zip(mask_cells(copy), cells))
+    assert mask_cells(copy)[0] is not cells[0]
+
+
 def test_span_mask_rejects_bad_inputs():
     with pytest.raises(InvalidInputError):
         span_mask(0, MASK_VALID)
     with pytest.raises(InvalidInputError):
         span_mask(4, "diagonal")
+    with pytest.raises(InvalidInputError):
+        span_cells(0, MASK_VALID)
 
 
 def test_score_matrix_validates_shape_and_finiteness():

@@ -12,7 +12,9 @@ shared-normalization training, which runs chunks of contexts through the
 core, to a loop over contexts of that one-example reference.  The decode
 properties hold the stacked decode, the stacked beam and the surface-form
 filter that pools only repeated strings to copies of the one-example
-decoders they replaced, bit for bit.
+decoders they replaced, bit for bit.  The exact-sum properties hold the
+binned kernel to ``math.fsum``, and the product decoder that sums with it
+over cached cells to a copy of the fsum version it replaced, bit for bit.
 """
 
 import math
@@ -36,7 +38,18 @@ from spanobj.decoding import (
     surface_form_filter,
     top_k,
 )
-from spanobj.numerics import MASK_POLICIES, MASK_VALID, ScoreMatrix, log_softmax, logsumexp
+from spanobj.numerics import (
+    _BINNED_FSUM_CHUNK,
+    _BINNED_FSUM_MIN,
+    MASK_POLICIES,
+    MASK_VALID,
+    ScoreMatrix,
+    _binned_fsum,
+    _fsum,
+    log_softmax,
+    logsumexp,
+    span_mask,
+)
 from spanobj.objectives import (
     BOUNDARIES,
     BOUNDARY_JOINT,
@@ -867,4 +880,72 @@ def test_surface_form_filter_equals_the_pool_every_string_filter_bit_for_bit(
         passage = [gap + word for word, gap in zip(words, gaps)]
     _assert_same_bits(
         surface_form_filter(dist, passage, k), _ref_surface_form_filter(dist, passage, k)
+    )
+
+
+# ---------------------------------------------------------------------------
+# The binned exact sum against math.fsum
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def sum_vectors(draw):
+    """Finite float64 vectors on both sides of the crossover and of a chunk, edge values planted."""
+    size = draw(
+        st.sampled_from(
+            (1, 2, 78, _BINNED_FSUM_MIN - 1, _BINNED_FSUM_MIN, 903, _BINNED_FSUM_CHUNK + 1, 9000)
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from(("wide", "subnormal", "cancelling", "zeros", "probabilities")))
+    if kind == "wide":  # mixed signs, magnitudes 1e-300 to 1e300
+        values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 301, size=size)
+    elif kind == "subnormal":
+        values = rng.integers(-(2**52), 2**52, size=size) * 5e-324
+    elif kind == "cancelling":  # sums to zero or to a last few terms
+        half = rng.normal(size=size // 2) * 10.0 ** rng.integers(-20, 21, size=size // 2)
+        values = np.concatenate([half, -half, rng.normal(size=size % 2)])
+    elif kind == "zeros":
+        values = rng.choice([0.0, -0.0], size=size)
+    else:
+        values = np.exp(rng.normal(0.0, 8.0, size=size))
+        values /= values.sum()
+    planted = draw(st.lists(FINITE, max_size=min(size, 8)))
+    values[: len(planted)] = planted
+    return rng.permutation(values)
+
+
+@PROPERTY
+@given(sum_vectors())
+def test_binned_fsum_equals_math_fsum_bit_for_bit(values):
+    want = math.fsum(values).hex()
+    assert _binned_fsum(values).hex() == want
+    assert _fsum(values).hex() == want
+
+
+def _ref_independent_distribution(start_scores, end_scores, policy):
+    """The product decoder that summed with math.fsum over np.nonzero's cells."""
+    p_start = np.exp(log_softmax(start_scores))
+    p_end = np.exp(log_softmax(end_scores))
+    starts, ends = np.nonzero(span_mask(start_scores.size, policy))
+    probs = p_start[starts] * p_end[ends]
+    raw = math.fsum(probs)
+    return SpanDistribution.from_arrays(starts, ends, probs / raw, raw_mass=raw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.sampled_from((42, 180)),
+    st.sampled_from(MASK_POLICIES),
+    st.sampled_from((0.1, 3.0, 30.0)),
+    st.integers(0, 2**16),
+)
+def test_independent_distribution_equals_the_fsum_decoder_bit_for_bit(length, policy, scale, seed):
+    rng = np.random.default_rng(seed)
+    start_scores = rng.normal(0.0, scale, size=length)
+    end_scores = rng.normal(0.0, scale, size=length)
+    _assert_same_bits(
+        independent_distribution(start_scores, end_scores, policy),
+        _ref_independent_distribution(start_scores, end_scores, policy),
     )
