@@ -52,6 +52,26 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _resume_checkpoint(path: str, objective: str, config, vocab):
+    """The checkpoint at ``path``, refused unless it was trained as this run trains."""
+    ckpt = model.load_checkpoint(path)
+    fields = {
+        "objective": (ckpt.objective, objective),
+        "dim": (ckpt.params.dim, config.dim),
+        "similarity": (ckpt.params.similarity.kind, config.similarity),
+        "policy": (ckpt.extra.get("policy"), config.policy),
+    }
+    if ckpt.optimizer is not None:
+        fields["learning_rate"] = (ckpt.optimizer.lr, config.learning_rate)
+        fields["weight_decay"] = (ckpt.optimizer.weight_decay, config.weight_decay)
+    for name, (saved, wanted) in fields.items():
+        if saved != wanted:
+            raise InvalidInputError(f"{path} was trained with {name} {saved!r}, not {wanted!r}")
+    if ckpt.vocab != vocab.tokens:
+        raise InvalidInputError(f"{path} was trained with another vocabulary than this data's")
+    return ckpt
+
+
 def cmd_train(args) -> int:
     """train one checkpoint per seed"""
     try:
@@ -76,20 +96,23 @@ def cmd_train(args) -> int:
     if shared:
         contexts = data_mod.encode_contexts(data_mod.load_contexts(args.contexts), vocab)
 
+    stems = {seed: os.path.join(args.out, f"{args.objective}-seed{seed}") for seed in seeds}
+    # Every checkpoint to resume is checked before any seed trains.
+    resumed = {
+        config.seed: _resume_checkpoint(stems[config.seed] + ".ckpt", args.objective, config, vocab)
+        for config in configs if args.resume and os.path.exists(stems[config.seed] + ".ckpt")
+    }
+
     os.makedirs(args.out, exist_ok=True)
     for config in configs:
         seed = config.seed
-        ckpt_path = os.path.join(args.out, f"{args.objective}-seed{seed}.ckpt")
-        log_path = os.path.join(args.out, f"{args.objective}-seed{seed}-log.json")
+        ckpt_path = stems[seed] + ".ckpt"
+        log_path = stems[seed] + "-log.json"
 
         params = optimizer = None
         start_epoch = 0
-        if args.resume and os.path.exists(ckpt_path):
-            ckpt = model.load_checkpoint(ckpt_path)
-            if ckpt.objective != args.objective:
-                raise InvalidInputError(
-                    f"{ckpt_path} was trained with objective {ckpt.objective!r}"
-                )
+        ckpt = resumed.pop(seed, None)
+        if ckpt is not None:
             if ckpt.epoch >= config.epochs:
                 print(f"seed {seed}: checkpoint already at epoch {ckpt.epoch}, skipping")
                 continue

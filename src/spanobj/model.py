@@ -9,7 +9,9 @@ joint span head, and a conditional end head.
 Nothing here autodiffs.  ``backward`` applies the chain rule explicitly, and
 the test suite holds every path to central finite differences.  It routes
 each gradient the loss reports, whatever the objective.  Parameters are one
-table of named blocks (:class:`ModelParams`), in serialization order.  One
+flat vector cut into named blocks in serialization order (:class:`ModelParams`);
+gradients and AdamW moments are vectors cut the same way (:class:`FlatBlocks`),
+so a step, a gradient scale and a checkpoint write each make one pass.  One
 :func:`train_step`, under the one epoch loop of ``train`` and ``train_dss``,
 trains every objective: a batch of examples through
 :func:`batch_loss_and_grads`, a batch of contexts through the
@@ -43,12 +45,15 @@ because the core keeps to rules measured on NumPy 2.4 with OpenBLAS
   ``w_mix`` and ``w_joint`` gradients are formed per example
   (``a[j] @ b[j]``) rather than as (B, d, 3d) stacks, and embedding rows
   are summed per example over the stack's distinct ids before they reach
-  the total.  An example's rows at ids it does not touch are +0.0, and
-  adding +0.0 changes no total, because a total that starts at +0.0 never
-  holds -0.0;
+  the total, by one ``np.bincount``, which adds each cell's values in row
+  order from +0.0, as ``np.add.at`` does.  An example's rows at ids it does
+  not touch are +0.0, and adding +0.0 changes no total, because a total
+  that starts at +0.0 never holds -0.0;
 * questions of different lengths are padded, the padding is zeroed by a
   0/1 mask and the sum divided by the true count, which equals
-  ``.mean(axis=0)``.
+  ``.mean(axis=0)``;
+* AdamW and the gradient scale are elementwise, so a pass over the flat
+  vectors equals a pass over each block.
 
 The cap of 8 examples bounds the memory a stack holds.  A window holds the
 contributions of its stacks until they are added; stacks run in the order
@@ -90,6 +95,7 @@ metrics); shared-normalization training consumes contexts carrying
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -140,7 +146,6 @@ from .objectives import (
 from .similarity import (
     KIND_DOT,
     SIMILARITY_KINDS,
-    BoundaryRepresentations,
     SimilarityParams,
     span_score_grads,
     span_score_values,
@@ -173,10 +178,28 @@ def _block_shapes(vocab_size: int, dim: int, similarity_kind: str) -> dict:
     return shapes
 
 
-class ModelParams:
-    """Every trainable array, one table of named blocks in serialization order.
+class FlatBlocks(dict):
+    """Block name -> array, each a reshaped view of one float64 vector, ``flat``,
+    cut in serialization order.  Update blocks in place: a block rebound to
+    another array no longer reads or writes ``flat``."""
 
-    ``arrays`` maps each block name to its array.  ``emb`` is the V x d
+    def __init__(self, flat: np.ndarray, shapes: dict) -> None:
+        super().__init__()
+        offset = 0
+        for name, shape in shapes.items():
+            size = math.prod(shape)
+            self[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        if offset != flat.size:
+            raise InvalidInputError(f"flat vector has {flat.size} values, expected {offset}")
+        self.flat = flat
+
+
+class ModelParams:
+    """Every trainable array: one flat vector, ``flat``, cut into named blocks.
+
+    ``arrays`` maps each block name to its view of ``flat``, in
+    serialization order (a :class:`FlatBlocks`).  ``emb`` is the V x d
     token embedding table.  ``w_q``/``b_q`` transform the mean question
     embedding into the conditioning vector q.  ``w_mix``/``b_mix`` map the
     per-token feature [e_t; e_t*q; q] to the d x L passage representation H
@@ -186,21 +209,23 @@ class ModelParams:
     and ``w_sim``, present when the similarity kind has weights, combines
     the boundary representations into span scores.
 
-    Each block is also an attribute (``params.w_s``), and ``cond`` and
-    ``similarity`` are views over the same arrays.  Blocks are updated in
-    place (:class:`AdamW`, :func:`assign_flat`), so the views stay valid.
+    The constructor copies the blocks into a new vector.  Each block is
+    also an attribute (``params.w_s``), and ``cond`` and ``similarity`` are
+    views over the same arrays.  ``flat`` is updated in place, so they stay valid.
     """
 
     def __init__(self, arrays: dict, similarity_kind: str) -> None:
         vocab_size, dim = arrays["emb"].shape
-        shapes = _block_shapes(vocab_size, dim, similarity_kind)
-        if [(name, arr.shape) for name, arr in arrays.items()] != list(shapes.items()):
-            raise InvalidInputError(f"parameter blocks do not match the table {shapes}")
-        self.arrays = arrays
-        for name, arr in arrays.items():
+        self.shapes = _block_shapes(vocab_size, dim, similarity_kind)
+        if [(name, arr.shape) for name, arr in arrays.items()] != list(self.shapes.items()):
+            raise InvalidInputError(f"parameter blocks do not match the table {self.shapes}")
+        flat = np.concatenate([np.ravel(arr) for arr in arrays.values()], dtype=np.float64)
+        self.arrays = FlatBlocks(flat, self.shapes)
+        self.flat = flat
+        for name, arr in self.arrays.items():
             setattr(self, name, arr)  # keeps attribute loads as fast as a dataclass's
-        self.cond = ConditionalParams(arrays["w_cond"], arrays["b_cond"], arrays["w_cond_out"])
-        self.similarity = SimilarityParams(similarity_kind, arrays.get("w_sim"))
+        self.cond = ConditionalParams(self.w_cond, self.b_cond, self.w_cond_out)
+        self.similarity = SimilarityParams(similarity_kind, self.arrays.get("w_sim"))
 
     @property
     def dim(self) -> int:
@@ -215,8 +240,7 @@ class ModelParams:
         return list(self.arrays.items())
 
     def copy(self) -> "ModelParams":
-        arrays = {name: arr.copy() for name, arr in self.arrays.items()}
-        return ModelParams(arrays, self.similarity.kind)
+        return ModelParams(self.arrays, self.similarity.kind)
 
 
 def init_params(
@@ -249,48 +273,33 @@ def init_params(
     return ModelParams({name: arrays[name] for name in shapes}, similarity_kind)
 
 
-def zero_grads(params: ModelParams) -> dict:
-    return {name: np.zeros(arr.shape) for name, arr in params.blocks()}
+def zero_grads(params: ModelParams) -> FlatBlocks:
+    """Zeroed blocks shaped like ``params``, views of one zeroed vector."""
+    return FlatBlocks(np.zeros(params.flat.size), params.shapes)
 
 
 def flatten_params(params: ModelParams) -> np.ndarray:
-    """All blocks raveled into one vector (finite-difference plumbing)."""
-    return np.concatenate([arr.ravel() for _, arr in params.blocks()])
+    """The parameter vector itself, ``params.flat`` (not a copy)."""
+    return params.flat
 
 
 def assign_flat(params: ModelParams, vector: np.ndarray) -> None:
-    """Write a flat vector back into the parameter blocks, in order."""
-    offset = 0
-    for _, arr in params.blocks():
-        arr.flat[:] = vector[offset : offset + arr.size]
-        offset += arr.size
-    if offset != vector.size:
-        raise InvalidInputError(f"flat vector has {vector.size} values, expected {offset}")
+    """Write a flat vector into the parameters, in block order."""
+    size = np.size(vector)
+    if size != params.flat.size:
+        raise InvalidInputError(f"flat vector has {size} values, expected {params.flat.size}")
+    params.flat[:] = vector
 
 
 def flatten_grads(params: ModelParams, grads: dict) -> np.ndarray:
-    return np.concatenate([grads[name].ravel() for name, _ in params.blocks()])
+    """The gradient as one vector: a :func:`zero_grads` table's own, else a new one."""
+    if isinstance(grads, FlatBlocks):
+        return grads.flat
+    return np.concatenate([grads[name].ravel() for name in params.shapes])
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
-
-@dataclass
-class ForwardCache:
-    """Intermediates of one example, retained for the backward pass."""
-
-    question_ids: np.ndarray
-    passage_ids: np.ndarray
-    q_bar: np.ndarray
-    q: np.ndarray
-    e: np.ndarray            # d x L token embeddings
-    features: np.ndarray     # 3d x L mixed input
-    h: np.ndarray            # d x L passage representation
-    start_scores: np.ndarray
-    end_scores: np.ndarray
-    reps: BoundaryRepresentations
-    joint: ScoreMatrix
-
 
 @dataclass
 class _Stack:
@@ -313,6 +322,18 @@ class _Stack:
     h_start: np.ndarray | None  # B x d x L joint-head start representations
     joint: np.ndarray | None    # B x L x L span scores
     mask: np.ndarray          # L x L span mask the scores are normalized over
+
+
+@dataclass
+class ForwardCache:
+    """One example's forward pass: its B=1 stack, kept for the backward
+    pass, and the one-example views of it that losses and decoders read."""
+
+    stack: _Stack
+    start_scores: np.ndarray  # L
+    end_scores: np.ndarray    # L
+    h: np.ndarray             # d x L passage representation
+    joint: ScoreMatrix
 
 
 def _check_ids(seqs, vocab_size: int, what: str) -> list:
@@ -536,13 +557,21 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     slot = where + ids.size * np.concatenate(
         [np.repeat(np.arange(size), length), np.repeat(np.arange(size), q_lengths)]
     )
-    local = np.zeros((size * ids.size, d))
-    np.add.at(local, slot[: size * length], d_e.transpose(0, 2, 1).reshape(size * length, d))
-    np.add.at(
-        local, slot[size * length :], np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
-    )
-    parts["emb"] = (ids, local.reshape(size, ids.size, d))
+    rows = np.concatenate([
+        d_e.transpose(0, 2, 1).reshape(size * length, d),
+        np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0),
+    ])
+    parts["emb"] = (ids, _sum_rows(slot, rows, size * ids.size).reshape(size, ids.size, d))
     return parts
+
+
+def _sum_rows(slots: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
+    """``count`` rows, row k the sum of the ``rows`` at slot k: one
+    ``np.bincount`` over cells ``slot * d + column``, which adds in row
+    order from +0.0, as ``np.add.at`` into zeros does."""
+    d = rows.shape[1]
+    cells = (slots[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(cells, weights=rows.ravel(), minlength=count * d).reshape(count, d)
 
 
 def _add_rows(grads: dict, parts: dict, lo: int, hi: int) -> None:
@@ -668,25 +697,6 @@ def _add_held(grads: dict, held: dict, added: int) -> int:
     return added
 
 
-def _cache_stack(cache: ForwardCache) -> _Stack:
-    """A one-example forward cache as a B=1 stack."""
-    return _Stack(
-        question_ids=cache.question_ids,
-        question_lengths=np.array([cache.question_ids.size]),
-        passage_ids=cache.passage_ids[None],
-        q_bar=cache.q_bar[None],
-        q=cache.q[None],
-        e=cache.e[None],
-        features=cache.features[None],
-        h=cache.h[None],
-        start_scores=cache.start_scores[None],
-        end_scores=cache.end_scores[None],
-        h_start=cache.reps.h_start[None],
-        joint=cache.joint.values[None],
-        mask=cache.joint.mask,
-    )
-
-
 def forward(
     params: ModelParams,
     question_ids,
@@ -695,24 +705,14 @@ def forward(
 ) -> ForwardCache:
     """Full forward pass producing boundary scores and the joint score matrix."""
     stack = _forward_stack(params, [question_ids], [passage_ids], policy)
-    return ForwardCache(
-        question_ids=stack.question_ids,
-        passage_ids=stack.passage_ids[0],
-        q_bar=stack.q_bar[0],
-        q=stack.q[0],
-        e=stack.e[0],
-        features=stack.features[0],
-        h=stack.h[0],
-        start_scores=stack.start_scores[0],
-        end_scores=stack.end_scores[0],
-        reps=BoundaryRepresentations(stack.h_start[0], stack.h[0]),
-        joint=ScoreMatrix(stack.joint[0], stack.mask),
-    )
+    _check_finite(stack)
+    joint = ScoreMatrix(stack.joint[0], stack.mask)
+    return ForwardCache(stack, stack.start_scores[0], stack.end_scores[0], stack.h[0], joint)
 
 
 def example_loss(params: ModelParams, cache: ForwardCache, target: SpanTarget, objective: str) -> LossResult:
     """Loss of one example under the chosen objective, with score gradients."""
-    return unstack_one(_stack_loss(params, _cache_stack(cache), [target], objective))
+    return unstack_one(_stack_loss(params, cache.stack, [target], objective))
 
 
 def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objective: str) -> dict:
@@ -722,7 +722,7 @@ def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objec
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    parts = _backward_stack(params, _cache_stack(cache), stack_one(result))
+    parts = _backward_stack(params, cache.stack, stack_one(result))
     _add_rows(grads, parts, 0, 1)
     return grads
 
@@ -858,6 +858,8 @@ class AdamW:
     moment-scaled step: p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p).
     With zero gradients each step therefore multiplies every parameter by
     exactly (1 - lr * wd).
+    The moments ``m``/``v`` are :class:`FlatBlocks` (empty before the first
+    step), and a step is one elementwise pass over the flat vectors.
     """
 
     lr: float = 1e-3
@@ -871,20 +873,16 @@ class AdamW:
 
     def step(self, params: ModelParams, grads: dict) -> None:
         self.t += 1
-        for name, p in params.blocks():
-            g = grads[name]
-            if name not in self.m:
-                self.m[name] = np.zeros_like(p)
-                self.v[name] = np.zeros_like(p)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**self.t)
-            v_hat = v / (1.0 - self.beta2**self.t)
-            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+        if not self.m:
+            self.m, self.v = zero_grads(params), zero_grads(params)
+        g, m, v, p = flatten_grads(params, grads), self.m.flat, self.v.flat, params.flat
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1**self.t)
+        v_hat = v / (1.0 - self.beta2**self.t)
+        p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
 
 
 # The AdamW fields a checkpoint header records.
@@ -973,8 +971,7 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
         total += loss
     if used:
         scale = 1.0 / len(used)
-        for name in grads:
-            grads[name] *= scale
+        grads.flat *= scale
         optimizer.step(params, grads)
         if not shared:
             total = total * scale * len(used)
@@ -1218,9 +1215,9 @@ def save_checkpoint(
 
     Layout: a magic line, one JSON header line (dimensions, block table,
     vocabulary, run metadata), then the raw little-endian float64 bytes of
-    every block in declared order, followed by the optimizer's first- and
-    second-moment blocks when present.  Identical inputs produce identical
-    bytes.
+    ``params.flat`` (every block in declared order), followed by the
+    optimizer's first- and second-moment vectors when present.  Identical
+    inputs produce identical bytes.
     """
     blocks = params.blocks()
     header = {
@@ -1241,13 +1238,14 @@ def save_checkpoint(
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in blocks:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        vectors = [params.flat]
         if optimizer is not None:
-            for moments in (optimizer.m, optimizer.v):
-                for name, arr in blocks:
-                    moment = moments.get(name, np.zeros_like(arr))
-                    fh.write(np.ascontiguousarray(moment, dtype="<f8").tobytes())
+            vectors += [
+                moments.flat if moments else np.zeros(params.flat.size)
+                for moments in (optimizer.m, optimizer.v)
+            ]
+        for vector in vectors:
+            fh.write(vector.astype("<f8", copy=False).tobytes())
 
 
 @dataclass
@@ -1261,12 +1259,12 @@ class Checkpoint:
     extra: dict
 
 
-def _read_block(fh, shape) -> np.ndarray:
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+def _read_vector(fh, count: int) -> np.ndarray:
+    """``count`` values read in one call, as a read-only view of the bytes."""
     raw = fh.read(count * 8)
     if len(raw) != count * 8:
         raise InvalidInputError("checkpoint truncated")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    return np.frombuffer(raw, dtype="<f8")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -1286,13 +1284,14 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _read_checkpoint(fh) -> Checkpoint:
     header = json.loads(fh.readline().decode("utf-8"))
-    arrays = {name: _read_block(fh, shape) for name, shape in header["blocks"]}
-    params = ModelParams(arrays, header["similarity"])
+    shapes = {name: tuple(shape) for name, shape in header["blocks"]}
+    count = sum(math.prod(shape) for shape in shapes.values())
+    params = ModelParams(FlatBlocks(_read_vector(fh, count), shapes), header["similarity"])
     optimizer = None
     if header.get("optimizer"):
         optimizer = AdamW(**{key: header["optimizer"][key] for key in _ADAMW_SETTINGS})
-        for moments in (optimizer.m, optimizer.v):
-            moments.update((name, _read_block(fh, shape)) for name, shape in header["blocks"])
+        moments = [_read_vector(fh, count).astype(np.float64) for _ in range(2)]
+        optimizer.m, optimizer.v = (FlatBlocks(flat, params.shapes) for flat in moments)
     return Checkpoint(
         params=params,
         objective=header["objective"],

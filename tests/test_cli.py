@@ -234,6 +234,59 @@ def test_resume_skips_finished_checkpoint(pipeline, tmp_path, capsys):
     assert _file_bytes(out / "independent-seed0.ckpt") == before
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--dim", "4"], "dim"),
+    (["--similarity", "additive"], "similarity"),
+    (["--policy", "full"], "policy"),
+    (["--learning-rate", "0.5"], "learning_rate"),
+    (["--weight-decay", "0"], "weight_decay"),
+])
+def test_resume_refuses_a_checkpoint_trained_otherwise(pipeline, tmp_path, capsys, flags, field):
+    out = tmp_path / "runs"
+    base = ["train", "--data", str(pipeline["corpus"]), "--out", str(out),
+            "--objective", "independent", "--seeds", "0", "--dim", "8"]
+    assert cli.main(base + ["--epochs", "1"]) == 0
+    before = _file_bytes(out / "independent-seed0.ckpt")
+    capsys.readouterr()
+    # Flags given later win, so each case overrides one of the base options.
+    record = _expect_error(capsys, base + ["--epochs", "2", "--resume"] + flags, "InvalidInputError")
+    assert f"with {field} " in record["message"]
+    assert _file_bytes(out / "independent-seed0.ckpt") == before
+
+
+def test_resume_refuses_a_checkpoint_of_another_vocabulary(pipeline, tmp_path, capsys):
+    other = tmp_path / "other"
+    assert cli.main(["generate", "--out", str(other), "--seed", "4", "--n-train", "10",
+                     "--n-dev", "2", "--subjects", "4", "--attributes", "2",
+                     "--value-pool", "6"]) == 0
+    out = tmp_path / "runs"
+    base = ["--out", str(out), "--objective", "independent", "--seeds", "0", "--dim", "8"]
+    assert cli.main(["train", "--data", str(pipeline["corpus"]), *base, "--epochs", "1"]) == 0
+    capsys.readouterr()
+    record = _expect_error(
+        capsys, ["train", "--data", str(other), *base, "--epochs", "2", "--resume"],
+        "InvalidInputError",
+    )
+    assert "vocabulary" in record["message"]
+
+
+def test_resume_checks_every_seed_before_training_any(pipeline, tmp_path, capsys):
+    out = tmp_path / "runs"
+    base = ["train", "--data", str(pipeline["corpus"]), "--out", str(out),
+            "--objective", "independent", "--dim", "8", "--epochs", "1"]
+    assert cli.main(base + ["--seeds", "0", "--learning-rate", "3e-3"]) == 0
+    assert cli.main(base + ["--seeds", "1", "--learning-rate", "1e-3"]) == 0
+    before = {name: _file_bytes(out / name) for name in sorted(os.listdir(out))}
+    capsys.readouterr()
+    record = _expect_error(
+        capsys, base + ["--seeds", "0,1", "--learning-rate", "3e-3", "--epochs", "2", "--resume"],
+        "InvalidInputError",
+    )
+    assert "independent-seed1.ckpt" in record["message"]
+    assert "learning_rate" in record["message"]
+    assert {name: _file_bytes(out / name) for name in sorted(os.listdir(out))} == before
+
+
 def test_config_file_fills_unset_options_but_flags_win(tmp_path):
     config = tmp_path / "gen.json"
     config.write_text(json.dumps({"seed": 7, "n_train": 15, "n_dev": 5,

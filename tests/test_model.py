@@ -558,3 +558,56 @@ def test_load_checkpoint_rejects_foreign_files(tmp_path):
         fh.write(b"not a checkpoint\n")
     with pytest.raises(InvalidInputError):
         load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Flat vectors: every block is a view of its vector
+
+
+def _assert_views_of(blocks, flat):
+    """Each block views the next stretch of ``flat``, in table order."""
+    offset = 0
+    for name, block in blocks.items():
+        assert np.shares_memory(block, flat), name
+        assert block.ctypes.data == flat.ctypes.data + 8 * offset, name
+        offset += block.size
+    assert offset == flat.size
+
+
+def _assert_flat(params, optimizer=None):
+    _assert_views_of(params.arrays, params.flat)
+    for name, block in params.blocks():
+        assert getattr(params, name) is block, name
+    assert params.cond.w is params.w_cond and params.similarity.w is params.arrays.get("w_sim")
+    grads = zero_grads(params)
+    _assert_views_of(grads, flatten_grads(params, grads))
+    if optimizer is not None:
+        for moments in (optimizer.m, optimizer.v):
+            _assert_views_of(moments, moments.flat)
+
+
+def test_parameter_gradient_and_moment_blocks_stay_views_of_one_vector(tmp_path):
+    params = init_params(15, dim=4, similarity_kind=KIND_ADDITIVE_WEIGHTED_DOT, seed=3)
+    _assert_flat(params)
+    _assert_flat(params.copy())
+
+    dataset = _toy_dataset(np.random.default_rng(61), n=6)
+    config = TrainConfig(epochs=1, batch_size=3, seed=5, dim=4,
+                         similarity=KIND_ADDITIVE_WEIGHTED_DOT)
+    trained = train(dataset, config, vocab_size=15)
+    _assert_flat(trained.params, trained.optimizer)
+
+    path = os.fspath(tmp_path / "one.ckpt")
+    save_checkpoint(path, trained.params, objective=config.objective, seed=5, epoch=1,
+                    optimizer=trained.optimizer)
+    ckpt = load_checkpoint(path)
+    _assert_flat(ckpt.params, ckpt.optimizer)
+    resumed = train(dataset, TrainConfig(epochs=2, batch_size=3, seed=5, dim=4,
+                                         similarity=KIND_ADDITIVE_WEIGHTED_DOT),
+                    params=ckpt.params, optimizer=ckpt.optimizer, start_epoch=1)
+    _assert_flat(resumed.params, resumed.optimizer)
+
+    contexts = [_Ctx(np.array([1, 2]), [(np.array([3, 4, 5]), {SpanTarget(0, 1)})])]
+    shared = train_dss(contexts, TrainConfig(objective=OBJ_COMPOUND_SHARED, epochs=1, dim=4),
+                       vocab_size=15)
+    _assert_flat(shared.params, shared.optimizer)

@@ -15,10 +15,18 @@ filter that pools only repeated strings to copies of the one-example
 decoders they replaced, bit for bit.  The exact-sum properties hold the
 binned kernel to ``math.fsum``, and the product decoder that sums with it
 over cached cells to a copy of the fsum version it replaced, bit for bit.
+The flat-vector properties hold AdamW's one pass over flat vectors to a
+copy of the per-block step it replaced (also the core and chunk
+properties' reference step), the bincount scatter to the two ``np.add.at``
+calls it replaced, and checkpoint bytes to a copy of the block-wise
+writer, bit for bit.
 """
 
+import json
 import math
-from dataclasses import dataclass
+import os
+import tempfile
+from dataclasses import dataclass, field
 from unittest import mock
 
 import numpy as np
@@ -308,9 +316,45 @@ def _ref_loss(params, c, target, objective):
     return joint[0] + 1.0 * indep[0], 1.0 * indep[1], 1.0 * indep[2], joint[1], None, None
 
 
+def _ref_zeros(params):
+    """Zeroed gradient blocks, each an array of its own."""
+    return {name: np.zeros(block.shape) for name, block in params.blocks()}
+
+
+@dataclass
+class _RefAdamW:
+    """The per-block AdamW step that the one pass over flat vectors replaced."""
+
+    lr: float = 1e-3
+    weight_decay: float = 0.01
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    t: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    def step(self, params, grads):
+        self.t += 1
+        for name, p in params.blocks():
+            g = grads[name]
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p)
+                self.v[name] = np.zeros_like(p)
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**self.t)
+            v_hat = v / (1.0 - self.beta2**self.t)
+            p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+
+
 def _ref_backward(params, c, result, objective):
     _, g_start, g_end, g_joint, g_h, head = result
-    grads = model.zero_grads(params)
+    grads = _ref_zeros(params)
     h = c["h"]
     d_h = np.zeros_like(h)
     if g_start is not None:
@@ -410,7 +454,7 @@ def test_stacked_core_equals_the_one_example_loop_bit_for_bit(batch, objective, 
     for _, block in params.blocks():  # nonzero biases, so every block carries signal
         block += rng.normal(0.0, 0.1, size=block.shape)
 
-    ref_losses, ref_grads = [], model.zero_grads(params)
+    ref_losses, ref_grads = [], _ref_zeros(params)
     for ex in batch:
         cache = _ref_forward(params, ex.question_ids, ex.passage_ids, policy)
         result = _ref_loss(params, cache, ex.target, objective)
@@ -435,7 +479,7 @@ def test_stacked_core_equals_the_one_example_loop_bit_for_bit(batch, objective, 
     assert outcome == (total * (1.0 / len(batch)) * len(batch), len(batch), 0)
     for name in ref_grads:
         ref_grads[name] *= 1.0 / len(batch)
-    model.AdamW().step(reference, ref_grads)
+    _RefAdamW().step(reference, ref_grads)
     for (name, got), (_, want) in zip(stepped.blocks(), reference.blocks()):
         assert np.array_equal(got, want), name
 
@@ -474,7 +518,7 @@ def test_sorted_windows_equal_the_one_example_loop_bit_for_bit(case, objective, 
     for _, block in params.blocks():
         block += rng.normal(0.0, 0.1, size=block.shape)
 
-    ref_losses, ref_grads = [], model.zero_grads(params)
+    ref_losses, ref_grads = [], _ref_zeros(params)
     for ex in batch:
         cache = _ref_forward(params, ex.question_ids, ex.passage_ids, policy)
         result = _ref_loss(params, cache, ex.target, objective)
@@ -516,7 +560,7 @@ def _ref_context_loss_and_grads(params, context, policy):
         [{int(np.count_nonzero(c["mask"][:s])) + int(np.count_nonzero(c["mask"][s, :e]))
           for s, e in g} for c, g in zip(caches, spans)],
     )
-    grads = model.zero_grads(params)
+    grads = _ref_zeros(params)
     for c, gs, ge, gj in zip(caches, g_start, g_end, g_joint):
         matrix = np.zeros_like(c["scores"])
         matrix[c["mask"]] = gj
@@ -528,7 +572,7 @@ def _ref_context_loss_and_grads(params, context, policy):
 
 def _ref_context_step(params, batch, policy, optimizer):
     """The per-context step: contexts in order, unsupervised ones skipped."""
-    grads, total, used = model.zero_grads(params), 0.0, 0
+    grads, total, used = _ref_zeros(params), 0.0, 0
     for context in batch:
         if not any(p.gt_spans for p in context.passages):
             continue
@@ -619,7 +663,7 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
     # need not fall on a chunk edge of the whole list.
     config = model.TrainConfig(objective=OBJ_COMPOUND_SHARED, policy=policy, dim=4, similarity=sim)
     stepped, reference = params.copy(), params.copy()
-    optimizer, ref_optimizer = _RecordingAdamW(), model.AdamW()
+    optimizer, ref_optimizer = _RecordingAdamW(), _RefAdamW()
     for lo in range(0, len(contexts_), batch_size):
         batch = contexts_[lo : lo + batch_size]
         optimizer.seen = None
@@ -635,6 +679,138 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
     for name in ref_optimizer.m:
         assert np.array_equal(optimizer.m[name], ref_optimizer.m[name]), name
         assert np.array_equal(optimizer.v[name], ref_optimizer.v[name]), name
+
+
+# ---------------------------------------------------------------------------
+# Flat parameter vectors and the bincount scatter against the code they replaced
+
+
+def _signed_values():
+    """Signed zeros, subnormal, tiny and huge magnitudes, and values whose
+    sums depend on the order they are added in."""
+    return st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, -1e-300, 1.0, 1e16, -1e16)),
+        st.floats(-1e6, 1e6),
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
+    st.integers(0, 3),
+    st.integers(1, 3),
+    st.floats(1e-4, 0.5),
+    st.floats(1e-3, 0.5),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_flat_adamw_steps_equal_the_per_block_steps_bit_for_bit(
+    sim, before, after, lr, wd, seed, data
+):
+    """Steps from fresh moments, then (after ``before`` steps) from the
+    parameters and moments a checkpoint reloads."""
+    params = model.init_params(VOCAB, dim=3, similarity_kind=sim, seed=seed)
+    reference = params.copy()
+    optimizer = model.AdamW(lr=lr, weight_decay=wd)
+    ref_optimizer = _RefAdamW(lr=lr, weight_decay=wd)
+    for step in range(before + after):
+        if step == before and before:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "step.ckpt")
+                model.save_checkpoint(path, params, objective=OBJ_JOINT, seed=0, epoch=step,
+                                      optimizer=optimizer)
+                ckpt = model.load_checkpoint(path)
+            params, optimizer = ckpt.params, ckpt.optimizer
+        grads = model.zero_grads(params)
+        for block in grads.values():
+            block[...] = data.draw(hnp.arrays(np.float64, block.shape, elements=_signed_values()))
+        ref_grads = {name: block.copy() for name, block in grads.items()}
+        # A zero_grads table steps through its vector; any other dict is flattened.
+        optimizer.step(params, grads if data.draw(st.booleans()) else dict(ref_grads))
+        ref_optimizer.step(reference, ref_grads)
+    assert optimizer.t == ref_optimizer.t
+    for (name, got), (_, want) in zip(params.blocks(), reference.blocks()):
+        assert got.tobytes() == want.tobytes(), name
+        assert optimizer.m[name].tobytes() == ref_optimizer.m[name].tobytes(), name
+        assert optimizer.v[name].tobytes() == ref_optimizer.v[name].tobytes(), name
+
+
+@PROPERTY
+@given(st.data())
+def test_bincount_row_sums_equal_two_add_at_scatters_bit_for_bit(data):
+    """The embedding scatter of the backward pass: each example's passage
+    rows, then its question rows, at slots of a small id set (so ids repeat)."""
+    size, length = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    n_ids, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+    q_lengths = np.array(data.draw(st.lists(st.integers(1, 5), min_size=size, max_size=size)))
+    owner = np.concatenate([np.repeat(np.arange(size), length), np.repeat(np.arange(size), q_lengths)])
+    where = data.draw(hnp.arrays(np.int64, owner.size, elements=st.integers(0, n_ids - 1)))
+    slot = where + n_ids * owner
+    rows = data.draw(hnp.arrays(np.float64, (owner.size, d), elements=_signed_values()))
+    want = np.zeros((size * n_ids, d))
+    passage = size * length
+    np.add.at(want, slot[:passage], rows[:passage])
+    np.add.at(want, slot[passage:], rows[passage:])
+    assert model._sum_rows(slot, rows, size * n_ids).tobytes() == want.tobytes()
+
+
+def _ref_save_checkpoint(path, params, *, objective, seed, epoch, vocab, optimizer, extra):
+    """The block-by-block checkpoint writer that the vector writer replaced."""
+    blocks = params.blocks()
+    header = {
+        "dim": params.dim,
+        "vocab_size": params.vocab_size,
+        "similarity": params.similarity.kind,
+        "objective": objective,
+        "seed": int(seed),
+        "epoch": int(epoch),
+        "blocks": [[name, list(arr.shape)] for name, arr in blocks],
+        "vocab": list(vocab) if vocab is not None else None,
+        "extra": extra or {},
+        "optimizer": None,
+    }
+    if optimizer is not None:
+        header["optimizer"] = {key: getattr(optimizer, key) for key in model._ADAMW_SETTINGS}
+    with open(path, "wb") as fh:
+        fh.write(model.CHECKPOINT_MAGIC.encode("ascii") + b"\n")
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        fh.write(b"\n")
+        for _, arr in blocks:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        if optimizer is not None:
+            for moments in (optimizer.m, optimizer.v):
+                for name, arr in blocks:
+                    moment = moments.get(name, np.zeros_like(arr))
+                    fh.write(np.ascontiguousarray(moment, dtype="<f8").tobytes())
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(
+    st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
+    st.integers(0, 3),
+    st.booleans(),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_checkpoint_bytes_equal_the_block_wise_writer(sim, steps, keep_optimizer, vocab, seed):
+    params = model.init_params(VOCAB, dim=3, similarity_kind=sim, seed=seed)
+    optimizer = model.AdamW(weight_decay=0.1)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        grads = model.zero_grads(params)
+        grads.flat[:] = rng.normal(size=grads.flat.size)
+        optimizer.step(params, grads)
+    kwargs = dict(
+        objective=OBJ_COMPOUND, seed=seed, epoch=steps,
+        vocab=[f"t{i}" for i in range(VOCAB)] if vocab else None,
+        optimizer=optimizer if keep_optimizer else None, extra={"policy": MASK_VALID},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.ckpt"), os.path.join(tmp, "want.ckpt")
+        model.save_checkpoint(got, params, **kwargs)
+        _ref_save_checkpoint(want, params, **kwargs)
+        with open(got, "rb") as fh_got, open(want, "rb") as fh_want:
+            assert fh_got.read() == fh_want.read()
 
 
 # ---------------------------------------------------------------------------
