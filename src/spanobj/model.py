@@ -17,22 +17,33 @@ trains every objective: a batch of examples through
 :func:`batch_loss_and_grads`, a batch of contexts through the
 shared-normalization chunks below.
 
-Training runs through one batched core.  A batch is cut into runs of
-consecutive examples that share a passage length L, at most ``MAX_STACK``
-(8) examples and ``MAX_STACK_CELLS`` (180^2) score cells each, so a run at
-L=180 holds one example.  Consecutive runs form windows holding at most
-``MAX_WINDOW_CELLS`` (180^2 / 2) score cells in all, at least one run.  A
-window's examples, sorted stably by passage length, are cut into stacks
-by the same rule, so sorting only merges runs: a batch of one length runs
-as exactly its runs, and a window mixing lengths runs as fewer stacks.
-After each stack, every example whose predecessors have all been added is
-added to the gradient total, in example order, as runs of one stack's
-rows (one embedding gather and scatter per run).  Forward, loss and
-backward work on (B, ...) arrays; ``forward``, ``example_loss``,
-``backward`` and ``loss_and_grads`` are the same core at B=1.  Stacking
-changes no bit of any loss, gradient, optimizer moment or checkpoint,
-because the core keeps to rules measured on NumPy 2.4 with OpenBLAS
-0.3.31:
+Everything runs through one batched core, fed by one stack planner
+(:func:`_stack_windows` over :func:`_plan_stacks`).  It cuts items into
+runs of consecutive items sharing a passage length L, at most
+``MAX_STACK`` (8) items and ``MAX_STACK_CELLS`` (180^2) score cells each
+(one item at L=180), and consecutive runs into windows of at most a budget
+of score cells.  A window's items, sorted stably by length, are cut into
+stacks by the same rule, so items of one length run as exactly their runs.
+Stacks come in the order of their first members, and each stack's forward
+pass is run and checked for finiteness.  The planner has three consumers:
+
+* training batches (:func:`batch_loss_and_grads`), in windows of
+  ``MAX_WINDOW_CELLS`` (180^2 / 2) cells.  After each stack, every example
+  whose predecessors have all been added is added to the gradient total,
+  in example order, as runs of one stack's rows (one embedding gather and
+  scatter per run).  A window holds its stacks' contributions until they
+  are added, so memory sets its budget, and the stack order lets the adds
+  start soonest;
+* shared-normalization chunks, one window per chunk (below);
+* decoding (:func:`predict_distributions`), in windows of
+  ``MAX_DECODE_CELLS`` (8 x 180^2) cells; a window's distributions are
+  yielded in input order after its last stack.
+
+Forward, loss and backward work on (B, ...) arrays; ``forward``,
+``example_loss``, ``backward``, ``loss_and_grads`` and
+``predict_distribution`` are the same core at B=1.  Stacking changes no
+bit of any loss, gradient, optimizer moment, checkpoint or decode, because
+the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 
 * products are stacked ``np.matmul`` (``W @ X[B]``, ``A[B] @ C[B]``,
   transposed views included), matching the 2-D products; one wide
@@ -55,16 +66,11 @@ because the core keeps to rules measured on NumPy 2.4 with OpenBLAS
 * AdamW and the gradient scale are elementwise, so a pass over the flat
   vectors equals a pass over each block.
 
-The cap of 8 examples bounds the memory a stack holds.  A window holds the
-contributions of its stacks until they are added; stacks run in the order
-of their first examples, so the adds start soonest.  The window budget is
-set by memory (see ``numerics.MAX_WINDOW_CELLS``).
-
 Shared-normalization training runs a batch of contexts in chunks: runs of
 consecutive supervised contexts holding at most ``MAX_STACK`` passages in
-all (at least one context).  A chunk's passages, sorted stably by length,
-are cut into stacks; each context pays one pooled cross-entropy per factor
-over its passages' scores in passage order (a 1-D log-sum-exp over the
+all (at least one context).  A chunk's passages run as the planner's
+stacks; each context pays one pooled cross-entropy per factor over its
+passages' scores in passage order (a 1-D log-sum-exp over the
 concatenated scores).  ``context_loss_and_grads`` is that path for one
 context.  The outputs equal a loop over contexts bit for bit because:
 
@@ -75,15 +81,6 @@ context.  The outputs equal a loop over contexts bit for bit because:
 * the sum needs no zeros to start from, and an embedding sum is added only
   at the ids it touches, because a total that starts at +0.0 never holds
   -0.0 (``x + 0.0 == x``).
-
-Decoding runs through the same core.  ``predict_distributions`` takes
-consecutive examples in windows of at most ``MAX_STACK`` full stacks of
-score cells, sorts a window's examples stably by passage length, cuts them
-into stacks as training does, runs each stack forward once (without the
-joint head for the independent and conditional decoders) and yields the
-distributions in input order.  ``predict_distribution`` is its
-one-example view.  Each distribution equals the one-example decode bit for
-bit, because a stacked forward pass equals the B=1 pass row by row.
 
 Example records are duck-typed: training consumes objects carrying
 ``question_ids``, ``passage_ids`` and ``target`` (plus ``example`` for text
@@ -96,7 +93,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -115,8 +113,8 @@ from .evaluation import em_f1
 from .numerics import (
     MASK_POLICIES,
     MASK_VALID,
+    MAX_DECODE_CELLS,
     MAX_STACK,
-    MAX_STACK_CELLS,
     MAX_WINDOW_CELLS,
     ScoreMatrix,
     span_mask,
@@ -278,19 +276,6 @@ def zero_grads(params: ModelParams) -> FlatBlocks:
     return FlatBlocks(np.zeros(params.flat.size), params.shapes)
 
 
-def flatten_params(params: ModelParams) -> np.ndarray:
-    """The parameter vector itself, ``params.flat`` (not a copy)."""
-    return params.flat
-
-
-def assign_flat(params: ModelParams, vector: np.ndarray) -> None:
-    """Write a flat vector into the parameters, in block order."""
-    size = np.size(vector)
-    if size != params.flat.size:
-        raise InvalidInputError(f"flat vector has {size} values, expected {params.flat.size}")
-    params.flat[:] = vector
-
-
 def flatten_grads(params: ModelParams, grads: dict) -> np.ndarray:
     """The gradient as one vector: a :func:`zero_grads` table's own, else a new one."""
     if isinstance(grads, FlatBlocks):
@@ -449,6 +434,41 @@ def _check_finite(stack: _Stack) -> None:
         np.isfinite(scores).all() or np.isfinite(scores[:, stack.mask]).all()
     ):
         raise InvalidInputError("span score matrix has non-finite unmasked entries")
+
+
+def _plan_stacks(lengths, budget):
+    """Windows of stacks (lists of item numbers) of items with these passage lengths.
+
+    The items are cut into runs sharing a length (:func:`_stack_bounds`),
+    and consecutive runs into windows holding at most ``budget`` score
+    cells (at least one run).  A window's items, sorted stably by length,
+    are cut into stacks by the same rule, so sorting only merges runs:
+    items of one length come out as exactly their runs.  A stack's members
+    rise, and a window's stacks come in the order of their first members.
+    """
+    runs = list(_stack_bounds(lengths))
+    for first, last in _cell_windows([(hi - lo) * lengths[lo] ** 2 for lo, hi in runs], budget):
+        order = sorted(range(runs[first][0], runs[last - 1][1]), key=lengths.__getitem__)
+        stacks = [order[lo:hi] for lo, hi in _stack_bounds([lengths[i] for i in order])]
+        yield sorted(stacks, key=lambda members: members[0])
+
+
+def _stack_windows(params: ModelParams, items, budget, policy: str, joint: bool = True):
+    """The stack planner: the windows of :func:`_plan_stacks` over items
+    carrying ``question_ids`` and ``passage_ids``, each an iterator of
+    ``(members, stack)`` that runs a stack's forward pass, and checks it
+    for finiteness, when it reaches the stack."""
+
+    def run(window):
+        for members in window:
+            questions = [items[i].question_ids for i in members]
+            stack = _forward_stack(
+                params, questions, [items[i].passage_ids for i in members], policy, joint
+            )
+            _check_finite(stack)
+            yield members, stack
+
+    return map(run, _plan_stacks([np.size(item.passage_ids) for item in items], budget))
 
 
 def _stack_loss(params: ModelParams, stack: _Stack, targets, objective: str) -> LossResult:
@@ -627,47 +647,22 @@ def _add_context(grads: dict, members) -> None:
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
     """Per-example losses and the summed parameter gradients of a batch.
 
-    The batch is cut into runs of consecutive examples that share a passage
-    length (:func:`_stack_bounds`), and consecutive runs into windows
-    holding at most ``MAX_WINDOW_CELLS`` score cells (at least one run).  A
-    window's examples, sorted stably by passage length, are cut into stacks;
-    after each stack, every example whose predecessors have all been added
-    is added, in example order, as runs of one stack's rows.  Losses and
-    gradients equal a loop of :func:`loss_and_grads` over the batch bit for
-    bit.
+    The batch runs as the planner's stacks (:func:`_stack_windows`, windows
+    of at most ``MAX_WINDOW_CELLS`` score cells).  After each stack, every
+    example whose predecessors have all been added is added, in example
+    order, as runs of one stack's rows; stacks come in the order of their
+    first members, so the adds start soonest, which bounds the
+    contributions held.  Losses and gradients equal a loop of
+    :func:`loss_and_grads` over the batch bit for bit.
     """
     grads = zero_grads(params)
     losses = [0.0] * len(batch)
     # The independent and conditional objectives never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    lengths = [np.size(ex.passage_ids) for ex in batch]
-    # A window holds whole runs, so a window of one length is cut into
-    # exactly its runs, and sorting can only merge runs.
-    runs = list(_stack_bounds(lengths))
     held, added = {}, 0  # every example before ``added`` has been added
-    for first_run, last_run in _cell_windows(
-        [(hi - lo) * lengths[lo] ** 2 for lo, hi in runs], MAX_WINDOW_CELLS
-    ):
-        order = sorted(range(runs[first_run][0], runs[last_run - 1][1]), key=lengths.__getitem__)
-        # A stack's members rise in example order, so consecutive examples
-        # of one stack sit in consecutive rows.  Running the stacks in the
-        # order of their first members lets the adds start soonest, which
-        # bounds the contributions held.
-        stacks = sorted(
-            _stack_bounds([lengths[i] for i in order]), key=lambda bounds: order[bounds[0]]
-        )
-        for first, last in stacks:
-            members = order[first:last]
-            examples = [batch[i] for i in members]
-            stack = _forward_stack(
-                params,
-                [ex.question_ids for ex in examples],
-                [ex.passage_ids for ex in examples],
-                policy,
-                joint=joint,
-            )
-            _check_finite(stack)
-            result = _stack_loss(params, stack, [ex.target for ex in examples], objective)
+    for window in _stack_windows(params, batch, MAX_WINDOW_CELLS, policy, joint):
+        for members, stack in window:
+            result = _stack_loss(params, stack, [batch[i].target for i in members], objective)
             for i, loss in zip(members, result.loss.tolist()):
                 losses[i] = loss
             held[members[0]] = _backward_stack(params, stack, result), members, 0
@@ -761,30 +756,27 @@ def _context_chunks(contexts):
 def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dict) -> list:
     """Pooled losses of supervised contexts; adds their gradients to ``grads``.
 
-    The contexts' passages, sorted stably by length, run through the core
-    as stacks.  Each context pays one :func:`~spanobj.objectives.pooled_ce`
-    per factor (start, end, joint) over its passages' scores in passage
-    order, marginalizing every distantly supervised position, and its
-    gradient reaches ``grads`` through :func:`_add_context`, context after
-    context.  Losses and gradients equal a loop of
-    :func:`context_loss_and_grads` over the contexts bit for bit.
+    The contexts' passages run through the core as the planner's stacks,
+    all in one window (:func:`_stack_windows`).  Each context pays one
+    :func:`~spanobj.objectives.pooled_ce` per factor (start, end, joint)
+    over its passages' scores in passage order, marginalizing every
+    distantly supervised position, and its gradient reaches ``grads``
+    through :func:`_add_context`, context after context.  Losses and
+    gradients equal a loop of :func:`context_loss_and_grads` over the
+    contexts bit for bit.
     """
-    passages = [p for context in contexts for p in context.passages]
-    questions = [context.question_ids for context in contexts for _ in context.passages]
-    lengths = [len(p.passage_ids) for p in passages]
-    order = sorted(range(len(passages)), key=lengths.__getitem__)
+    items = [
+        SimpleNamespace(question_ids=context.question_ids, passage_ids=p.passage_ids)
+        for context in contexts
+        for p in context.passages
+    ]
+    (window,) = _stack_windows(params, items, math.inf, policy)
     stacks, cells = [], []
-    where = [None] * len(passages)  # passage -> (stack, row)
-    for lo, hi in _stack_bounds([lengths[i] for i in order]):
-        members = order[lo:hi]
-        stack = _forward_stack(
-            params, [questions[i] for i in members], [passages[i].passage_ids for i in members],
-            policy,
-        )
-        _check_finite(stack)
+    where = [None] * len(items)  # passage -> (stack, row)
+    for members, stack in window:
         stacks.append(stack)
         # Each row's unmasked span scores, row-major.
-        cells.append(stack.joint.reshape(hi - lo, -1)[:, stack.mask.ravel()])
+        cells.append(stack.joint.reshape(len(members), -1)[:, stack.mask.ravel()])
         for j, i in enumerate(members):
             where[i] = (len(stacks) - 1, j)
     spots, first = [], 0
@@ -914,6 +906,11 @@ class TrainConfig:
             raise ConfigError(f"unknown masking policy {self.policy!r}")
         if self.similarity not in SIMILARITY_KINDS:
             raise ConfigError(f"unknown similarity kind {self.similarity!r}")
+        for spec in fields(self):  # an int field takes integers, a float field real numbers
+            kind = {"int": numbers.Integral, "float": numbers.Real}.get(spec.type)
+            value = getattr(self, spec.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ConfigError(f"{spec.name} must be {spec.type}, got {value!r}")
         if self.learning_rate <= 0 or self.weight_decay < 0:
             raise ConfigError("learning rate must be positive, weight decay non-negative")
         if min(self.batch_size, self.epochs, self.dim) < 1:
@@ -1065,6 +1062,8 @@ def train_dss(
     if not contexts:
         raise InvalidInputError("empty context list")
     for i, context in enumerate(contexts):
+        if not hasattr(context, "passages"):
+            raise ConfigError(f"item {i} is an example: examples train through train, not train_dss")
         if not context.passages:
             raise InvalidInputError(f"context {i} has no passages")
     if params is None and vocab_size is None:
@@ -1087,31 +1086,20 @@ def predict_distributions(
 
     Compound-family models decode with the joint factor; the independent
     objective decodes with the boundary product; the conditional objective
-    beam-decodes.  Examples run through the model core in windows of
-    consecutive examples (at most ``MAX_STACK`` full stacks of score cells,
-    so a window's distributions stay small); a window's examples, sorted
-    stably by passage length, are cut into stacks.  Each distribution
-    equals the one-example decode bit for bit.
+    beam-decodes.  Examples run through the model core as the planner's
+    stacks (:func:`_stack_windows`, windows of at most ``MAX_DECODE_CELLS``
+    score cells), and a window's distributions are yielded after its last
+    stack, so they stay few.  Each distribution equals the one-example
+    decode bit for bit.
     """
     if objective not in OBJECTIVE_KINDS:
         raise ConfigError(f"unknown objective {objective!r}")
     examples = list(examples)
-    lengths = [np.size(ex.passage_ids) for ex in examples]
     # The independent and conditional decoders never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    for lo, hi in _cell_windows([n * n for n in lengths], MAX_STACK * MAX_STACK_CELLS):
-        order = sorted(range(lo, hi), key=lengths.__getitem__)
+    for window in _stack_windows(params, examples, MAX_DECODE_CELLS, policy, joint):
         dists = {}
-        for first, last in _stack_bounds([lengths[i] for i in order]):
-            members = order[first:last]
-            stack = _forward_stack(
-                params,
-                [examples[i].question_ids for i in members],
-                [examples[i].passage_ids for i in members],
-                policy,
-                joint=joint,
-            )
-            _check_finite(stack)
+        for members, stack in window:
             for j, i in enumerate(members):
                 if objective == OBJ_INDEPENDENT:
                     dists[i] = decoding.independent_distribution(
@@ -1123,7 +1111,7 @@ def predict_distributions(
                     )
                 else:
                     dists[i] = decoding.joint_distribution(ScoreMatrix(stack.joint[j], stack.mask))
-        for i in range(lo, hi):
+        for i in sorted(dists):
             yield dists.pop(i)
 
 

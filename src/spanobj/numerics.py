@@ -44,6 +44,9 @@ MAX_STACK_CELLS = 180 * 180
 # the smaller budget is kept; see BENCH_batch_windows.json for its
 # ten-pair figures against unsorted runs.
 MAX_WINDOW_CELLS = MAX_STACK_CELLS // 2
+# A decoding window (at least one run) holds at most MAX_STACK full stacks of
+# score cells, so the distributions it holds until it is yielded stay few.
+MAX_DECODE_CELLS = MAX_STACK * MAX_STACK_CELLS
 # _fsum runs the binned kernel from this many values up.  Its fixed cost
 # (two bincounts into 2,098 exponent bins, and a Python loop over the bins
 # in use) outweighs fsum's loop below 500-700 values: on a 2-vCPU x86-64

@@ -81,18 +81,18 @@ def _verdict(number: int, claim: str, capture=None):
 
 
 def _central_difference(params, eval_loss, eps=1e-5):
-    base = model.flatten_params(params).copy()
+    base = params.flat.copy()
     numeric = np.empty_like(base)
     for idx in range(base.size):
         vec = base.copy()
         vec[idx] = base[idx] + eps
-        model.assign_flat(params, vec)
+        params.flat[:] = vec
         up = eval_loss()
         vec[idx] = base[idx] - eps
-        model.assign_flat(params, vec)
+        params.flat[:] = vec
         down = eval_loss()
         numeric[idx] = (up - down) / (2.0 * eps)
-    model.assign_flat(params, base)
+    params.flat[:] = base
     return numeric
 
 

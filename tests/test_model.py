@@ -24,8 +24,6 @@ from spanobj.errors import (
     VocabularyError,
 )
 from spanobj.model import (
-    MAX_STACK,
-    MAX_STACK_CELLS,
     AdamW,
     ModelParams,
     TrainConfig,
@@ -34,8 +32,6 @@ from spanobj.model import (
     evaluate_model,
     example_loss,
     flatten_grads,
-    flatten_params,
-    assign_flat,
     forward,
     init_params,
     load_checkpoint,
@@ -48,7 +44,13 @@ from spanobj.model import (
     _stack_bounds,
     zero_grads,
 )
-from spanobj.numerics import MASK_POLICIES, MASK_VALID, finite_diff_gradient
+from spanobj.numerics import (
+    MASK_POLICIES,
+    MASK_VALID,
+    MAX_STACK,
+    MAX_STACK_CELLS,
+    finite_diff_gradient,
+)
 from spanobj.objectives import (
     OBJ_COMPOUND,
     OBJ_COMPOUND_SHARED,
@@ -115,8 +117,8 @@ def test_init_params_is_seed_deterministic():
     a = init_params(20, dim=6, seed=5)
     b = init_params(20, dim=6, seed=5)
     c = init_params(20, dim=6, seed=6)
-    np.testing.assert_array_equal(flatten_params(a), flatten_params(b))
-    assert not np.array_equal(flatten_params(a), flatten_params(c))
+    np.testing.assert_array_equal(a.flat, b.flat)
+    assert not np.array_equal(a.flat, c.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -131,11 +133,11 @@ def test_full_model_gradients_match_finite_differences(objective):
 
     def objective_fn(vector):
         probe = params.copy()
-        assign_flat(probe, vector)
+        probe.flat[:] = vector
         loss, _ = loss_and_grads(probe, q_ids, p_ids, target, objective)
         return loss
 
-    expect = finite_diff_gradient(objective_fn, flatten_params(params))
+    expect = finite_diff_gradient(objective_fn, params.flat)
     got = flatten_grads(params, grads)
     denominator = np.maximum(np.abs(expect), 1e-4)
     assert np.max(np.abs(got - expect) / denominator) < 1e-4
@@ -150,11 +152,11 @@ def test_full_model_gradients_with_weighted_similarity():
 
     def objective_fn(vector):
         probe = params.copy()
-        assign_flat(probe, vector)
+        probe.flat[:] = vector
         loss, _ = loss_and_grads(probe, q_ids, p_ids, target, OBJ_JOINT)
         return loss
 
-    expect = finite_diff_gradient(objective_fn, flatten_params(params))
+    expect = finite_diff_gradient(objective_fn, params.flat)
     got = flatten_grads(params, grads)
     denominator = np.maximum(np.abs(expect), 1e-4)
     assert np.max(np.abs(got - expect) / denominator) < 1e-4
@@ -175,10 +177,10 @@ def test_context_gradients_match_finite_differences():
 
     def objective_fn(vector):
         probe = params.copy()
-        assign_flat(probe, vector)
+        probe.flat[:] = vector
         return context_loss_and_grads(probe, ctx)[0]
 
-    expect = finite_diff_gradient(objective_fn, flatten_params(params))
+    expect = finite_diff_gradient(objective_fn, params.flat)
     got = flatten_grads(params, grads)
     denominator = np.maximum(np.abs(expect), 1e-4)
     assert np.max(np.abs(got - expect) / denominator) < 1e-4
@@ -243,17 +245,17 @@ def test_adamw_matches_reference_implementation():
 
 def test_adamw_zero_gradient_step_is_pure_decay():
     params = init_params(8, dim=3, seed=1)
-    before = flatten_params(params).copy()
+    before = params.flat.copy()
     opt = AdamW(lr=0.1, weight_decay=0.5)
     opt.step(params, zero_grads(params))
-    np.testing.assert_allclose(flatten_params(params), before * (1 - 0.1 * 0.5), atol=1e-15)
+    np.testing.assert_allclose(params.flat, before * (1 - 0.1 * 0.5), atol=1e-15)
 
 
 def test_adamw_without_decay_leaves_zero_gradient_blocks_alone():
     params = init_params(8, dim=3, seed=2)
-    before = flatten_params(params).copy()
+    before = params.flat.copy()
     AdamW(lr=0.1, weight_decay=0.0).step(params, zero_grads(params))
-    np.testing.assert_array_equal(flatten_params(params), before)
+    np.testing.assert_array_equal(params.flat, before)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,7 @@ def test_training_reduces_loss_and_is_deterministic():
     result = train(dataset, config, vocab_size=15)
     assert result.log[-1]["loss"] < result.log[0]["loss"]
     repeat = train(dataset, config, vocab_size=15)
-    np.testing.assert_array_equal(flatten_params(result.params), flatten_params(repeat.params))
+    np.testing.assert_array_equal(result.params.flat, repeat.params.flat)
 
 
 def test_resume_matches_uninterrupted_training():
@@ -301,9 +303,7 @@ def test_resume_matches_uninterrupted_training():
         dataset, full_cfg,
         params=half.params, optimizer=half.optimizer, start_epoch=3,
     )
-    np.testing.assert_array_equal(
-        flatten_params(full.params), flatten_params(resumed.params)
-    )
+    np.testing.assert_array_equal(full.params.flat, resumed.params.flat)
 
 
 def test_train_rejects_shared_objective_and_empty_data():
@@ -414,6 +414,13 @@ def test_train_dss_rejects_every_other_objective(objective):
         train(contexts, config, vocab_size=15)  # contexts never train another objective
 
 
+def test_train_dss_refuses_examples_and_names_train():
+    dataset = _toy_dataset(np.random.default_rng(41), n=4)
+    config = TrainConfig(objective=OBJ_COMPOUND_SHARED, epochs=1, dim=6)
+    with pytest.raises(ConfigError, match="through train, not train_dss"):
+        train_dss(dataset, config, vocab_size=15)
+
+
 @pytest.mark.parametrize("policy", MASK_POLICIES)
 def test_shared_normalization_over_one_passage_trains_as_compound(policy):
     # A one-passage context with one gold span pools nothing, so each
@@ -479,6 +486,31 @@ def test_config_validation():
         TrainConfig(policy="loose")
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("batch_size", 1.5),
+        ("epochs", 2.5),
+        ("dim", 8.0),
+        ("seed", 1.0),
+        ("batch_size", True),
+        ("seed", "0"),
+        ("learning_rate", "0.1"),
+        ("weight_decay", "0"),
+        ("learning_rate", True),
+        ("weight_decay", None),
+    ],
+)
+def test_config_refuses_values_of_the_wrong_type(name, value):
+    with pytest.raises(ConfigError, match=name):
+        TrainConfig(**{name: value})
+
+
+def test_config_accepts_numpy_integers_and_integral_rates():
+    config = TrainConfig(batch_size=np.int64(4), seed=np.int32(3), learning_rate=1, weight_decay=0)
+    assert (config.batch_size, config.seed) == (4, 3)
+
+
 # ---------------------------------------------------------------------------
 # Prediction + evaluation glue
 
@@ -526,7 +558,7 @@ def test_checkpoint_round_trip_is_bytewise_stable(tmp_path):
         assert fa.read() == fb.read()
 
     ckpt = load_checkpoint(path_a)
-    np.testing.assert_array_equal(flatten_params(ckpt.params), flatten_params(result.params))
+    np.testing.assert_array_equal(ckpt.params.flat, result.params.flat)
     assert ckpt.objective == config.objective
     assert ckpt.seed == 9 and ckpt.epoch == 2
     assert ckpt.vocab[0] == "t0"
@@ -549,7 +581,7 @@ def test_checkpoint_resume_from_disk_matches_memory(tmp_path):
     resumed = train(dataset, full_cfg, params=ckpt.params, optimizer=ckpt.optimizer,
                     start_epoch=ckpt.epoch)
     full = train(dataset, full_cfg, vocab_size=15)
-    np.testing.assert_array_equal(flatten_params(resumed.params), flatten_params(full.params))
+    np.testing.assert_array_equal(resumed.params.flat, full.params.flat)
 
 
 def test_load_checkpoint_rejects_foreign_files(tmp_path):

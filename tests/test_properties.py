@@ -7,7 +7,8 @@ replaced, bit for bit.  The core property compares the stacked model core
 against the one-example forward / loss / backward loop it replaced, bit for
 bit; that loop is written out below as the reference.  The window property
 holds batches of interleaved passage lengths, sorted in windows before they
-are stacked, to the same loop.  The chunk property holds
+are stacked, to the same loop, and the plan property checks the stack
+planner's windows and stacks directly.  The chunk property holds
 shared-normalization training, which runs chunks of contexts through the
 core, to a loop over contexts of that one-example reference.  The decode
 properties hold the stacked decode, the stacked beam and the surface-form
@@ -57,6 +58,7 @@ from spanobj.numerics import (
     log_softmax,
     logsumexp,
     span_mask,
+    stack_cap,
 )
 from spanobj.objectives import (
     BOUNDARIES,
@@ -534,6 +536,42 @@ def test_sorted_windows_equal_the_one_example_loop_bit_for_bit(case, objective, 
         assert np.array_equal(grads[name], ref_grads[name]), name
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from((1, 3, 12, 90, 180)), st.integers(1, 200)), max_size=40
+    ),
+    st.booleans(),
+    st.sampled_from((1, 10, 40, model.MAX_WINDOW_CELLS, model.MAX_DECODE_CELLS)),
+)
+def test_the_stack_plan_holds_every_item_once_in_ordered_one_length_stacks(
+    lengths, one_length, budget
+):
+    if one_length:
+        lengths = lengths[:1] * len(lengths)
+    windows = list(model._plan_stacks(lengths, budget))
+    runs = list(model._stack_bounds(lengths))
+    assert sorted(i for window in windows for stack in window for i in stack) == list(
+        range(len(lengths))
+    )
+    for window in windows:
+        for stack in window:
+            assert len({lengths[i] for i in stack}) == 1
+            assert len(stack) <= stack_cap(lengths[stack[0]])
+            assert stack == sorted(stack)
+        firsts = [stack[0] for stack in window]
+        assert firsts == sorted(firsts)
+        # A window holds whole runs of consecutive items.
+        items = sorted(i for stack in window for i in stack)
+        held = [(lo, hi) for lo, hi in runs if items[0] <= lo <= items[-1]]
+        assert items == list(range(held[0][0], held[-1][1]))
+        if sum(lengths[i] ** 2 for i in items) > budget:
+            assert len(held) == 1
+    if one_length:
+        stacks = [stack for window in windows for stack in window]
+        assert stacks == [list(range(lo, hi)) for lo, hi in runs]
+
+
 # ---------------------------------------------------------------------------
 # Shared-normalization chunks against the per-context loop
 
@@ -983,10 +1021,12 @@ def decode_sets(draw):
     decode_sets(),
     st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
     st.sampled_from((1, 3, 10, 200)),
+    # Budgets below a set's cells put window edges inside the set.
+    st.sampled_from((model.MAX_DECODE_CELLS, 1, 200, 40000)),
     st.integers(0, 2**16),
 )
 def test_stacked_decode_equals_the_one_example_decode_bit_for_bit(
-    examples, sim, beam_width, seed
+    examples, sim, beam_width, budget, seed
 ):
     params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
     rng = np.random.default_rng(seed)
@@ -994,7 +1034,10 @@ def test_stacked_decode_equals_the_one_example_decode_bit_for_bit(
         block += rng.normal(0.0, 0.1, size=block.shape)
     for objective in OBJECTIVE_KINDS:
         for policy in MASK_POLICIES:
-            got = list(model.predict_distributions(params, examples, objective, policy, beam_width))
+            with mock.patch.object(model, "MAX_DECODE_CELLS", budget):
+                got = list(
+                    model.predict_distributions(params, examples, objective, policy, beam_width)
+                )
             assert len(got) == len(examples)
             for ex, dist in zip(examples, got):
                 want = _ref_predict_distribution(
