@@ -60,6 +60,7 @@ def _resume_checkpoint(path: str, objective: str, config, vocab):
         "dim": (ckpt.params.dim, config.dim),
         "similarity": (ckpt.params.similarity.kind, config.similarity),
         "policy": (ckpt.extra.get("policy"), config.policy),
+        "batch_size": (ckpt.extra.get("batch_size"), config.batch_size),
     }
     if ckpt.optimizer is not None:
         fields["learning_rate"] = (ckpt.optimizer.lr, config.learning_rate)
@@ -139,11 +140,9 @@ def cmd_train(args) -> int:
             epoch=result.epochs_done,
             vocab=vocab.tokens,
             optimizer=result.optimizer,
-            extra={"policy": args.policy},
+            extra={"policy": config.policy, "batch_size": config.batch_size},
         )
-        with open(log_path, "w", encoding="utf-8") as fh:
-            json.dump(result.log, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
+        data_mod.write_records(log_path, [result.log])
         last = result.log[-1] if result.log else {}
         print(f"seed {seed}: trained {args.objective} to epoch {result.epochs_done} "
               f"(loss {last.get('loss', float('nan')):.4f}) -> {ckpt_path}")
@@ -160,27 +159,23 @@ def cmd_decode(args) -> int:
     examples = data_mod.load_dataset(args.data)
     encoded = data_mod.encode_examples(examples, vocab)
 
-    # One encoder for every record: json.dumps with options builds one per call.
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    lines = []
+    # Every record is built before the file is opened, so a failed decode writes nothing.
+    records = []
     dists = model.predict_distributions(ckpt.params, encoded, ckpt.objective, policy, args.beam)
     for enc, dist in zip(encoded, dists):
         passage = enc.example.passage
         dist = decoding.apply_filters(dist, passage, args.filter, args.zeta, args.surface_k)
         for rank, pred in enumerate(decoding.top_k(dist, args.top_k, passage), 1):
-            lines.append(encode({
+            records.append({
                 "example_id": enc.id,
                 "rank": rank,
                 "start": pred.span.start,
                 "end": pred.span.end,
                 "text": pred.text,
                 "probability": pred.probability,
-            }))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    print(f"wrote {len(lines)} predictions for {len(encoded)} examples to {args.out}")
+            })
+    data_mod.write_records(args.out, records)
+    print(f"wrote {len(records)} predictions for {len(encoded)} examples to {args.out}")
     return 0
 
 
@@ -191,21 +186,14 @@ def cmd_eval(args) -> int:
         golds[ex.id] = ex.answers
 
     ranked: dict = {}
-    with open(args.predictions, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                rank, text = record["rank"], record["text"]
-                if type(rank) is not int or not isinstance(text, str):
-                    raise TypeError(f"rank {rank!r} must be an integer, text {text!r} a string")
-                ranked.setdefault(record["example_id"], []).append((rank, text))
-            except MALFORMED_RECORD_ERRORS as err:
-                raise malformed(args.predictions, line_no, "prediction", err) from err
-    if not ranked:
-        raise InvalidInputError(f"{args.predictions}: no predictions")
+
+    def add_prediction(record) -> None:
+        rank, text = record["rank"], record["text"]
+        if type(rank) is not int or not isinstance(text, str):
+            raise TypeError(f"rank {rank!r} must be an integer, text {text!r} a string")
+        ranked.setdefault(record["example_id"], []).append((rank, text))
+
+    data_mod.read_records(args.predictions, "prediction", add_prediction)
     for texts in ranked.values():
         texts.sort()
 

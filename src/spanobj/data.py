@@ -315,28 +315,19 @@ def build_context(
             raise ConfigError(f"context seed must be >= 0, got {rng}")
         rng = np.random.default_rng(np.random.SeedSequence([int(rng)]))
     needle = answer.strip().lower()
-    bearing = []
     barren = []
-    for pid, score in ranking:
+    for i, (pid, _) in enumerate(ranking):
         if pid not in passages_by_id:
             raise InvalidInputError(f"ranking references unknown passage {pid!r}")
-        if needle in passages_by_id[pid].text.lower():
-            bearing.append((pid, score))
-        else:
-            barren.append((pid, score))
-    drop = set()
-    if barren:
-        count = len(barren) // 2
-        if count:
-            drop = set(rng.choice(len(barren), size=count, replace=False).tolist())
-    kept_barren = {pid for i, (pid, _) in enumerate(barren) if i not in drop}
-    bearing_ids = {pid for pid, _ in bearing}
-    survivors = [
-        (pid, score) for pid, score in ranking if pid in kept_barren or pid in bearing_ids
-    ]
-    chosen = survivors[:k]
+        if needle not in passages_by_id[pid].text.lower():
+            barren.append(i)
+    dropped = set()
+    if len(barren) >= 2:
+        picks = rng.choice(len(barren), size=len(barren) // 2, replace=False)
+        dropped = {barren[j] for j in picks.tolist()}
+    chosen = [entry for i, entry in enumerate(ranking) if i not in dropped][:k]
     tokens, _ = tokenize(question)
-    context = ContextSet(
+    return ContextSet(
         question_id=question_id,
         question=question,
         question_tokens=tokens,
@@ -346,7 +337,6 @@ def build_context(
         ],
         short=len(chosen) < k,
     )
-    return context
 
 
 @dataclass
@@ -385,28 +375,62 @@ def encode_contexts(contexts, vocab: Vocabulary):
 # File formats
 
 
+# Every record file (datasets, contexts, predictions, logs, reports and
+# checkpoint headers) is encoded by this one encoder: sorted keys and no
+# spaces, so identical records give identical bytes.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def write_records(path, records) -> None:
+    """One :data:`canonical_json` object per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(canonical_json(record))
+            fh.write("\n")
+
+
+def read_records(path, what: str, parse) -> list:
+    """``parse`` of the JSON of every non-blank line, in file order.
+
+    A line that does not parse raises :class:`MalformedFileError`
+    ``<path>:<line>: bad <what>: ...``; a file without records raises
+    :class:`InvalidInputError`.
+    """
+    parsed = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                parsed.append(parse(json.loads(line)))
+            except MALFORMED_RECORD_ERRORS as err:
+                raise malformed(path, line_no, what, err) from err
+    if not parsed:
+        raise InvalidInputError(f"{path}: no {what}s")
+    return parsed
+
+
 def save_dataset(examples, path) -> None:
     """Line-delimited records with character-level answer starts."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            gold_start = ex.passage.offsets[ex.gold_span.start][0]
-            record = {
-                "id": ex.id,
-                "question": ex.question,
-                "passage": ex.passage.text,
-                "passage_id": ex.passage.id,
-                "answers": ex.answers,
-                "answer_starts": [gold_start],
-                "candidates": [
-                    {
-                        "start": ex.passage.offsets[span.start][0],
-                        "text": ex.passage.span_text(span.start, span.end),
-                    }
-                    for span in ex.candidate_spans
-                ],
-            }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    write_records(path, (
+        {
+            "id": ex.id,
+            "question": ex.question,
+            "passage": ex.passage.text,
+            "passage_id": ex.passage.id,
+            "answers": ex.answers,
+            "answer_starts": [ex.passage.offsets[ex.gold_span.start][0]],
+            "candidates": [
+                {
+                    "start": ex.passage.offsets[span.start][0],
+                    "text": ex.passage.span_text(span.start, span.end),
+                }
+                for span in ex.candidate_spans
+            ],
+        }
+        for ex in examples
+    ))
 
 
 def _intern(passages: dict, pid, text) -> Passage:
@@ -421,34 +445,20 @@ def _intern(passages: dict, pid, text) -> Passage:
 def load_dataset(path):
     """Examples of a dataset file; records with one ``(passage_id, passage)``
     share one :class:`Passage`."""
-    examples = []
     passages = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                passage = _intern(passages, record["passage_id"], record["passage"])
-                gold = char_span_to_token_span(
-                    passage, record["answer_starts"][0], record["answers"][0]
-                )
-                candidates = [
-                    char_span_to_token_span(passage, c["start"], c["text"])
-                    for c in record.get("candidates", [])
-                ]
-                examples.append(
-                    Example.build(
-                        record["id"], record["question"], passage, record["answers"], gold,
-                        candidates,
-                    )
-                )
-            except MALFORMED_RECORD_ERRORS as err:
-                raise malformed(path, line_no, "record", err) from err
-    if not examples:
-        raise InvalidInputError(f"{path}: no examples")
-    return examples
+
+    def parse(record) -> Example:
+        passage = _intern(passages, record["passage_id"], record["passage"])
+        gold = char_span_to_token_span(passage, record["answer_starts"][0], record["answers"][0])
+        candidates = [
+            char_span_to_token_span(passage, c["start"], c["text"])
+            for c in record.get("candidates", [])
+        ]
+        return Example.build(
+            record["id"], record["question"], passage, record["answers"], gold, candidates
+        )
+
+    return read_records(path, "record", parse)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
@@ -481,57 +491,46 @@ def load_embeddings(path) -> EmbeddingTable:
 
 def save_contexts(contexts, path) -> None:
     """Self-contained context records (passages inlined for training)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for ctx in contexts:
-            record = {
-                "question_id": ctx.question_id,
-                "question": ctx.question,
-                "short": ctx.short,
-                "passages": [
-                    {
-                        "id": p.passage.id,
-                        "text": p.passage.text,
-                        "score": p.score,
-                        "gt": sorted((t.start, t.end) for t in p.gt_spans),
-                    }
-                    for p in ctx.passages
-                ],
-            }
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    write_records(path, (
+        {
+            "question_id": ctx.question_id,
+            "question": ctx.question,
+            "short": ctx.short,
+            "passages": [
+                {
+                    "id": p.passage.id,
+                    "text": p.passage.text,
+                    "score": p.score,
+                    "gt": sorted((t.start, t.end) for t in p.gt_spans),
+                }
+                for p in ctx.passages
+            ],
+        }
+        for ctx in contexts
+    ))
 
 
 def load_contexts(path):
     """Contexts of a contexts file; passages with one ``(id, text)`` share one
     :class:`Passage`."""
-    contexts = []
     interned = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                passages = []
-                for p in record["passages"]:
-                    passage = _intern(interned, p["id"], p["text"])
-                    gt = {SpanTarget(s, e) for s, e in p["gt"]}
-                    passages.append(ContextPassage(passage, p["score"], gt))
-                if not passages:
-                    raise ValueError("context has no passages")
-                tokens, _ = tokenize(record["question"])
-                contexts.append(
-                    ContextSet(
-                        record["question_id"], record["question"], tokens, passages,
-                        record["short"],
-                    )
-                )
-            except MALFORMED_RECORD_ERRORS as err:
-                raise malformed(path, line_no, "context", err) from err
-    if not contexts:
-        raise InvalidInputError(f"{path}: no contexts")
-    return contexts
+
+    def parse(record) -> ContextSet:
+        passages = []
+        for p in record["passages"]:
+            passage = _intern(interned, p["id"], p["text"])
+            gt = {SpanTarget(s, e) for s, e in p["gt"]}
+            for span in gt:
+                span.check_length(len(passage))
+            passages.append(ContextPassage(passage, p["score"], gt))
+        if not passages:
+            raise ValueError("context has no passages")
+        tokens, _ = tokenize(record["question"])
+        return ContextSet(
+            record["question_id"], record["question"], tokens, passages, record["short"]
+        )
+
+    return read_records(path, "context", parse)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ whitespace.  F1 compares token multisets, so repeated tokens count.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from collections import Counter
 from dataclasses import dataclass
 
+from .data import canonical_json
 from .errors import InvalidInputError
 
 _PUNCT = set(string.punctuation)
@@ -72,11 +72,7 @@ class MetricReport:
     f1_values: list
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"em": self.em, "f1": self.f1, "n": self.n},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({"em": self.em, "f1": self.f1, "n": self.n})
 
 
 def score_pairs(pairs) -> MetricReport:

@@ -100,6 +100,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import decoding
+from .data import canonical_json
 from .errors import (
     MALFORMED_RECORD_ERRORS,
     ConfigError,
@@ -1224,7 +1225,7 @@ def save_checkpoint(
         header["optimizer"] = {key: getattr(optimizer, key) for key in _ADAMW_SETTINGS}
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        fh.write(canonical_json(header).encode("utf-8"))
         fh.write(b"\n")
         vectors = [params.flat]
         if optimizer is not None:

@@ -154,6 +154,46 @@ def test_eval_scores_rank_one_predictions(pipeline, tmp_path):
     assert all(len(line.split(",")) == 2 for line in hist)
 
 
+def _decoded(pipeline, tmp_path):
+    preds = tmp_path / "preds.jsonl"
+    assert cli.main([
+        "decode", "--checkpoint", str(pipeline["checkpoint"]),
+        "--data", str(pipeline["corpus"] / "dev.jsonl"), "--out", str(preds), "--top-k", "3",
+    ]) == 0
+    return preds
+
+
+def _eval(pipeline, preds, out):
+    return cli.main([
+        "eval", "--predictions", str(preds), "--gold", str(pipeline["corpus"] / "dev.jsonl"),
+        "--out", str(out / "report.json"), "--hist-out", str(out / "hist.csv"), "--top-k", "3",
+    ])
+
+
+def test_eval_reads_blank_lines_and_carriage_returns_as_the_clean_file(pipeline, tmp_path):
+    preds = _decoded(pipeline, tmp_path)
+    messy = tmp_path / "messy.jsonl"
+    messy.write_bytes(b"\r\n" + b"\r\n \r\n".join(_file_bytes(preds).splitlines()) + b"\r\n\n")
+    (tmp_path / "clean").mkdir()
+    (tmp_path / "messy").mkdir()
+    assert _eval(pipeline, preds, tmp_path / "clean") == 0
+    assert _eval(pipeline, messy, tmp_path / "messy") == 0
+    for name in ("report.json", "hist.csv"):
+        assert _file_bytes(tmp_path / "messy" / name) == _file_bytes(tmp_path / "clean" / name)
+
+
+@pytest.mark.parametrize("line", [b"[]", b"3", b"null"])
+def test_eval_refuses_a_prediction_that_is_not_an_object(pipeline, tmp_path, capsys, line):
+    preds = _decoded(pipeline, tmp_path)
+    first, *rest = _file_bytes(preds).splitlines()
+    preds.write_bytes(b"\n".join([first, line, *rest]) + b"\n")
+    record = _expect_error(capsys, ["eval", "--predictions", str(preds), "--gold",
+                                    str(pipeline["corpus"] / "dev.jsonl"),
+                                    "--out", str(tmp_path / "report.json")], "MalformedFileError")
+    assert record["message"].startswith(f"{preds}:2: bad prediction: ")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_context_builds_supervised_contexts(pipeline, tmp_path):
     out = tmp_path / "contexts.jsonl"
     assert cli.main([
@@ -240,6 +280,7 @@ def test_resume_skips_finished_checkpoint(pipeline, tmp_path, capsys):
     (["--policy", "full"], "policy"),
     (["--learning-rate", "0.5"], "learning_rate"),
     (["--weight-decay", "0"], "weight_decay"),
+    (["--batch-size", "5"], "batch_size"),
 ])
 def test_resume_refuses_a_checkpoint_trained_otherwise(pipeline, tmp_path, capsys, flags, field):
     out = tmp_path / "runs"
@@ -635,6 +676,17 @@ def _context_with_empty_passages(pipeline, tmp_path):
     return argv, f"{contexts}:1"
 
 
+def _context_with_gold_span_out_of_range(pipeline, tmp_path):
+    contexts = tmp_path / "contexts.jsonl"
+    passage = {"id": "p0", "text": "ent00 has prop0 va01 vb02 .", "score": 1.0, "gt": [[3, 4]]}
+    good = {"question_id": "q0", "question": "who?", "passages": [passage], "short": False}
+    bad = dict(good, passages=[dict(passage, gt=[[0, 999]])])
+    contexts.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    argv = ["train", "--data", str(pipeline["corpus"]), "--out", str(tmp_path / "runs"),
+            "--objective", "compound-shared", "--contexts", str(contexts), "--epochs", "1"]
+    return argv, f"{contexts}:2: bad context"
+
+
 def _embeddings_with_bad_header(pipeline, tmp_path):
     table = tmp_path / "embeddings.txt"
     table.write_text("a b\n")
@@ -673,7 +725,8 @@ def _prediction_without_rank(pipeline, tmp_path):
 
 @pytest.mark.parametrize("make_input", [
     _corrupt_checkpoint_header, _record_without_answer_starts, _context_without_passages,
-    _context_with_empty_passages, _embeddings_with_bad_header, _metric_file_not_json,
+    _context_with_empty_passages, _context_with_gold_span_out_of_range,
+    _embeddings_with_bad_header, _metric_file_not_json,
     _metric_values_not_numbers, _prediction_without_rank,
 ])
 def test_malformed_files_report_one_json_line_naming_file_and_line(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -26,13 +27,15 @@ from spanobj.data import (
     load_contexts,
     load_dataset,
     load_embeddings,
+    read_records,
     save_contexts,
     save_dataset,
     save_embeddings,
     score_passages,
     tokenize,
+    write_records,
 )
-from spanobj.errors import ConfigError, InvalidInputError
+from spanobj.errors import ConfigError, InvalidInputError, MalformedFileError
 from spanobj.objectives import SpanTarget
 
 
@@ -256,6 +259,80 @@ def test_loaders_reject_empty_and_malformed_files(tmp_path):
     bad.write_text("{not json\n")
     with pytest.raises(InvalidInputError):
         load_dataset(os.fspath(bad))
+
+
+def test_write_records_writes_the_canonical_bytes(tmp_path):
+    # Sorted keys at every depth, no spaces, ASCII escapes, repr floats.
+    path = tmp_path / "records.jsonl"
+    write_records(os.fspath(path), [
+        {"text": "café → ok", "p": 0.1, "nested": {"z": 1, "a": [2.5, None, True]},
+         "l": [3, "x"]},
+        {},
+    ])
+    assert path.read_bytes() == (
+        b'{"l":[3,"x"],"nested":{"a":[2.5,null,true],"z":1},"p":0.1,'
+        b'"text":"caf\\u00e9 \\u2192 ok"}\n{}\n'
+    )
+
+
+def _saved_dataset_and_contexts(tmp_path):
+    """Paths of a saved dataset file and of a saved contexts file."""
+    config = GeneratorConfig(n_train=8, n_dev=2, subjects=4, attributes=2, value_pool=6)
+    dataset = generate_synthetic(config, seed=5)
+    passages_by_id = {p.id: p for p in dataset.passages}
+    table = dataset.table
+    contexts = [
+        build_context(
+            score_passages(table.matrix[table.row_of[ex.passage.id]], table), ex.answers[0],
+            passages_by_id, 3, i, ex.id, ex.question,
+        )
+        for i, ex in enumerate(dataset.train)
+    ]
+    dataset_path = os.fspath(tmp_path / "train.jsonl")
+    contexts_path = os.fspath(tmp_path / "contexts.jsonl")
+    save_dataset(dataset.train, dataset_path)
+    save_contexts(contexts, contexts_path)
+    return dataset_path, contexts_path
+
+
+_READERS = [(load_dataset, save_dataset, 0), (load_contexts, save_contexts, 1)]
+
+
+@pytest.mark.parametrize("load, save, which", _READERS)
+def test_readers_skip_blank_lines_and_carriage_returns(tmp_path, load, save, which):
+    clean = _saved_dataset_and_contexts(tmp_path)[which]
+    with open(clean, "rb") as fh:
+        clean_bytes = fh.read()
+    lines = clean_bytes.splitlines()
+    messy = tmp_path / "messy.jsonl"
+    messy.write_bytes(b"\r\n  \n" + b"\r\n\r\n".join(lines) + b"\r\n\t\r\n")
+    resaved = os.fspath(tmp_path / "resaved.jsonl")
+    save(load(os.fspath(messy)), resaved)
+    with open(resaved, "rb") as fh:
+        assert fh.read() == clean_bytes
+
+
+@pytest.mark.parametrize("line", ["[]", "3", "null", '"text"'])
+@pytest.mark.parametrize("load, which", [(load, which) for load, _, which in _READERS])
+def test_readers_refuse_a_line_that_is_not_an_object(tmp_path, load, which, line):
+    clean = _saved_dataset_and_contexts(tmp_path)[which]
+    with open(clean, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(first + "\n" + line + "\n" + first, encoding="utf-8")
+    with pytest.raises(MalformedFileError, match=f"^{re.escape(os.fspath(bad))}:3: bad "):
+        load(os.fspath(bad))
+
+
+def test_read_records_refuses_a_file_of_blank_lines(tmp_path):
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \r\n\n", encoding="utf-8")
+    with pytest.raises(InvalidInputError, match=r": no records$"):
+        load_dataset(os.fspath(blank))
+    with pytest.raises(InvalidInputError, match=r": no contexts$"):
+        load_contexts(os.fspath(blank))
+    with pytest.raises(InvalidInputError, match=r": no things$"):
+        read_records(os.fspath(blank), "thing", dict)
 
 
 def _grouped_files(tmp_path):
