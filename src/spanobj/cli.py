@@ -86,9 +86,11 @@ def cmd_train(args) -> int:
     shared = args.objective == OBJ_COMPOUND_SHARED
     if shared and not args.contexts:
         raise ConfigError("shared-normalization training needs --contexts (see the context command)")
+    dev_path = os.path.join(args.data, "dev.jsonl")
+    if args.log_dev and not os.path.exists(dev_path):
+        raise ConfigError(f"--log-dev needs a dev set, and {dev_path} does not exist")
 
     train_examples = data_mod.load_dataset(os.path.join(args.data, "train.jsonl"))
-    dev_path = os.path.join(args.data, "dev.jsonl")
     dev_examples = data_mod.load_dataset(dev_path) if os.path.exists(dev_path) else []
     vocab = data_mod.Vocabulary.from_examples(train_examples + dev_examples)
     encoded_train = data_mod.encode_examples(train_examples, vocab)

@@ -156,10 +156,6 @@ class SpanDistribution:
         (row,) = self.order(1)
         return int(self.starts[row]), int(self.ends[row])
 
-    def probability(self, start: int, end: int) -> float:
-        hits = (self.starts == start) & (self.ends == end)
-        return float(self.probs[hits].max()) if hits.any() else 0.0
-
 
 @dataclass(frozen=True)
 class Prediction:

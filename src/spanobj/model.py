@@ -277,13 +277,6 @@ def zero_grads(params: ModelParams) -> FlatBlocks:
     return FlatBlocks(np.zeros(params.flat.size), params.shapes)
 
 
-def flatten_grads(params: ModelParams, grads: dict) -> np.ndarray:
-    """The gradient as one vector: a :func:`zero_grads` table's own, else a new one."""
-    if isinstance(grads, FlatBlocks):
-        return grads.flat
-    return np.concatenate([grads[name].ravel() for name in params.shapes])
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 
@@ -300,7 +293,6 @@ class _Stack:
     passage_ids: np.ndarray   # B x L
     q_bar: np.ndarray         # B x d
     q: np.ndarray             # B x d
-    e: np.ndarray             # B x d x L
     features: np.ndarray      # B x 3d x L
     h: np.ndarray             # B x d x L
     start_scores: np.ndarray  # B x L
@@ -413,7 +405,6 @@ def _forward_stack(
         passage_ids=passages,
         q_bar=q_bar,
         q=q,
-        e=e,
         features=features,
         h=h,
         start_scores=start_scores,
@@ -520,17 +511,11 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     d_h = np.zeros_like(h)
     parts = {}
 
-    if result.grad_start is not None:
-        g = result.grad_start
-        parts["w_s"] = (h @ g[:, :, None])[:, :, 0]
-        parts["b_s"] = g.sum(axis=1)
-        d_h += params.w_s[:, None] * g[:, None, :]
-
-    if result.grad_end is not None:
-        g = result.grad_end
-        parts["w_e"] = (h @ g[:, :, None])[:, :, 0]
-        parts["b_e"] = g.sum(axis=1)
-        d_h += params.w_e[:, None] * g[:, None, :]
+    for head, g in (("s", result.grad_start), ("e", result.grad_end)):
+        if g is not None:
+            parts["w_" + head] = (h @ g[:, :, None])[:, :, 0]
+            parts["b_" + head] = g.sum(axis=1)
+            d_h += params.arrays["w_" + head][:, None] * g[:, None, :]
 
     if result.grad_joint is not None:
         d_hs, d_he, d_w_sim = span_score_grads(
@@ -542,10 +527,9 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
         if d_w_sim is not None:
             parts["w_sim"] = d_w_sim
 
-    if result.grad_cond is not None:
-        parts["w_cond"] = result.grad_cond.w
-        parts["b_cond"] = result.grad_cond.b
-        parts["w_cond_out"] = result.grad_cond.w_out
+    cond = result.grad_cond
+    if cond is not None:
+        parts.update(w_cond=cond.w, b_cond=cond.b, w_cond_out=cond.w_out)
     if result.grad_h is not None:
         d_h += result.grad_h
 
@@ -555,9 +539,10 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     parts["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
+    # Through F = [e; e * q; q].
     d = params.dim
     d_e = d_features[:, :d] + d_features[:, d : 2 * d] * stack.q[:, :, None]
-    d_q = (d_features[:, d : 2 * d] * stack.e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
+    d_q = (d_features[:, d : 2 * d] * features[:, :d]).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
     parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
@@ -851,8 +836,9 @@ class AdamW:
     moment-scaled step: p <- p - lr * (m_hat / (sqrt(v_hat) + eps) + wd * p).
     With zero gradients each step therefore multiplies every parameter by
     exactly (1 - lr * wd).
-    The moments ``m``/``v`` are :class:`FlatBlocks` (empty before the first
-    step), and a step is one elementwise pass over the flat vectors.
+    The gradient (a :func:`zero_grads` table) and the moments ``m``/``v``
+    (empty before the first step) are :class:`FlatBlocks`, and a step is one
+    elementwise pass over the flat vectors.
     """
 
     lr: float = 1e-3
@@ -864,11 +850,13 @@ class AdamW:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def step(self, params: ModelParams, grads: dict) -> None:
+    def step(self, params: ModelParams, grads: FlatBlocks) -> None:
+        if not isinstance(grads, FlatBlocks):
+            raise InvalidInputError(f"AdamW.step takes a zero_grads table, not a {type(grads).__name__}")
         self.t += 1
         if not self.m:
             self.m, self.v = zero_grads(params), zero_grads(params)
-        g, m, v, p = flatten_grads(params, grads), self.m.flat, self.v.flat, params.flat
+        g, m, v, p = grads.flat, self.m.flat, self.v.flat, params.flat
         m *= self.beta1
         m += (1.0 - self.beta1) * g
         v *= self.beta2

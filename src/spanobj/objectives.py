@@ -84,15 +84,6 @@ class ConditionalParams:
             )
 
 
-@dataclass(frozen=True)
-class ConditionalGrads:
-    """Gradients for the conditional head parameters."""
-
-    w: np.ndarray
-    b: np.ndarray
-    w_out: np.ndarray
-
-
 @dataclass
 class LossResult:
     """A loss plus gradients for exactly the score inputs the objective consumed.
@@ -100,10 +91,10 @@ class LossResult:
     ``grad_start``/``grad_end`` are gradients w.r.t. boundary score vectors,
     ``grad_joint`` w.r.t. the span score matrix (zero on masked cells).  The
     conditional objective also reports gradients w.r.t. the passage
-    representations and its head parameters; the shared-normalization
-    objective reports one gradient per pooled passage.  A stacked result
-    (the ``*_rows`` functions) holds a (B,) ``loss`` array and a leading B
-    axis on every gradient.
+    representations and its head parameters (a :class:`ConditionalParams`
+    of gradients); the shared-normalization objective reports one gradient
+    per pooled passage.  A stacked result (the ``*_rows`` functions) holds
+    a (B,) ``loss`` array and a leading B axis on every gradient.
     """
 
     loss: float
@@ -111,7 +102,7 @@ class LossResult:
     grad_end: np.ndarray | None = None
     grad_joint: np.ndarray | None = None
     grad_h: np.ndarray | None = None
-    grad_cond: ConditionalGrads | None = None
+    grad_cond: ConditionalParams | None = None
     grad_passages: list = field(default_factory=list)
 
 
@@ -162,26 +153,25 @@ def target_arrays(targets) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def stack_one(result: LossResult) -> LossResult:
-    """A one-example result as a B=1 stack."""
+def _map_grads(result: LossResult, loss, each) -> LossResult:
+    """``result`` with ``loss`` and ``each`` of every gradient array it holds."""
     cond = result.grad_cond
     return LossResult(
-        np.array([result.loss]),
-        *(None if g is None else np.asarray(g, dtype=np.float64)[None]
+        loss,
+        *(None if g is None else each(g)
           for g in (result.grad_start, result.grad_end, result.grad_joint, result.grad_h)),
-        grad_cond=None if cond is None else ConditionalGrads(cond.w[None], cond.b[None], cond.w_out[None]),
+        grad_cond=None if cond is None else ConditionalParams(each(cond.w), each(cond.b), each(cond.w_out)),
     )
+
+
+def stack_one(result: LossResult) -> LossResult:
+    """A one-example result as a B=1 stack."""
+    return _map_grads(result, np.array([result.loss]), lambda g: np.asarray(g, dtype=np.float64)[None])
 
 
 def unstack_one(result: LossResult) -> LossResult:
     """The single example of a B=1 stacked result."""
-    cond = result.grad_cond
-    return LossResult(
-        float(result.loss[0]),
-        *(None if g is None else g[0]
-          for g in (result.grad_start, result.grad_end, result.grad_joint, result.grad_h)),
-        grad_cond=None if cond is None else ConditionalGrads(cond.w[0], cond.b[0], cond.w_out[0]),
-    )
+    return _map_grads(result, float(result.loss[0]), lambda g: g[0])
 
 
 def independent_rows(start_scores, end_scores, starts, ends) -> LossResult:
@@ -328,7 +318,7 @@ def conditional_rows(start_scores, h, params: ConditionalParams, starts, ends) -
         loss_s + loss_e,
         grad_start=grad_s,
         grad_h=grad_h,
-        grad_cond=ConditionalGrads(d_w, d_b, d_w_out),
+        grad_cond=ConditionalParams(d_w, d_b, d_w_out),
     )
 
 

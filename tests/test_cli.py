@@ -424,6 +424,22 @@ def test_config_values_that_do_not_convert_are_config_errors(
     assert not out.exists()
 
 
+def test_log_dev_without_a_dev_set_is_a_config_error(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "train.jsonl").write_bytes(_file_bytes(pipeline["corpus"] / "train.jsonl"))
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--data", str(corpus), "--out", str(out),
+                   "--epochs", "2", "--log-dev"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    (line,) = captured.err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert "dev.jsonl" in record["message"]
+    assert not out.exists()
+
+
 # Every flag each command's --help lists, and the value each option that is
 # not required resolves to when neither a flag nor a config file gives it.
 CLI_SURFACE = {

@@ -48,6 +48,13 @@ def _random_cond(rng, d, hidden=4):
     )
 
 
+def _cell_probs(dist):
+    """``{(start, end): probability}`` over the cells ``dist`` holds, each once."""
+    cells = list(zip(dist.starts.tolist(), dist.ends.tolist()))
+    assert len(set(cells)) == len(cells)
+    return dict(zip(cells, dist.probs.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # SpanDistribution container
 
@@ -56,8 +63,9 @@ def test_distribution_sorts_by_probability_then_position():
     dist = SpanDistribution([(3, 4, 0.2), (0, 1, 0.5), (2, 2, 0.2), (1, 1, 0.1)])
     assert [(s, e) for s, e, _ in dist.entries] == [(0, 1), (2, 2), (3, 4), (1, 1)]
     assert dist.top_span() == (0, 1)
-    assert dist.probability(2, 2) == pytest.approx(0.2)
-    assert dist.probability(9, 9) == 0.0
+    probs = _cell_probs(dist)
+    assert probs[(2, 2)] == pytest.approx(0.2)
+    assert (9, 9) not in probs
     assert len(dist) == 4
 
 
@@ -87,9 +95,10 @@ def test_independent_distribution_matches_product_oracle():
             float(p_s[i] * p_e[j]) for i in range(length) for j in range(i, length)
         )
         assert dist.raw_mass == pytest.approx(raw, abs=1e-12)
+        probs = _cell_probs(dist)
         for i in range(length):
             for j in range(i, length):
-                assert dist.probability(i, j) * dist.raw_mass == pytest.approx(
+                assert probs[(i, j)] * dist.raw_mass == pytest.approx(
                     float(p_s[i] * p_e[j]), abs=1e-12
                 )
 
@@ -118,8 +127,9 @@ def test_joint_distribution_is_softmax_over_valid_cells():
         assert dist.normalization == pytest.approx(1.0, abs=1e-12)
         logp = log_softmax(matrix.values[np.triu_indices(length)])
         cells = list(zip(*np.triu_indices(length)))
+        probs = _cell_probs(dist)
         for (i, j), lp in zip(cells, logp):
-            assert dist.probability(int(i), int(j)) == pytest.approx(math.exp(lp), abs=1e-12)
+            assert probs[(int(i), int(j))] == pytest.approx(math.exp(lp), abs=1e-12)
 
 
 def test_joint_distribution_over_a_caller_built_mask_uses_that_mask():
@@ -172,8 +182,9 @@ def test_beam_with_full_width_equals_exhaustive_enumeration():
         total = math.fsum(raw.values())
         assert len(dist) == length * length
         assert dist.raw_mass == pytest.approx(total, abs=1e-12)
+        probs = _cell_probs(dist)
         for (i, j), value in raw.items():
-            assert dist.probability(i, j) * dist.raw_mass == pytest.approx(value, abs=1e-12)
+            assert probs[(i, j)] * dist.raw_mass == pytest.approx(value, abs=1e-12)
 
 
 def test_beam_argmax_agrees_with_brute_force_over_valid_spans():
@@ -205,10 +216,11 @@ def test_narrow_beam_is_a_subset_of_the_full_enumeration():
     full = beam_decode(start_scores, h, params, k=length)
     narrow = beam_decode(start_scores, h, params, k=3)
     assert len(narrow) == 9
+    full_probs = _cell_probs(full)
     for s, e, p in narrow.entries:
         # Raw candidate values agree between beam widths.
         assert p * narrow.raw_mass == pytest.approx(
-            full.probability(s, e) * full.raw_mass, abs=1e-12
+            full_probs[(s, e)] * full.raw_mass, abs=1e-12
         )
     with pytest.raises(InvalidInputError):
         beam_decode(start_scores, h, params, k=0)
@@ -273,9 +285,10 @@ def test_surface_form_filter_moves_mass_to_the_most_probable_position():
     passage = Passage.from_text("p", "a b a b")
     dist = SpanDistribution([(0, 1, 0.5), (2, 3, 0.3), (1, 2, 0.2)])
     filtered = surface_form_filter(dist, passage, k=3)
-    assert filtered.probability(0, 1) == pytest.approx(0.8, abs=1e-15)
-    assert filtered.probability(2, 3) == 0.0
-    assert filtered.probability(1, 2) == pytest.approx(0.2)
+    probs = _cell_probs(filtered)
+    assert probs[(0, 1)] == pytest.approx(0.8, abs=1e-15)
+    assert probs[(2, 3)] == 0.0
+    assert probs[(1, 2)] == pytest.approx(0.2)
 
 
 def test_surface_form_filter_leaves_the_tail_untouched():

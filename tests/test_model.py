@@ -31,7 +31,6 @@ from spanobj.model import (
     context_loss_and_grads,
     evaluate_model,
     example_loss,
-    flatten_grads,
     forward,
     init_params,
     load_checkpoint,
@@ -138,7 +137,7 @@ def test_full_model_gradients_match_finite_differences(objective):
         return loss
 
     expect = finite_diff_gradient(objective_fn, params.flat)
-    got = flatten_grads(params, grads)
+    got = grads.flat
     denominator = np.maximum(np.abs(expect), 1e-4)
     assert np.max(np.abs(got - expect) / denominator) < 1e-4
 
@@ -157,7 +156,7 @@ def test_full_model_gradients_with_weighted_similarity():
         return loss
 
     expect = finite_diff_gradient(objective_fn, params.flat)
-    got = flatten_grads(params, grads)
+    got = grads.flat
     denominator = np.maximum(np.abs(expect), 1e-4)
     assert np.max(np.abs(got - expect) / denominator) < 1e-4
 
@@ -181,7 +180,7 @@ def test_context_gradients_match_finite_differences():
         return context_loss_and_grads(probe, ctx)[0]
 
     expect = finite_diff_gradient(objective_fn, params.flat)
-    got = flatten_grads(params, grads)
+    got = grads.flat
     denominator = np.maximum(np.abs(expect), 1e-4)
     assert np.max(np.abs(got - expect) / denominator) < 1e-4
 
@@ -234,13 +233,33 @@ def test_adamw_matches_reference_implementation():
     opt = AdamW(lr=0.01, weight_decay=0.05)
     reference = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p)) for name, p in params.blocks()}
     for t in range(1, 6):
-        grads = {name: rng.normal(size=p.shape) for name, p in params.blocks()}
+        grads = zero_grads(params)
+        for name, block in grads.items():
+            block[...] = rng.normal(size=block.shape)
         opt.step(params, grads)
         for name, p in params.blocks():
             rp, rm, rv = reference[name]
             rp, rm, rv = _reference_adamw_step(rp, grads[name], rm, rv, t, 0.01, 0.05)
             reference[name] = (rp, rm, rv)
             np.testing.assert_allclose(p, rp, rtol=1e-12, atol=1e-12)
+
+
+def test_adamw_refuses_gradients_that_are_not_a_zero_grads_table():
+    params = init_params(8, dim=3, seed=3)
+    opt = AdamW(lr=0.1, weight_decay=0.5)
+    opt.step(params, zero_grads(params))
+    before = params.flat.copy(), opt.m.flat.copy(), opt.v.flat.copy()
+    plain = {name: np.ones_like(block) for name, block in params.blocks()}
+    with pytest.raises(InvalidInputError, match="zero_grads"):
+        opt.step(params, plain)
+    assert opt.t == 1
+    for got, want in zip((params.flat, opt.m.flat, opt.v.flat), before):
+        assert got.tobytes() == want.tobytes()
+
+    fresh = AdamW()
+    with pytest.raises(InvalidInputError, match="zero_grads"):
+        fresh.step(params, plain)
+    assert fresh.t == 0 and not fresh.m and not fresh.v
 
 
 def test_adamw_zero_gradient_step_is_pure_decay():
@@ -612,7 +631,7 @@ def _assert_flat(params, optimizer=None):
         assert getattr(params, name) is block, name
     assert params.cond.w is params.w_cond and params.similarity.w is params.arrays.get("w_sim")
     grads = zero_grads(params)
-    _assert_views_of(grads, flatten_grads(params, grads))
+    _assert_views_of(grads, grads.flat)
     if optimizer is not None:
         for moments in (optimizer.m, optimizer.v):
             _assert_views_of(moments, moments.flat)

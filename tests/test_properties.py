@@ -70,6 +70,8 @@ from spanobj.objectives import (
     OBJ_INDEPENDENT,
     OBJ_JOINT,
     OBJECTIVE_KINDS,
+    ConditionalParams,
+    LossResult,
     SharedNormTarget,
     SpanTarget,
     compound_loss,
@@ -77,6 +79,8 @@ from spanobj.objectives import (
     independent_loss,
     joint_loss,
     shared_norm_loss,
+    stack_one,
+    unstack_one,
 )
 from spanobj.similarity import KIND_ADDITIVE_WEIGHTED_DOT, KIND_DOT
 
@@ -763,14 +767,60 @@ def test_flat_adamw_steps_equal_the_per_block_steps_bit_for_bit(
         for block in grads.values():
             block[...] = data.draw(hnp.arrays(np.float64, block.shape, elements=_signed_values()))
         ref_grads = {name: block.copy() for name, block in grads.items()}
-        # A zero_grads table steps through its vector; any other dict is flattened.
-        optimizer.step(params, grads if data.draw(st.booleans()) else dict(ref_grads))
+        optimizer.step(params, grads)
         ref_optimizer.step(reference, ref_grads)
     assert optimizer.t == ref_optimizer.t
     for (name, got), (_, want) in zip(params.blocks(), reference.blocks()):
         assert got.tobytes() == want.tobytes(), name
         assert optimizer.m[name].tobytes() == ref_optimizer.m[name].tobytes(), name
         assert optimizer.v[name].tobytes() == ref_optimizer.v[name].tobytes(), name
+
+
+def _grad_arrays(result):
+    """Every gradient field of a :class:`LossResult`, the conditional head's three included."""
+    cond = result.grad_cond
+    return {
+        "start": result.grad_start, "end": result.grad_end,
+        "joint": result.grad_joint, "h": result.grad_h,
+        "cond.w": None if cond is None else cond.w,
+        "cond.b": None if cond is None else cond.b,
+        "cond.w_out": None if cond is None else cond.w_out,
+    }
+
+
+@PROPERTY
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_stack_one_and_unstack_one_round_trip_every_gradient_bit_for_bit(length, d, hidden, data):
+    """Any subset of the gradient fields: a B=1 stack puts a leading axis of
+    1 on every array, and unstacking it gives the one-example result back."""
+    def array(shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=_signed_values()))
+
+    def maybe(shape):
+        return array(shape) if data.draw(st.booleans()) else None
+
+    cond = None
+    if data.draw(st.booleans()):
+        cond = ConditionalParams(array((hidden, 2 * d)), array((hidden,)), array((hidden,)))
+    result = LossResult(
+        data.draw(_signed_values()), maybe((length,)), maybe((length,)),
+        maybe((length, length)), maybe((d, length)), grad_cond=cond,
+    )
+    stacked = stack_one(result)
+    back = unstack_one(stacked)
+
+    assert stacked.loss.shape == (1,) and stacked.loss.tobytes() == np.float64(result.loss).tobytes()
+    assert isinstance(back.loss, float)
+    assert np.float64(back.loss).tobytes() == np.float64(result.loss).tobytes()
+    assert back.grad_passages == []
+    got_stacked, got_back = _grad_arrays(stacked), _grad_arrays(back)
+    for name, g in _grad_arrays(result).items():
+        if g is None:
+            assert got_stacked[name] is None and got_back[name] is None, name
+        else:
+            assert got_stacked[name].shape == (1,) + g.shape, name
+            assert got_back[name].shape == g.shape, name
+            assert got_stacked[name].tobytes() == got_back[name].tobytes() == g.tobytes(), name
 
 
 @PROPERTY
