@@ -62,5 +62,5 @@ print("after boosting a distractor-passage score by +6:")
 print(f"  pooled loss {pooled.loss:.6f} -> {worse.loss:.6f}")
 print("  the shared denominator punishes confidence outside the gold spans,")
 print("  wherever it lives.  Training with this objective goes through")
-print("  spanobj.model.train_dss on contexts built by spanobj.data.build_context")
+print("  spanobj.model.train on contexts built by spanobj.data.build_context")
 print("  (see demos/05 and the `spanobj context` command).")

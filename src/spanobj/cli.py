@@ -52,25 +52,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _resume_checkpoint(path: str, objective: str, config, vocab):
-    """The checkpoint at ``path``, refused unless it was trained as this run trains."""
+# Every TrainConfig field but these is recorded in a CLI checkpoint and must
+# match on resume; the seed names the checkpoint, and resuming raises epochs.
+_PER_RUN_FIELDS = ("seed", "epochs")
+
+
+def _log_epochs(record) -> list:
+    if not (isinstance(record, list) and all(isinstance(entry, dict) for entry in record)):
+        raise TypeError("a training log line is a list of epoch objects")
+    return record
+
+
+def _resume(stem: str, config, vocab) -> tuple:
+    """The checkpoint and epoch log at ``stem``, refused unless trained as this run trains."""
+    path, log_path = stem + ".ckpt", stem + "-log.json"
     ckpt = model.load_checkpoint(path)
-    fields = {
-        "objective": (ckpt.objective, objective),
-        "dim": (ckpt.params.dim, config.dim),
-        "similarity": (ckpt.params.similarity.kind, config.similarity),
-        "policy": (ckpt.extra.get("policy"), config.policy),
-        "batch_size": (ckpt.extra.get("batch_size"), config.batch_size),
-    }
-    if ckpt.optimizer is not None:
-        fields["learning_rate"] = (ckpt.optimizer.lr, config.learning_rate)
-        fields["weight_decay"] = (ckpt.optimizer.weight_decay, config.weight_decay)
-    for name, (saved, wanted) in fields.items():
-        if saved != wanted:
-            raise InvalidInputError(f"{path} was trained with {name} {saved!r}, not {wanted!r}")
+    if ckpt.optimizer is None:
+        raise InvalidInputError(f"{path} holds no optimizer state, so training cannot resume exactly")
+    for spec in dataclasses.fields(config):
+        saved, wanted = ckpt.extra.get(spec.name), getattr(config, spec.name)
+        if spec.name not in _PER_RUN_FIELDS and saved != wanted:
+            raise InvalidInputError(f"{path} was trained with {spec.name} {saved!r}, not {wanted!r}")
     if ckpt.vocab != vocab.tokens:
         raise InvalidInputError(f"{path} was trained with another vocabulary than this data's")
-    return ckpt
+    if not os.path.exists(log_path):
+        raise InvalidInputError(f"{log_path} is missing, and a resumed run carries its log forward")
+    log = sum(data_mod.read_records(log_path, "training log", _log_epochs), [])
+    if [entry.get("epoch") for entry in log] != list(range(ckpt.epoch)):
+        raise InvalidInputError(f"{log_path} does not log epochs 0 to {ckpt.epoch - 1} of {path}")
+    return ckpt, log
 
 
 def cmd_train(args) -> int:
@@ -84,8 +94,9 @@ def cmd_train(args) -> int:
     # Every config is checked before anything is read or written.
     configs = [model.TrainConfig(seed=s, **_config_fields(args, model.TrainConfig)) for s in seeds]
     shared = args.objective == OBJ_COMPOUND_SHARED
-    if shared and not args.contexts:
-        raise ConfigError("shared-normalization training needs --contexts (see the context command)")
+    if shared != bool(args.contexts):
+        raise ConfigError(f"{OBJ_COMPOUND_SHARED!r} training needs --contexts (see the context "
+                          "command), and no other objective reads them")
     dev_path = os.path.join(args.data, "dev.jsonl")
     if args.log_dev and not os.path.exists(dev_path):
         raise ConfigError(f"--log-dev needs a dev set, and {dev_path} does not exist")
@@ -93,16 +104,16 @@ def cmd_train(args) -> int:
     train_examples = data_mod.load_dataset(os.path.join(args.data, "train.jsonl"))
     dev_examples = data_mod.load_dataset(dev_path) if os.path.exists(dev_path) else []
     vocab = data_mod.Vocabulary.from_examples(train_examples + dev_examples)
-    encoded_train = data_mod.encode_examples(train_examples, vocab)
     encoded_dev = data_mod.encode_examples(dev_examples, vocab) if args.log_dev else None
-    contexts = None
     if shared:
-        contexts = data_mod.encode_contexts(data_mod.load_contexts(args.contexts), vocab)
+        items = data_mod.encode_contexts(data_mod.load_contexts(args.contexts), vocab)
+    else:
+        items = data_mod.encode_examples(train_examples, vocab)
 
     stems = {seed: os.path.join(args.out, f"{args.objective}-seed{seed}") for seed in seeds}
     # Every checkpoint to resume is checked before any seed trains.
     resumed = {
-        config.seed: _resume_checkpoint(stems[config.seed] + ".ckpt", args.objective, config, vocab)
+        config.seed: _resume(stems[config.seed], config, vocab)
         for config in configs if args.resume and os.path.exists(stems[config.seed] + ".ckpt")
     }
 
@@ -110,30 +121,21 @@ def cmd_train(args) -> int:
     for config in configs:
         seed = config.seed
         ckpt_path = stems[seed] + ".ckpt"
-        log_path = stems[seed] + "-log.json"
 
         params = optimizer = None
-        start_epoch = 0
-        ckpt = resumed.pop(seed, None)
-        if ckpt is not None:
+        start_epoch, log = 0, []
+        if seed in resumed:
+            ckpt, log = resumed.pop(seed)
             if ckpt.epoch >= config.epochs:
                 print(f"seed {seed}: checkpoint already at epoch {ckpt.epoch}, skipping")
                 continue
             params, optimizer, start_epoch = ckpt.params, ckpt.optimizer, ckpt.epoch
 
-        kwargs = dict(
-            params=params,
-            optimizer=optimizer,
-            start_epoch=start_epoch,
-            dev_set=encoded_dev,
-            vocab_size=len(vocab),
-            beam_width=args.beam,
+        result = model.train(
+            items, config, params=params, optimizer=optimizer, start_epoch=start_epoch,
+            dev_set=encoded_dev, vocab_size=len(vocab), beam_width=args.beam,
         )
-        if shared:
-            result = model.train_dss(contexts, config, **kwargs)
-        else:
-            result = model.train(encoded_train, config, **kwargs)
-
+        log += result.log
         model.save_checkpoint(
             ckpt_path,
             result.params,
@@ -142,12 +144,12 @@ def cmd_train(args) -> int:
             epoch=result.epochs_done,
             vocab=vocab.tokens,
             optimizer=result.optimizer,
-            extra={"policy": config.policy, "batch_size": config.batch_size},
+            extra={name: value for name, value in dataclasses.asdict(config).items()
+                   if name not in _PER_RUN_FIELDS},
         )
-        data_mod.write_records(log_path, [result.log])
-        last = result.log[-1] if result.log else {}
+        data_mod.write_records(stems[seed] + "-log.json", [log])
         print(f"seed {seed}: trained {args.objective} to epoch {result.epochs_done} "
-              f"(loss {last.get('loss', float('nan')):.4f}) -> {ckpt_path}")
+              f"(loss {log[-1]['loss']:.4f}) -> {ckpt_path}")
     return 0
 
 

@@ -12,8 +12,8 @@ each gradient the loss reports, whatever the objective.  Parameters are one
 flat vector cut into named blocks in serialization order (:class:`ModelParams`);
 gradients and AdamW moments are vectors cut the same way (:class:`FlatBlocks`),
 so a step, a gradient scale and a checkpoint write each make one pass.  One
-:func:`train_step`, under the one epoch loop of ``train`` and ``train_dss``,
-trains every objective: a batch of examples through
+:func:`train_step`, under the one epoch loop of :func:`train`, trains
+every objective: a batch of examples through
 :func:`batch_loss_and_grads`, a batch of contexts through the
 shared-normalization chunks below.
 
@@ -964,9 +964,41 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
     return total, len(used), len(batch) - len(used)
 
 
-def _train(items, config, params, optimizer, start_epoch, dev_set, vocab_size, beam_width):
-    """Initialize what the caller did not pass, then run the epochs."""
+def train(
+    items,
+    config: TrainConfig,
+    *,
+    params: ModelParams | None = None,
+    optimizer: AdamW | None = None,
+    start_epoch: int = 0,
+    dev_set=None,
+    vocab_size: int | None = None,
+    beam_width: int = decoding.DEFAULT_BEAM_WIDTH,
+) -> TrainResult:
+    """Train on examples or retrieval contexts; deterministic given (seed, config, data).
+
+    Contexts train ``compound-shared`` and examples every other objective.
+    Contexts without any distantly supervised position are skipped and
+    counted in the log rather than failing the run.  From scratch,
+    ``vocab_size`` is required.  Pass ``params``/``optimizer``/``start_epoch``
+    from a checkpoint to resume: epoch shuffles are derived from (seed,
+    epoch), so the continuation matches an uninterrupted run exactly.
+    """
+    items = list(items)
+    if not items:
+        raise InvalidInputError("nothing to train on")
+    shared = config.objective == OBJ_COMPOUND_SHARED
+    for i, item in enumerate(items):
+        if hasattr(item, "passages") != shared:
+            raise ConfigError(
+                f"item {i} is {'an example' if shared else 'a context'}: contexts train "
+                f"{OBJ_COMPOUND_SHARED!r} and examples every other objective, not {config.objective!r}"
+            )
+        if shared and not item.passages:
+            raise InvalidInputError(f"context {i} has no passages")
     if params is None:
+        if vocab_size is None:
+            raise ConfigError("vocab_size required when training from scratch")
         params = init_params(vocab_size, config.dim, config.similarity, config.seed)
     if optimizer is None:
         optimizer = AdamW(lr=config.learning_rate, weight_decay=config.weight_decay)
@@ -997,67 +1029,9 @@ def _train(items, config, params, optimizer, start_epoch, dev_set, vocab_size, b
     return TrainResult(params, log, optimizer, config.epochs)
 
 
-def train(
-    dataset,
-    config: TrainConfig,
-    *,
-    params: ModelParams | None = None,
-    optimizer: AdamW | None = None,
-    start_epoch: int = 0,
-    dev_set=None,
-    vocab_size: int | None = None,
-    beam_width: int = decoding.DEFAULT_BEAM_WIDTH,
-) -> TrainResult:
-    """Train on per-example supervision; deterministic given (seed, config, data).
-
-    Pass ``params``/``optimizer``/``start_epoch`` from a checkpoint to resume:
-    epoch shuffles are derived from (seed, epoch), so the continuation matches
-    an uninterrupted run exactly.
-    """
-    dataset = list(dataset)
-    if not dataset:
-        raise InvalidInputError("empty dataset")
-    if config.objective == OBJ_COMPOUND_SHARED:
-        raise ConfigError("shared-normalization training goes through train_dss")
-    if any(hasattr(item, "passages") for item in dataset):
-        raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r} through train_dss, not train")
-    if params is None and vocab_size is None:
-        vocab_size = 1 + int(
-            max(max(np.max(ex.question_ids), np.max(ex.passage_ids)) for ex in dataset)
-        )
-    return _train(dataset, config, params, optimizer, start_epoch, dev_set, vocab_size, beam_width)
-
-
-def train_dss(
-    contexts,
-    config: TrainConfig,
-    *,
-    params: ModelParams | None = None,
-    optimizer: AdamW | None = None,
-    start_epoch: int = 0,
-    dev_set=None,
-    vocab_size: int | None = None,
-    beam_width: int = decoding.DEFAULT_BEAM_WIDTH,
-) -> TrainResult:
-    """Train with shared normalization over retrieval contexts.
-
-    The objective must be ``compound-shared``.  Contexts without any
-    distantly supervised position are skipped and counted in the log rather
-    than failing the run.
-    """
-    if config.objective != OBJ_COMPOUND_SHARED:
-        raise ConfigError(f"train_dss trains {OBJ_COMPOUND_SHARED!r}, not {config.objective!r}")
-    contexts = list(contexts)
-    if not contexts:
-        raise InvalidInputError("empty context list")
-    for i, context in enumerate(contexts):
-        if not hasattr(context, "passages"):
-            raise ConfigError(f"item {i} is an example: examples train through train, not train_dss")
-        if not context.passages:
-            raise InvalidInputError(f"context {i} has no passages")
-    if params is None and vocab_size is None:
-        raise ConfigError("vocab_size required when training from scratch")
-    return _train(contexts, config, params, optimizer, start_epoch, dev_set, vocab_size, beam_width)
+def train_dss(contexts, config: TrainConfig, **kwargs) -> TrainResult:
+    """Shared-normalization training: :func:`train` on contexts, traced under its own name."""
+    return train(contexts, config, **kwargs)
 
 
 # ---------------------------------------------------------------------------

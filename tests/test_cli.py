@@ -8,6 +8,7 @@ records on stderr.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -254,11 +255,43 @@ def test_resume_training_matches_uninterrupted_run(pipeline, tmp_path):
     resumed = tmp_path / "resumed"
     base = ["train", "--data", corpus, "--objective", "independent",
             "--seeds", "2", "--dim", "16", "--learning-rate", "3e-3"]
-    assert cli.main(base + ["--out", str(straight), "--epochs", "3"]) == 0
-    assert cli.main(base + ["--out", str(resumed), "--epochs", "1"]) == 0
-    assert cli.main(base + ["--out", str(resumed), "--epochs", "3", "--resume"]) == 0
-    name = "independent-seed2.ckpt"
-    assert _file_bytes(straight / name) == _file_bytes(resumed / name)
+    assert cli.main(base + ["--out", str(straight), "--epochs", "3", "--log-dev"]) == 0
+    assert cli.main(base + ["--out", str(resumed), "--epochs", "1", "--log-dev"]) == 0
+    assert cli.main(base + ["--out", str(resumed), "--epochs", "3", "--resume", "--log-dev"]) == 0
+    for name in ("independent-seed2.ckpt", "independent-seed2-log.json"):
+        assert _file_bytes(straight / name) == _file_bytes(resumed / name), name
+    assert [entry["epoch"] for entry in _read_lines(resumed / "independent-seed2-log.json")[0]] == [
+        0, 1, 2]
+
+
+def test_checkpoint_records_every_train_config_field_but_seed_and_epochs(pipeline):
+    ckpt = model.load_checkpoint(os.fspath(pipeline["checkpoint"]))
+    names = {spec.name for spec in dataclasses.fields(model.TrainConfig)}
+    assert set(ckpt.extra) == names - {"seed", "epochs"}
+    assert ckpt.extra["learning_rate"] == 3e-3 and ckpt.extra["dim"] == 16
+
+
+def test_resume_refuses_a_missing_log_or_optimizer_state(pipeline, tmp_path, capsys):
+    out = tmp_path / "runs"
+    base = ["train", "--data", str(pipeline["corpus"]), "--out", str(out),
+            "--objective", "independent", "--dim", "8", "--epochs", "1"]
+    assert cli.main(base + ["--seeds", "0,1"]) == 0
+    os.remove(out / "independent-seed1-log.json")
+    before = {name: _file_bytes(out / name) for name in sorted(os.listdir(out))}
+    capsys.readouterr()
+    record = _expect_error(capsys, base + ["--seeds", "0,1", "--epochs", "2", "--resume"],
+                           "InvalidInputError")
+    assert "independent-seed1-log.json" in record["message"]
+    assert {name: _file_bytes(out / name) for name in sorted(os.listdir(out))} == before
+
+    # Fresh AdamW moments cannot continue the run the checkpoint came from.
+    ckpt = model.load_checkpoint(os.fspath(out / "independent-seed0.ckpt"))
+    model.save_checkpoint(os.fspath(out / "independent-seed0.ckpt"), ckpt.params,
+                          objective=ckpt.objective, seed=0, epoch=ckpt.epoch,
+                          vocab=ckpt.vocab, extra=ckpt.extra)
+    record = _expect_error(capsys, base + ["--seeds", "0", "--epochs", "2", "--resume"],
+                           "InvalidInputError")
+    assert "optimizer state" in record["message"]
 
 
 def test_resume_skips_finished_checkpoint(pipeline, tmp_path, capsys):
@@ -586,6 +619,20 @@ def test_shared_objective_requires_contexts(pipeline, tmp_path, capsys):
         "train", "--data", str(pipeline["corpus"]), "--out", str(tmp_path / "x"),
         "--objective", "compound-shared", "--seeds", "0", "--epochs", "1",
     ], "ConfigError")
+
+
+def test_contexts_with_a_per_example_objective_is_a_config_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--data", str(pipeline["corpus"]), "--out", str(out),
+                   "--objective", "compound", "--contexts", str(tmp_path / "nonexistent.jsonl"),
+                   "--epochs", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    (line,) = captured.err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert "--contexts" in record["message"]
+    assert not out.exists()
 
 
 def test_eval_rejects_mismatched_example_ids(pipeline, tmp_path, capsys):

@@ -335,11 +335,21 @@ def test_train_rejects_shared_objective_and_empty_data():
 
 @pytest.mark.parametrize("vocab_size", (None, 15))
 def test_train_rejects_contexts_before_reading_their_ids(vocab_size):
-    # Vocabulary inference reads passage_ids, which a context does not carry.
+    # Each item is checked before vocab_size is required or any id is read.
     rng = np.random.default_rng(41)
     contexts = [_Ctx(rng.integers(1, 15, size=3), [(rng.integers(1, 15, size=5), {SpanTarget(1, 2)})])]
-    with pytest.raises(ConfigError, match="train_dss"):
+    with pytest.raises(ConfigError, match="item 0 is a context"):
         train(contexts, TrainConfig(objective=OBJ_COMPOUND), vocab_size=vocab_size)
+
+
+@pytest.mark.parametrize("objective", (OBJ_COMPOUND, OBJ_COMPOUND_SHARED))
+def test_train_requires_vocab_size_from_scratch_for_examples_and_contexts(objective):
+    dataset = _toy_dataset(np.random.default_rng(41), n=4)
+    items = dataset if objective == OBJ_COMPOUND else [
+        _Ctx(ex.question_ids, [(ex.passage_ids, {ex.target})]) for ex in dataset
+    ]
+    with pytest.raises(ConfigError, match="vocab_size required"):
+        train(items, TrainConfig(objective=objective, epochs=1, dim=4))
 
 
 def test_dev_log_carries_em_f1_and_cross_rate_every_epoch():
@@ -436,7 +446,7 @@ def test_train_dss_rejects_every_other_objective(objective):
 def test_train_dss_refuses_examples_and_names_train():
     dataset = _toy_dataset(np.random.default_rng(41), n=4)
     config = TrainConfig(objective=OBJ_COMPOUND_SHARED, epochs=1, dim=6)
-    with pytest.raises(ConfigError, match="through train, not train_dss"):
+    with pytest.raises(ConfigError, match="item 0 is an example"):
         train_dss(dataset, config, vocab_size=15)
 
 
