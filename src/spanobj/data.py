@@ -16,7 +16,9 @@ apart at convergence.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -381,9 +383,28 @@ def encode_contexts(contexts, vocab: Vocabulary):
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str = "w"):
+    """A new file that replaces ``path`` once the block ends without error.
+
+    It is written next to ``path`` and moved over it with ``os.replace``, so
+    an interrupted write leaves the previous file whole; on an error the
+    partial file is removed.
+    """
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, mode, **({} if "b" in mode else {"encoding": "utf-8"})) as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
+
+
 def write_records(path, records) -> None:
-    """One :data:`canonical_json` object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One :data:`canonical_json` object per line, replacing ``path`` whole (:func:`replacing`)."""
+    with replacing(path) as fh:
         for record in records:
             fh.write(canonical_json(record))
             fh.write("\n")

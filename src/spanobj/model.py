@@ -67,12 +67,20 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
   vectors equals a pass over each block.
 
 Shared-normalization training runs a batch of contexts in chunks: runs of
-consecutive supervised contexts holding at most ``MAX_STACK`` passages in
-all (at least one context).  A chunk's passages run as the planner's
-stacks; each context pays one pooled cross-entropy per factor over its
-passages' scores in passage order (a 1-D log-sum-exp over the
-concatenated scores).  ``context_loss_and_grads`` is that path for one
-context.  The outputs equal a loop over contexts bit for bit because:
+consecutive supervised contexts holding at most ``MAX_WINDOW_CELLS`` score
+cells (L^2 summed over their passages), the training window's budget, and
+at least one context.  A chunk's passages run as the planner's stacks;
+each context pays one pooled cross-entropy per factor over its passages'
+scores in passage order (1-D log-sum-exps over the concatenated scores),
+and every context's pools run as one vectorized call.  A chunk runs every
+forward pass before its pooled losses, so it holds little per passage: a
+stack drops its joint matrix once its unmasked cells are gathered, and its
+mixing-layer input and joint start representations until its backward pass
+forms them again; each context is added as soon as its stacks have run,
+and a stack's contributions go once its passages have been added, each
+kept compact (``held`` in :func:`_backward_stack`).  ``context_loss_and_grads``
+is that path for one context.  The outputs equal a loop over contexts bit
+for bit because:
 
 * the backward pass returns each passage's contribution on its own
   instead of adding it into the total;
@@ -100,7 +108,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import decoding
-from .data import canonical_json
+from .data import canonical_json, replacing
 from .errors import (
     MALFORMED_RECORD_ERRORS,
     ConfigError,
@@ -115,7 +123,6 @@ from .numerics import (
     MASK_POLICIES,
     MASK_VALID,
     MAX_DECODE_CELLS,
-    MAX_STACK,
     MAX_WINDOW_CELLS,
     ScoreMatrix,
     span_mask,
@@ -137,7 +144,7 @@ from .objectives import (
     independent_rows,
     joint_gold,
     joint_rows,
-    pooled_ce,
+    pooled_ce_rows,
     stack_one,
     target_arrays,
     unstack_one,
@@ -225,6 +232,7 @@ class ModelParams:
             setattr(self, name, arr)  # keeps attribute loads as fast as a dataclass's
         self.cond = ConditionalParams(self.w_cond, self.b_cond, self.w_cond_out)
         self.similarity = SimilarityParams(similarity_kind, self.arrays.get("w_sim"))
+        self._positions = {}
 
     @property
     def dim(self) -> int:
@@ -240,6 +248,16 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arrays, self.similarity.kind)
+
+    def positions(self, names: tuple) -> np.ndarray:
+        """The positions in ``flat`` of these blocks' values, block after block."""
+        if names not in self._positions:
+            starts = np.cumsum([0] + [math.prod(shape) for shape in self.shapes.values()]).tolist()
+            start = dict(zip(self.shapes, starts))
+            self._positions[names] = np.concatenate(
+                [np.arange(start[name], start[name] + self.arrays[name].size) for name in names]
+            )
+        return self._positions[names]
 
 
 def init_params(
@@ -285,7 +303,9 @@ class _Stack:
     """Forward intermediates of B examples sharing passage length L.
 
     Arrays carry a leading B axis; ``question_ids`` concatenates the
-    examples' question ids and ``question_lengths`` splits them.
+    examples' question ids and ``question_lengths`` splits them.  A
+    shared-normalization chunk drops ``features``, ``h_start`` and
+    ``joint`` while its stacks wait for their backward passes.
     """
 
     question_ids: np.ndarray
@@ -293,7 +313,7 @@ class _Stack:
     passage_ids: np.ndarray   # B x L
     q_bar: np.ndarray         # B x d
     q: np.ndarray             # B x d
-    features: np.ndarray      # B x 3d x L
+    features: np.ndarray | None  # B x 3d x L mixing-layer input
     h: np.ndarray             # B x d x L
     start_scores: np.ndarray  # B x L
     end_scores: np.ndarray    # B x L
@@ -369,7 +389,6 @@ def _forward_stack(
     passages = _check_ids(passage_ids, params.vocab_size, "passage")
     passages = passages[0][None] if len(passages) == 1 else np.stack(passages)
     size, length = passages.shape
-    d = params.dim
 
     # Mean question embedding.  Questions of different lengths are padded,
     # the padding zeroed, and the sum divided by the true count.
@@ -385,11 +404,7 @@ def _forward_stack(
     q_bar = q_sum / q_lengths[:, None]
     q = (params.w_q @ q_bar[:, :, None])[:, :, 0] + params.b_q
 
-    e = params.emb[passages].transpose(0, 2, 1)
-    features = np.empty((size, 3 * d, length))
-    features[:, :d] = e
-    np.multiply(e, q[:, :, None], out=features[:, d : 2 * d])
-    features[:, 2 * d :] = q[:, :, None]
+    features = _features(params, passages, q)
     h = np.tanh(params.w_mix @ features + params.b_mix[:, None])
 
     start_scores = params.w_s @ h + params.b_s[0]
@@ -413,6 +428,18 @@ def _forward_stack(
         joint=scores,
         mask=mask,
     )
+
+
+def _features(params: ModelParams, passages: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The mixing layer's input ``[e; e * q; q]``, (..., 3d, L), of passages
+    (..., L) with embeddings ``e`` and question vectors ``q`` (..., d)."""
+    d = params.dim
+    e = np.swapaxes(params.emb[passages], -1, -2)
+    features = np.empty(e.shape[:-2] + (3 * d, e.shape[-1]))
+    features[..., :d, :] = e
+    np.multiply(e, q[..., None], out=features[..., d : 2 * d, :])
+    features[..., 2 * d :, :] = q[..., None]
+    return features
 
 
 def _check_finite(stack: _Stack) -> None:
@@ -489,25 +516,38 @@ class _PerExample:
         return self.form(j)
 
 
-def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> dict:
+def _backward_stack(
+    params: ModelParams, stack: _Stack, result: LossResult, held: bool = False
+) -> dict:
     """Every example's parameter-gradient contribution, not yet added anywhere.
 
     Maps each block the loss trains to a sequence indexed by example
     (a stacked array, or per-example products formed when read, so a stack
-    holds no B weight-sized blocks); ``"emb"`` maps to
-    ``(ids, rows)``, the stack's distinct token ids and a (B, ids, d) array
-    of each example's embedding gradient at them.  :func:`_add_rows` and
-    :func:`_add_context` add the contributions up.
+    holds no B weight-sized blocks); ``"emb"`` maps to ``(ids, rows)``, the
+    stack's distinct token ids and a (B, ids, d) array of each example's
+    embedding gradient at them.  :func:`_add_rows` adds the contributions up.
+
+    A ``held`` stack's contributions wait for other stacks (a
+    shared-normalization chunk's; :func:`_add_context` adds them), so they
+    are kept small.  The stack has dropped its mixing-layer input F, whose
+    embeddings are gathered again for this pass and whose example rows are
+    formed again when their product is read.  The blocks formed as stacked
+    arrays are one ``(positions, (B, values))`` matrix under ``"stacked"``,
+    in serialization order, with the values' positions in the flat vector.
+    ``"emb"`` maps to ``(tokens, rows, bounds)``: example ``j``'s embedding
+    gradient is ``rows[bounds[j] : bounds[j + 1]]`` at the ascending
+    ``tokens`` of the same slice, the ids it touches.
 
     Each gradient the result reports takes its one route: boundary scores
     through w_s/w_e, the joint matrix through the joint head and similarity
     weights, and the conditional head's gradients straight to its blocks
-    and the passage representations.
+    and the passage representations.  Temporaries go as soon as they are
+    used, so the pass's peak stays low.
     """
     # The per-example closures below hold only the arrays they read, so a
     # held contribution does not keep the stack's score matrices alive.
-    h, features, q_bar = stack.h, stack.features, stack.q_bar
-    size = h.shape[0]
+    h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
+    size, d, length = h.shape
     d_h = np.zeros_like(h)
     parts = {}
 
@@ -523,7 +563,9 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
         )
         parts["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
         parts["b_joint"] = d_hs.sum(axis=2)
-        d_h += params.w_joint.T @ d_hs + d_he
+        d_he += params.w_joint.T @ d_hs
+        d_h += d_he
+        del d_he
         if d_w_sim is not None:
             parts["w_sim"] = d_w_sim
 
@@ -534,15 +576,24 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
         d_h += result.grad_h
 
     # Through H = tanh(w_mix F + b_mix).
-    d_pre = d_h * (1.0 - h**2)
-    parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
+    d_pre = d_h
+    d_pre *= 1.0 - h**2
+    if held:
+        e = np.ascontiguousarray(params.emb[passage_ids].transpose(0, 2, 1))
+        parts["w_mix"] = _PerExample(
+            lambda j: d_pre[j] @ _features(params, passage_ids[j], q[j]).T
+        )
+    else:
+        features = stack.features
+        e = features[:, :d]
+        parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
     parts["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
     # Through F = [e; e * q; q].
-    d = params.dim
-    d_e = d_features[:, :d] + d_features[:, d : 2 * d] * stack.q[:, :, None]
-    d_q = (d_features[:, d : 2 * d] * features[:, :d]).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
+    d_e = d_features[:, :d] + d_features[:, d : 2 * d] * q[:, :, None]
+    d_q = (d_features[:, d : 2 * d] * e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
+    del d_features, e
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
     parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
@@ -552,23 +603,39 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     # Embedding rows: each example's passage rows, then its question rows,
     # summed per example over the stack's distinct ids.
     q_lengths = stack.question_lengths
-    length = h.shape[2]
-    token_ids = np.concatenate([stack.passage_ids.ravel(), stack.question_ids])
+    token_ids = np.concatenate([passage_ids.ravel(), stack.question_ids])
     seen = np.zeros(params.vocab_size, dtype=bool)
     seen[token_ids] = True
     ids = np.flatnonzero(seen)
     slot_of = np.zeros(params.vocab_size, dtype=np.int64)
     slot_of[ids] = np.arange(ids.size)
-    where = slot_of[token_ids]
-    slot = where + ids.size * np.concatenate(
+    slot = slot_of[token_ids] + ids.size * np.concatenate(
         [np.repeat(np.arange(size), length), np.repeat(np.arange(size), q_lengths)]
     )
-    rows = np.concatenate([
-        d_e.transpose(0, 2, 1).reshape(size * length, d),
-        np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0),
-    ])
-    parts["emb"] = (ids, _sum_rows(slot, rows, size * ids.size).reshape(size, ids.size, d))
-    return parts
+    rows = np.empty((token_ids.size, d))
+    rows[: size * length].reshape(size, length, d)[...] = d_e.transpose(0, 2, 1)
+    del d_e
+    rows[size * length :] = np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
+    if not held:
+        parts["emb"] = (ids, _sum_rows(slot, rows, size * ids.size).reshape(size, ids.size, d))
+        return parts
+
+    touched = np.zeros(size * ids.size, dtype=bool)  # the (example, id) cells in use
+    touched[slot] = True
+    kept = np.flatnonzero(touched)
+    stacked = tuple(name for name in params.shapes if isinstance(parts.get(name), np.ndarray))
+    return {
+        **{name: rows for name, rows in parts.items() if isinstance(rows, _PerExample)},
+        "stacked": (
+            params.positions(stacked),
+            np.concatenate([parts[name].reshape(size, -1) for name in stacked], axis=1),
+        ),
+        "emb": (
+            ids[kept % ids.size],
+            _sum_rows((np.cumsum(touched) - 1)[slot], rows, kept.size),
+            np.searchsorted(kept, np.arange(size + 1) * ids.size).tolist(),
+        ),
+    }
 
 
 def _sum_rows(slots: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
@@ -595,38 +662,46 @@ def _add_rows(grads: dict, parts: dict, lo: int, hi: int) -> None:
     grads["emb"][ids] = emb
 
 
-def _add_context(grads: dict, members) -> None:
+def _add_context(grads: FlatBlocks, members) -> None:
     """Add one context's gradient to ``grads``.
 
     ``members`` lists the ``(parts, row)`` of the context's passages in
-    passage order.  They are summed in that order and the sum is added to
-    the total: the adds of forming the context's gradient from zeros and
-    adding it to the total.  Skipping the zeros, and adding an embedding
-    sum only at the ids it touches, change no bit, because a total that
-    starts at +0.0 never holds -0.0 (``x + 0.0 == x``).
+    passage order, ``parts`` a held stack's contributions
+    (:func:`_backward_stack`).  They are summed in that order and the sum
+    is added to the total: the adds of forming the context's gradient from
+    zeros and adding it to the total.  Skipping the zeros, and adding an
+    embedding sum only at the ids it touches, change no bit, because a
+    total that starts at +0.0 never holds -0.0 (``x + 0.0 == x``).
     """
     (first, row), rest = members[0], members[1:]
+    positions, stacked = first["stacked"]
+    total = stacked[row]
+    for parts, j in rest:
+        total = total + parts["stacked"][1][j]
+    grads.flat[positions] += total
     for name, rows in first.items():
-        if name != "emb":
+        if isinstance(rows, _PerExample):
             total = rows[row]
             for parts, j in rest:
                 total = total + parts[name][j]
             grads[name] += total
-    ids = first["emb"][0]
-    if all(parts["emb"][0] is ids for parts, _ in rest):
-        total = first["emb"][1][row]
-        for parts, j in rest:
-            total = total + parts["emb"][1][j]
-    else:
-        # The union of the stacks' ids (np.unique's first call costs 1 MB of imports).
-        seen = np.zeros(len(grads["emb"]), dtype=bool)
-        for parts, _ in members:
-            seen[parts["emb"][0]] = True
-        ids = np.flatnonzero(seen)
-        total = np.zeros((ids.size, grads["emb"].shape[1]))
-        for parts, j in members:
-            stack_ids, rows = parts["emb"]
-            total[np.searchsorted(ids, stack_ids)] += rows[j]
+
+    tokens, rows = [], []
+    for parts, j in members:
+        stack_tokens, stack_rows, bounds = parts["emb"]
+        tokens.append(stack_tokens[bounds[j] : bounds[j + 1]])
+        rows.append(stack_rows[bounds[j] : bounds[j + 1]])
+    if not rest:
+        grads["emb"][tokens[0]] += rows[0]
+        return
+    # The union of the passages' ids (np.unique's first call costs 1 MB of imports).
+    seen = np.zeros(len(grads["emb"]), dtype=bool)
+    for ids in tokens:
+        seen[ids] = True
+    ids = np.flatnonzero(seen)
+    total = np.zeros((ids.size, grads["emb"].shape[1]))
+    for passage_ids, passage_rows in zip(tokens, rows):
+        total[np.searchsorted(ids, passage_ids)] += passage_rows
     grads["emb"][ids] += total
 
 
@@ -730,12 +805,14 @@ def _supervised(context) -> bool:
     return any(len(p.gt_spans) for p in context.passages)
 
 
-def _context_chunks(contexts):
-    """Runs of consecutive contexts holding at most ``MAX_STACK`` passages in all.
+def _context_chunks(contexts, budget: int = MAX_WINDOW_CELLS):
+    """Runs of consecutive contexts holding at most ``budget`` score cells
+    (L^2 over their passages) in all.
 
     A run holds at least one context, so a larger context is a run of its own.
     """
-    for lo, hi in _cell_windows([len(context.passages) for context in contexts], MAX_STACK):
+    cells = [sum(np.size(p.passage_ids) ** 2 for p in context.passages) for context in contexts]
+    for lo, hi in _cell_windows(cells, budget):
         yield contexts[lo:hi]
 
 
@@ -743,66 +820,118 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
     """Pooled losses of supervised contexts; adds their gradients to ``grads``.
 
     The contexts' passages run through the core as the planner's stacks,
-    all in one window (:func:`_stack_windows`).  Each context pays one
-    :func:`~spanobj.objectives.pooled_ce` per factor (start, end, joint)
-    over its passages' scores in passage order, marginalizing every
-    distantly supervised position, and its gradient reaches ``grads``
-    through :func:`_add_context`, context after context.  Losses and
-    gradients equal a loop of :func:`context_loss_and_grads` over the
+    all in one window (:func:`_stack_windows`); a stack keeps only its
+    matrices' unmasked cells.  Each context pays one pooled cross-entropy
+    per factor (start, end, joint) over its passages' scores in passage
+    order, marginalizing every distantly supervised position; every
+    context's three pools run as one :func:`_pooled_losses`.  The stacks'
+    backward passes then run as held stacks (:func:`_backward_stack`), each
+    stack's forward arrays released after its pass; each context is added
+    (:func:`_add_context`) as soon as its stacks have run, and a stack's
+    contributions are released once its passages have been added.  Losses
+    and gradients equal a loop of :func:`context_loss_and_grads` over the
     contexts bit for bit.
     """
+    passages = [p for context in contexts for p in context.passages]
     items = [
         SimpleNamespace(question_ids=context.question_ids, passage_ids=p.passage_ids)
         for context in contexts
         for p in context.passages
     ]
     (window,) = _stack_windows(params, items, math.inf, policy)
-    stacks, cells = [], []
-    where = [None] * len(items)  # passage -> (stack, row)
+    stacks, last, place = [], [], [None] * len(items)  # passage -> (stack, row)
     for members, stack in window:
-        stacks.append(stack)
-        # Each row's unmasked span scores, row-major.
-        cells.append(stack.joint.reshape(len(members), -1)[:, stack.mask.ravel()])
+        # Each row's unmasked span scores, row-major, are all the losses read
+        # of the matrices.  The mixing layer's input and the joint head's
+        # start representations are formed again in the backward pass.
+        stacks.append((stack, stack.joint.reshape(len(members), -1)[:, stack.mask.ravel()]))
+        stack.joint = stack.h_start = stack.features = None
+        last.append(members[-1])
         for j, i in enumerate(members):
-            where[i] = (len(stacks) - 1, j)
-    spots, first = [], 0
-    for context in contexts:
-        spots.append(where[first : first + len(context.passages)])
-        first += len(context.passages)
+            place[i] = (len(stacks) - 1, j)
 
-    losses = []
-    score_grads = [
-        (np.zeros(s.start_scores.shape), np.zeros(s.end_scores.shape), np.zeros(c.shape))
-        for s, c in zip(stacks, cells)
+    golds = ([], [], [])  # each passage's start, end and joint gold positions
+    for p, (k, _) in zip(passages, place):
+        spans = [(int(t.start), int(t.end)) for t in p.gt_spans]
+        length = np.size(p.passage_ids)
+        golds[0].append(boundary_gold([s for s, _ in spans], length))
+        golds[1].append(boundary_gold([e for _, e in spans], length))
+        golds[2].append(joint_gold(spans, stacks[k][0].mask))
+    firsts = np.cumsum([0] + [len(context.passages) for context in contexts])
+    factors = [
+        [stack.start_scores for stack, _ in stacks],
+        [stack.end_scores for stack, _ in stacks],
+        [cells for _, cells in stacks],
     ]
-    for context, at in zip(contexts, spots):
-        spans = [[(int(t.start), int(t.end)) for t in p.gt_spans] for p in context.passages]
-        starts = [stacks[k].start_scores[j] for k, j in at]
-        ends = [stacks[k].end_scores[j] for k, j in at]
-        start, grad_start = pooled_ce(
-            starts, [boundary_gold([s for s, _ in g], row.size) for g, row in zip(spans, starts)]
-        )
-        end, grad_end = pooled_ce(
-            ends, [boundary_gold([e for _, e in g], row.size) for g, row in zip(spans, ends)]
-        )
-        joint, grad_joint = pooled_ce(
-            [cells[k][j] for k, j in at],
-            [joint_gold(g, stacks[k].mask) for g, (k, _) in zip(spans, at)],
-        )
-        losses.append(joint + start + end)
-        for (k, j), *blocks in zip(at, grad_start, grad_end, grad_joint):
-            for stacked, block in zip(score_grads[k], blocks):
-                stacked[j] = block
+    losses, score_grads = _pooled_losses(factors, place, firsts, golds)
 
-    parts = []
-    for stack, (grad_start, grad_end, grad_cells) in zip(stacks, score_grads):
-        grad_joint = np.zeros(stack.joint.shape)
-        grad_joint.reshape(len(grad_joint), -1)[:, stack.mask.ravel()] = grad_cells
+    # Each context is added, in context order, once its stacks have run;
+    # a stack's contributions go once its passages have been added.
+    spots = [place[lo:hi] for lo, hi in zip(firsts.tolist(), firsts[1:].tolist())]
+    parts, added = [None] * len(stacks), 0
+    for k, (grad_start, grad_end, grad_cells) in enumerate(zip(*score_grads)):
+        stack, _ = stacks[k]
+        stacks[k] = None  # its forward arrays go once its backward pass is done
+        stack.h_start = start_reps(stack.h, params.w_joint, params.b_joint)
+        grad_joint = np.zeros((len(grad_cells),) + stack.mask.shape)
+        grad_joint.reshape(len(grad_cells), -1)[:, stack.mask.ravel()] = grad_cells
         result = LossResult(0.0, grad_start, grad_end, grad_joint)
-        parts.append(_backward_stack(params, stack, result))
-    for at in spots:
-        _add_context(grads, [(parts[k], j) for k, j in at])
+        parts[k] = _backward_stack(params, stack, result, held=True)
+        while added < len(spots) and all(parts[s] is not None for s, _ in spots[added]):
+            _add_context(grads, [(parts[s], j) for s, j in spots[added]])
+            added += 1
+        for i in range(k + 1):
+            if last[i] < firsts[added]:
+                parts[i] = None
     return losses
+
+
+def _pooled_losses(factors: list, place: list, firsts: np.ndarray, golds: tuple) -> tuple:
+    """Every context's pooled loss, the sum of its three factors'
+    cross-entropies, as one :func:`~spanobj.objectives.pooled_ce_rows`.
+
+    ``factors`` holds the start, end and joint factors' score rows per
+    stack, (B, n) arrays; ``place`` each passage's ``(stack, row)`` in
+    passage order, ``firsts`` each context's first passage (then the
+    passage count) and ``golds`` each factor's ascending gold positions per
+    passage.  A context's pool of a factor is its passages' rows in passage
+    order; the pools run factor after factor.  Returns the losses
+    (joint + start + end) and each factor's score gradients per stack, laid
+    out as its rows.
+    """
+    stacked = [rows for factor in factors for rows in factor]
+    offsets = np.cumsum([0] + [rows.size for rows in stacked]).tolist()
+    count = len(factors[0])  # stacks
+    starts, widths = [], []
+    for f, factor in enumerate(factors):
+        for k, j in place:
+            width = factor[k].shape[1]
+            starts.append(offsets[f * count + k] + j * width)
+            widths.append(width)
+    where = _ranges(starts, widths)  # the (factor, passage) rows, one after the other
+    at = np.cumsum([0] + widths)
+    rows = [positions for factor_golds in golds for positions in factor_golds]
+    gold = [lo + pos for lo, positions in zip(at.tolist(), rows) for pos in positions]
+    gold_at = np.cumsum([0] + [len(positions) for positions in rows])
+    pools = [f * len(place) + first for f in range(3) for first in firsts[:-1].tolist()] + [len(rows)]
+    losses, grad = pooled_ce_rows(
+        np.concatenate([rows.ravel() for rows in stacked])[where],
+        at[pools],
+        np.array(gold, dtype=np.int64),
+        gold_at[pools],
+    )
+    flat = np.empty(grad.size)
+    flat[where] = grad
+    per_stack = [flat[lo:hi].reshape(rows.shape) for lo, hi, rows in zip(offsets, offsets[1:], stacked)]
+    start, end, joint = np.split(losses, 3)
+    return (joint + start + end).tolist(), [per_stack[f * count : (f + 1) * count] for f in range(3)]
+
+
+def _ranges(starts, sizes) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + sizes[i] - 1``, concatenated."""
+    sizes = np.asarray(sizes)
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(np.asarray(starts) - (ends - sizes), sizes)
 
 
 def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALID):
@@ -1168,7 +1297,8 @@ def save_checkpoint(
     vocabulary, run metadata), then the raw little-endian float64 bytes of
     ``params.flat`` (every block in declared order), followed by the
     optimizer's first- and second-moment vectors when present.  Identical
-    inputs produce identical bytes.
+    inputs produce identical bytes.  The file replaces ``path`` only once it
+    is written whole (:func:`~spanobj.data.replacing`).
     """
     blocks = params.blocks()
     header = {
@@ -1185,7 +1315,7 @@ def save_checkpoint(
     }
     if optimizer is not None:
         header["optimizer"] = {key: getattr(optimizer, key) for key in _ADAMW_SETTINGS}
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
         fh.write(canonical_json(header).encode("utf-8"))
         fh.write(b"\n")

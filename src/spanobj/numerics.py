@@ -198,6 +198,30 @@ def _logsumexp(scores: np.ndarray) -> float:
     return m + float(np.log(np.exp(scores - m).sum()))
 
 
+def _segment_logsumexp(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """:func:`_logsumexp` of every nonempty segment ``values[bounds[c]:bounds[c + 1]]``,
+    bit for bit: the max is exact in any order, and the sums are 1-D sums
+    (:func:`_segment_sums`)."""
+    bounds = np.asarray(bounds)
+    m = np.maximum.reduceat(values, bounds[:-1])
+    return m + np.log(_segment_sums(np.exp(values - np.repeat(m, np.diff(bounds))), bounds))
+
+
+def _segment_sums(values: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``values[lo:hi].sum()`` of every segment between consecutive ``bounds``, bit for bit.
+
+    Segments of one length are summed as the rows of one C-contiguous
+    array, whose row sums add in the order of a 1-D sum (pairwise from 8
+    values up); ``np.add.reduceat`` adds in another order.
+    """
+    lengths = np.diff(bounds)
+    sums = np.empty(lengths.size)
+    for length in set(lengths.tolist()):
+        which = np.flatnonzero(lengths == length)
+        sums[which] = values[bounds[which][:, None] + np.arange(length)].sum(axis=1)
+    return sums
+
+
 def _fsum(values: np.ndarray) -> float:
     """``math.fsum(values)`` of a 1-D float64 array, bit for bit.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, InvalidTargetError, NoSupervisionError
-from .numerics import ScoreMatrix, _check_finite_vector, _logsumexp, log_softmax_rows
+from .numerics import ScoreMatrix, _check_finite_vector, _segment_logsumexp, log_softmax_rows
 
 BOUNDARY_START = "start"
 BOUNDARY_END = "end"
@@ -370,39 +370,37 @@ def boundary_gold(positions, length: int) -> list:
     return sorted(positions)
 
 
-def pooled_ce(rows, golds) -> tuple[float, list]:
-    """Shared-normalization cross-entropy over gathered score rows, with gradients.
+def pooled_ce_rows(scores, bounds, gold, gold_bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Shared-normalization cross-entropies of consecutive pools, with gradients.
 
-    ``rows`` holds one passage's finite 1-D scores each (not checked) and
-    ``golds`` each row's ascending gold positions.  One softmax runs over
-    the rows concatenated in order; the numerator marginalizes every gold
-    position.  The loss is ``logsumexp(all) - logsumexp(gold)`` and the
-    gradient at each score ``softmax_all - [in gold] * softmax_gold``; both
-    log-sum-exps are 1-D reductions over the concatenated scores.  Returns
-    the loss and one gradient block per row (views of one array).
+    Pool ``c`` is ``scores[bounds[c]:bounds[c + 1]]``, its passages' finite
+    1-D scores one after the other (not checked), and its gold positions
+    are ``gold[gold_bounds[c]:gold_bounds[c + 1]]``, ascending indices into
+    ``scores``.  Each pool pays one softmax over its scores whose numerator
+    marginalizes its gold positions: the loss is
+    ``logsumexp(pool) - logsumexp(gold)`` and the gradient at each score
+    ``softmax_pool - [in gold] * softmax_gold``.  Every log-sum-exp is a
+    1-D reduction over one pool's scores, so each pool equals a run of its
+    own bit for bit.  Returns the (pools,) losses and the gradient, laid
+    out as ``scores``.
     """
-    scores = np.concatenate(rows)
-    gold = []
-    bounds = [0]
-    for row, positions in zip(rows, golds):
-        gold += [bounds[-1] + pos for pos in positions]
-        bounds.append(bounds[-1] + row.size)
-    if not gold:
+    gold_bounds = np.asarray(gold_bounds)
+    if (np.diff(gold_bounds) == 0).any():
         raise NoSupervisionError("no passage contributes a ground-truth position")
-    lse_all = _logsumexp(scores)
+    lse_all = _segment_logsumexp(scores, bounds)
     gold_scores = scores[gold]
-    lse_gt = _logsumexp(gold_scores)
-    grad = np.exp(scores - lse_all)
-    grad[gold] -= np.exp(gold_scores - lse_gt)
-    return lse_all - lse_gt, [grad[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    lse_gt = _segment_logsumexp(gold_scores, gold_bounds)
+    grad = np.exp(scores - np.repeat(lse_all, np.diff(bounds)))
+    grad[gold] -= np.exp(gold_scores - np.repeat(lse_gt, np.diff(gold_bounds)))
+    return lse_all - lse_gt, grad
 
 
 def shared_norm_loss(target: SharedNormTarget, boundary: str) -> LossResult:
     """Shared-normalization objective over a pooled passage set.
 
     Each passage's scores (a joint matrix's unmasked cells, row-major) are
-    pooled in passage order and pay :func:`pooled_ce`; the gradient of a
-    joint passage is zero on its masked cells.
+    pooled in passage order and pay one pool of :func:`pooled_ce_rows`; the
+    gradient of a joint passage is zero on its masked cells.
     """
     if boundary not in BOUNDARIES:
         raise InvalidInputError(f"unknown boundary {boundary!r}")
@@ -417,13 +415,17 @@ def shared_norm_loss(target: SharedNormTarget, boundary: str) -> LossResult:
         else:
             rows.append(_check_finite_vector(scores))
             golds.append(boundary_gold(gt, rows[-1].size))
-    loss, blocks = pooled_ce(rows, golds)
+    bounds = np.cumsum([0] + [row.size for row in rows])
+    gold = [lo + pos for lo, positions in zip(bounds.tolist(), golds) for pos in positions]
+    (loss,), grad = pooled_ce_rows(
+        np.concatenate(rows), bounds[[0, -1]], np.array(gold, dtype=np.int64), [0, len(gold)]
+    )
     grads = []
-    for block, passage in zip(blocks, target.passages):
+    for lo, hi, passage in zip(bounds, bounds[1:], target.passages):
         if joint:
             g = np.zeros_like(passage.values)
-            g[passage.mask] = block
+            g[passage.mask] = grad[lo:hi]
         else:
-            g = block.copy()
+            g = grad[lo:hi].copy()
         grads.append(g)
-    return LossResult(loss, grad_passages=grads)
+    return LossResult(float(loss), grad_passages=grads)

@@ -275,6 +275,21 @@ def test_write_records_writes_the_canonical_bytes(tmp_path):
     )
 
 
+def test_a_failed_write_leaves_the_previous_records_whole(tmp_path):
+    path = tmp_path / "records.jsonl"
+    write_records(os.fspath(path), [{"epoch": 0}])
+    before = path.read_bytes()
+
+    def records():
+        yield {"epoch": 0}
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        write_records(os.fspath(path), records())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
 def _saved_dataset_and_contexts(tmp_path):
     """Paths of a saved dataset file and of a saved contexts file."""
     config = GeneratorConfig(n_train=8, n_dev=2, subjects=4, attributes=2, value_pool=6)

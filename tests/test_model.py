@@ -48,6 +48,7 @@ from spanobj.numerics import (
     MASK_VALID,
     MAX_STACK,
     MAX_STACK_CELLS,
+    MAX_WINDOW_CELLS,
     finite_diff_gradient,
 )
 from spanobj.objectives import (
@@ -454,7 +455,7 @@ def test_train_dss_refuses_examples_and_names_train():
 def test_shared_normalization_over_one_passage_trains_as_compound(policy):
     # A one-passage context with one gold span pools nothing, so each
     # pooled cross-entropy is the plain one and the loss is compound's.
-    # The two agree to rounding, not bit for bit: pooled_ce takes 1-D
+    # The two agree to rounding, not bit for bit: pooled_ce_rows takes 1-D
     # log-sum-exps over the concatenated scores, softmax_ce_rows row-wise
     # log-softmaxes, and the two round differently (here by at most 4e-11).
     rng = np.random.default_rng(61)
@@ -483,11 +484,19 @@ def test_context_without_passages_is_invalid_input_not_divergence():
         context_loss_and_grads(init_params(15, dim=6), contexts[1])
 
 
-def test_context_chunks_hold_at_most_max_stack_passages():
-    sizes = [3, 4, 1, 2, 9, 8, 1, 1]
-    contexts = [_Ctx(np.array([1]), [(np.array([1]), set())] * n) for n in sizes]
-    chunks = [[len(c.passages) for c in chunk] for chunk in _context_chunks(contexts)]
-    assert chunks == [[3, 4, 1], [2], [9], [8], [1, 1]]
+def test_context_chunks_hold_whole_contexts_within_the_window_cell_budget():
+    # A context's cells are L^2 summed over its passages; the budget is
+    # MAX_WINDOW_CELLS (2 x 90^2), and a larger context is a chunk of its own.
+    lengths = [[90], [60, 30], [90, 90], [180], [12] * 8, [120], [30]]
+    contexts = [
+        _Ctx(np.array([1]), [(np.ones(n, dtype=np.int64), set()) for n in ls]) for ls in lengths
+    ]
+    chunks = list(_context_chunks(contexts))
+    assert [context for chunk in chunks for context in chunk] == contexts
+    cells = [[sum(p.passage_ids.size**2 for p in c.passages) for c in chunk] for chunk in chunks]
+    assert MAX_WINDOW_CELLS == 16200
+    assert cells == [[8100, 4500], [16200], [32400], [1152, 14400], [900]]
+    assert [len(chunk) for chunk in _context_chunks(contexts, 900)] == [1] * len(contexts)
 
 
 def test_params_must_hold_the_block_table_in_order():
@@ -595,6 +604,20 @@ def test_checkpoint_round_trip_is_bytewise_stable(tmp_path):
     for name, _ in result.params.blocks():
         np.testing.assert_array_equal(ckpt.optimizer.m[name], result.optimizer.m[name])
         np.testing.assert_array_equal(ckpt.optimizer.v[name], result.optimizer.v[name])
+
+
+def test_a_failed_checkpoint_write_leaves_the_previous_checkpoint_whole(tmp_path):
+    params = init_params(15, dim=4, seed=2)
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(os.fspath(path), params, objective=OBJ_COMPOUND, seed=2, epoch=1)
+    before = path.read_bytes()
+    # The header is encoded after the magic line is written, so this fails midway.
+    with pytest.raises(TypeError):
+        save_checkpoint(
+            os.fspath(path), params, objective=OBJ_COMPOUND, seed=2, epoch=2, extra={"bad": object()}
+        )
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ckpt"]
 
 
 def test_checkpoint_resume_from_disk_matches_memory(tmp_path):

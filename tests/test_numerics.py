@@ -12,6 +12,9 @@ from spanobj.numerics import (
     MASK_FULL,
     MASK_VALID,
     ScoreMatrix,
+    _logsumexp,
+    _segment_logsumexp,
+    _segment_sums,
     finite_diff_gradient,
     log_softmax,
     logsumexp,
@@ -69,6 +72,20 @@ def test_logsumexp_matches_scipy():
     for _ in range(200):
         x = rng.normal(0.0, float(rng.choice([1.0, 30.0])), size=int(rng.integers(1, 40)))
         assert logsumexp(x) == pytest.approx(float(scipy.special.logsumexp(x)), abs=1e-12)
+
+
+def test_segment_sums_equal_one_dimensional_sums_bit_for_bit():
+    # Lengths below 8 (sequential), up to 128 (eight accumulators) and past
+    # it (pairwise halves), several segments of each length, at any offset.
+    rng = np.random.default_rng(17)
+    lengths = rng.permutation(np.repeat([1, 2, 7, 8, 9, 33, 128, 129, 300, 471], 3))
+    bounds = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.normal(size=bounds[-1]) * 10.0 ** rng.integers(-8, 8, size=bounds[-1])
+    sums = _segment_sums(values, bounds)
+    lses = _segment_logsumexp(values, bounds)
+    for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        assert sums[c] == values[lo:hi].copy().sum()
+        assert lses[c] == _logsumexp(values[lo:hi].copy())
 
 
 def test_non_finite_scores_are_rejected():

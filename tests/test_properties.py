@@ -23,6 +23,7 @@ calls it replaced, and checkpoint bytes to a copy of the block-wise
 writer, bit for bit.
 """
 
+import functools
 import json
 import math
 import os
@@ -52,6 +53,7 @@ from spanobj.numerics import (
     _BINNED_FSUM_MIN,
     MASK_POLICIES,
     MASK_VALID,
+    MAX_STACK,
     ScoreMatrix,
     _binned_fsum,
     _fsum,
@@ -643,12 +645,12 @@ class _Context:
 
 
 @st.composite
-def contexts(draw, min_passages=1, max_passages=4):
+def contexts(draw, min_passages=1, max_passages=4, lengths=(1, 3, 6)):
     """A context of passages of mixed L, each with 0-3 gold spans (or none at all)."""
     supervised = draw(st.booleans()) or draw(st.booleans())
     passages = []
     for _ in range(draw(st.integers(min_passages, max_passages))):
-        length = draw(st.sampled_from((1, 3, 6)))
+        length = draw(st.sampled_from(lengths))
         gold = set()
         for _ in range(draw(st.integers(0, 3)) if supervised else 0):
             start = draw(st.integers(0, length - 1))
@@ -659,12 +661,19 @@ def contexts(draw, min_passages=1, max_passages=4):
     return _Context(np.array(question), passages)
 
 
+# A chunk budget of a few dozen score cells, so that most batches of these
+# contexts run as several chunks (the default budget holds any of them whole).
+_SMALL_BUDGET = 40
+_CONTEXT_CHUNKS = model._context_chunks
+
+
 @st.composite
 def context_batches(draw):
-    """Contexts, optionally one with more than MAX_STACK passages, and a batch size."""
+    """Contexts, optionally one with more than MAX_STACK passages and more
+    than ``_SMALL_BUDGET`` cells, and a batch size."""
     batch = draw(st.lists(contexts(), min_size=1, max_size=12))
     if draw(st.booleans()):
-        big = draw(contexts(min_passages=model.MAX_STACK + 1, max_passages=model.MAX_STACK + 3))
+        big = draw(contexts(MAX_STACK + 1, MAX_STACK + 3, lengths=(3, 6)))
         batch.insert(draw(st.integers(0, len(batch))), big)
     return batch, draw(st.integers(1, 12))
 
@@ -675,14 +684,15 @@ class _RecordingAdamW(model.AdamW):
         super().step(params, grads)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     context_batches(),
     st.sampled_from(MASK_POLICIES),
     st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
     st.integers(0, 2**16),
+    st.sampled_from((model.MAX_WINDOW_CELLS, _SMALL_BUDGET)),
 )
-def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed):
+def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed, budget):
     contexts_, batch_size = case
     params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
     rng = np.random.default_rng(seed)
@@ -706,10 +716,12 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
     config = model.TrainConfig(objective=OBJ_COMPOUND_SHARED, policy=policy, dim=4, similarity=sim)
     stepped, reference = params.copy(), params.copy()
     optimizer, ref_optimizer = _RecordingAdamW(), _RefAdamW()
+    chunks = functools.partial(_CONTEXT_CHUNKS, budget=budget)
     for lo in range(0, len(contexts_), batch_size):
         batch = contexts_[lo : lo + batch_size]
         optimizer.seen = None
-        outcome = model.train_step(stepped, batch, config, optimizer)
+        with mock.patch.object(model, "_context_chunks", chunks):
+            outcome = model.train_step(stepped, batch, config, optimizer)
         want_outcome, want_grads = _ref_context_step(reference, batch, policy, ref_optimizer)
         assert outcome == want_outcome
         if want_outcome[1]:
@@ -1057,7 +1069,7 @@ def decode_sets(draw):
     """Unsorted examples of mixed L up to 180; sometimes more at L=180 than a window holds."""
     lengths = draw(st.lists(st.sampled_from((1, 5, 12, 24, 60, 90, 180)), min_size=1, max_size=12))
     if draw(st.booleans()):
-        lengths += [180] * (model.MAX_STACK + 1)
+        lengths += [180] * (MAX_STACK + 1)
     lengths = draw(st.permutations(lengths))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     return [
