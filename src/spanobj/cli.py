@@ -208,11 +208,11 @@ def cmd_eval(args) -> int:
     lengths = evaluation.avg_topk_span_length(
         [[t for _, t in ranked[eid]] for eid in ordered_ids], k=args.top_k
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with data_mod.replacing(args.out) as fh:
         fh.write(report.to_json())
         fh.write("\n")
     if args.hist_out:
-        with open(args.hist_out, "w", encoding="utf-8") as fh:
+        with data_mod.replacing(args.hist_out) as fh:
             fh.write(lengths.histogram_rows())
             fh.write("\n")
     print(f"EM {report.em:.2f} F1 {report.f1:.2f} over {report.n} examples -> {args.out}")
@@ -291,7 +291,7 @@ def cmd_stats(args) -> int:
     text = report.format()
     print(text if text else "(no comparisons)")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with data_mod.replacing(args.out) as fh:
             fh.write(text)
             fh.write("\n")
     return 0

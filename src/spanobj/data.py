@@ -483,8 +483,9 @@ def load_dataset(path):
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:
-    """Headered text format: "<rows> <dim>" then one id + vector per line."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Headered text format: "<rows> <dim>" then one id + vector per line,
+    replacing ``path`` whole (:func:`replacing`)."""
+    with replacing(path) as fh:
         fh.write(f"{len(table.ids)} {table.dim}\n")
         for pid, row in zip(table.ids, table.matrix):
             fh.write(pid + " " + " ".join(repr(float(v)) for v in row) + "\n")

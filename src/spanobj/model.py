@@ -30,10 +30,10 @@ pass is run and checked for finiteness.  The planner has three consumers:
 * training batches (:func:`batch_loss_and_grads`), in windows of
   ``MAX_WINDOW_CELLS`` (180^2 / 2) cells.  After each stack, every example
   whose predecessors have all been added is added to the gradient total,
-  in example order, as runs of one stack's rows (one embedding gather and
-  scatter per run).  A window holds its stacks' contributions until they
-  are added, so memory sets its budget, and the stack order lets the adds
-  start soonest;
+  in example order, as runs of one stack's rows (one gather and scatter
+  of the stacked blocks and one of the embedding rows per run).  A window
+  holds its stacks' contributions until they are added, so memory sets
+  its budget, and the stack order lets the adds start soonest;
 * shared-normalization chunks, one window per chunk (below);
 * decoding (:func:`predict_distributions`), in windows of
   ``MAX_DECODE_CELLS`` (8 x 180^2) cells; a window's distributions are
@@ -75,19 +75,22 @@ scores in passage order (1-D log-sum-exps over the concatenated scores),
 and every context's pools run as one vectorized call.  A chunk runs every
 forward pass before its pooled losses, so it holds little per passage: a
 stack drops its joint matrix once its unmasked cells are gathered, and its
-mixing-layer input and joint start representations until its backward pass
-forms them again; each context is added as soon as its stacks have run,
-and a stack's contributions go once its passages have been added, each
-kept compact (``held`` in :func:`_backward_stack`).  ``context_loss_and_grads``
-is that path for one context.  The outputs equal a loop over contexts bit
-for bit because:
+mixing-layer input and joint start representations, which
+:func:`_backward_stack` forms again when it finds them gone; each context
+is added as soon as its stacks have run, and a stack's contributions go
+once its passages have been added.  Every stack, a chunk's or a batch's,
+returns its contributions in one format (:func:`_backward_stack`), read by
+:func:`_add_rows` and :func:`_add_context`.  ``context_loss_and_grads`` is
+that path for one context.  The outputs equal a loop over contexts bit for
+bit because:
 
 * the backward pass returns each passage's contribution on its own
   instead of adding it into the total;
-* each context sums its passages' contributions in passage order, and the
-  sum is added to the batch total in context order;
+* a one-passage context is added as its row; a longer one sums its
+  passages' contributions in passage order, and the sum is added to the
+  batch total in context order;
 * the sum needs no zeros to start from, and an embedding sum is added only
-  at the ids it touches, because a total that starts at +0.0 never holds
+  at its stacks' ids, because a total that starts at +0.0 never holds
   -0.0 (``x + 0.0 == x``).
 
 Example records are duck-typed: training consumes objects carrying
@@ -118,7 +121,7 @@ from .errors import (
     VocabularyError,
     malformed,
 )
-from .evaluation import em_f1
+from .evaluation import score_pairs
 from .numerics import (
     MASK_POLICIES,
     MASK_VALID,
@@ -516,78 +519,73 @@ class _PerExample:
         return self.form(j)
 
 
-def _backward_stack(
-    params: ModelParams, stack: _Stack, result: LossResult, held: bool = False
-) -> dict:
+def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> dict:
     """Every example's parameter-gradient contribution, not yet added anywhere.
 
-    Maps each block the loss trains to a sequence indexed by example
-    (a stacked array, or per-example products formed when read, so a stack
-    holds no B weight-sized blocks); ``"emb"`` maps to ``(ids, rows)``, the
+    The blocks formed as stacked arrays are one ``(positions, (B, values))``
+    matrix under ``"stacked"``, block after block as they are formed, with
+    the values' positions in the flat vector.  ``w_joint``, ``w_mix`` and
+    ``w_q`` map to per-example products formed when read, so a stack holds
+    no B weight-sized blocks.  ``"emb"`` maps to ``(ids, rows)``, the
     stack's distinct token ids and a (B, ids, d) array of each example's
-    embedding gradient at them.  :func:`_add_rows` adds the contributions up.
-
-    A ``held`` stack's contributions wait for other stacks (a
-    shared-normalization chunk's; :func:`_add_context` adds them), so they
-    are kept small.  The stack has dropped its mixing-layer input F, whose
-    embeddings are gathered again for this pass and whose example rows are
-    formed again when their product is read.  The blocks formed as stacked
-    arrays are one ``(positions, (B, values))`` matrix under ``"stacked"``,
-    in serialization order, with the values' positions in the flat vector.
-    ``"emb"`` maps to ``(tokens, rows, bounds)``: example ``j``'s embedding
-    gradient is ``rows[bounds[j] : bounds[j + 1]]`` at the ascending
-    ``tokens`` of the same slice, the ids it touches.
+    embedding gradient at them.  :func:`_add_rows` and :func:`_add_context`
+    add the contributions up.
 
     Each gradient the result reports takes its one route: boundary scores
     through w_s/w_e, the joint matrix through the joint head and similarity
     weights, and the conditional head's gradients straight to its blocks
-    and the passage representations.  Temporaries go as soon as they are
-    used, so the pass's peak stays low.
+    and the passage representations.  A stack that dropped its mixing-layer
+    input F or its joint start representations (a shared-normalization
+    chunk's) has them formed again: F's embeddings are gathered again for
+    this pass and its example rows formed again when their product is read.
+    Temporaries go as soon as they are used, so the pass's peak stays low.
     """
     # The per-example closures below hold only the arrays they read, so a
-    # held contribution does not keep the stack's score matrices alive.
+    # contribution does not keep the stack's score matrices alive.
     h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
     size, d, length = h.shape
     d_h = np.zeros_like(h)
-    parts = {}
+    parts, blocks = {}, {}  # per-example products; stacked (B, ...) blocks
 
     for head, g in (("s", result.grad_start), ("e", result.grad_end)):
         if g is not None:
-            parts["w_" + head] = (h @ g[:, :, None])[:, :, 0]
-            parts["b_" + head] = g.sum(axis=1)
+            blocks["w_" + head] = (h @ g[:, :, None])[:, :, 0]
+            blocks["b_" + head] = g.sum(axis=1)
             d_h += params.arrays["w_" + head][:, None] * g[:, None, :]
 
     if result.grad_joint is not None:
-        d_hs, d_he, d_w_sim = span_score_grads(
-            stack.h_start, h, params.similarity, result.grad_joint
-        )
+        h_start = stack.h_start
+        if h_start is None:
+            h_start = start_reps(h, params.w_joint, params.b_joint)
+        d_hs, d_he, d_w_sim = span_score_grads(h_start, h, params.similarity, result.grad_joint)
+        del h_start
         parts["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
-        parts["b_joint"] = d_hs.sum(axis=2)
+        blocks["b_joint"] = d_hs.sum(axis=2)
         d_he += params.w_joint.T @ d_hs
         d_h += d_he
         del d_he
         if d_w_sim is not None:
-            parts["w_sim"] = d_w_sim
+            blocks["w_sim"] = d_w_sim
 
     cond = result.grad_cond
     if cond is not None:
-        parts.update(w_cond=cond.w, b_cond=cond.b, w_cond_out=cond.w_out)
+        blocks.update(w_cond=cond.w, b_cond=cond.b, w_cond_out=cond.w_out)
     if result.grad_h is not None:
         d_h += result.grad_h
 
     # Through H = tanh(w_mix F + b_mix).
     d_pre = d_h
     d_pre *= 1.0 - h**2
-    if held:
+    features = stack.features
+    if features is None:
         e = np.ascontiguousarray(params.emb[passage_ids].transpose(0, 2, 1))
         parts["w_mix"] = _PerExample(
             lambda j: d_pre[j] @ _features(params, passage_ids[j], q[j]).T
         )
     else:
-        features = stack.features
         e = features[:, :d]
         parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
-    parts["b_mix"] = d_pre.sum(axis=2)
+    blocks["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
     # Through F = [e; e * q; q].
@@ -597,7 +595,7 @@ def _backward_stack(
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
     parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
-    parts["b_q"] = d_q
+    blocks["b_q"] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
     # Embedding rows: each example's passage rows, then its question rows,
@@ -616,26 +614,13 @@ def _backward_stack(
     rows[: size * length].reshape(size, length, d)[...] = d_e.transpose(0, 2, 1)
     del d_e
     rows[size * length :] = np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
-    if not held:
-        parts["emb"] = (ids, _sum_rows(slot, rows, size * ids.size).reshape(size, ids.size, d))
-        return parts
-
-    touched = np.zeros(size * ids.size, dtype=bool)  # the (example, id) cells in use
-    touched[slot] = True
-    kept = np.flatnonzero(touched)
-    stacked = tuple(name for name in params.shapes if isinstance(parts.get(name), np.ndarray))
-    return {
-        **{name: rows for name, rows in parts.items() if isinstance(rows, _PerExample)},
-        "stacked": (
-            params.positions(stacked),
-            np.concatenate([parts[name].reshape(size, -1) for name in stacked], axis=1),
-        ),
-        "emb": (
-            ids[kept % ids.size],
-            _sum_rows((np.cumsum(touched) - 1)[slot], rows, kept.size),
-            np.searchsorted(kept, np.arange(size + 1) * ids.size).tolist(),
-        ),
-    }
+    parts["emb"] = (ids, _sum_rows(slot, rows, size * ids.size).reshape(size, ids.size, d))
+    del rows, slot
+    parts["stacked"] = (
+        params.positions(tuple(blocks)),
+        np.concatenate([block.reshape(size, -1) for block in blocks.values()], axis=1),
+    )
+    return parts
 
 
 def _sum_rows(slots: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
@@ -647,11 +632,17 @@ def _sum_rows(slots: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(cells, weights=rows.ravel(), minlength=count * d).reshape(count, d)
 
 
-def _add_rows(grads: dict, parts: dict, lo: int, hi: int) -> None:
-    """Add rows ``lo..hi-1`` of a stack's contributions to ``grads``, one
-    example after the other."""
+def _add_rows(grads: FlatBlocks, parts: dict, lo: int, hi: int) -> None:
+    """Add rows ``lo..hi-1`` of a stack's contributions (:func:`_backward_stack`)
+    to ``grads``, one example after the other: the stacked matrix and the
+    embedding rows each through one gather and one scatter."""
+    positions, stacked = parts["stacked"]
+    total = grads.flat[positions]
+    for j in range(lo, hi):
+        total += stacked[j]
+    grads.flat[positions] = total
     for name, rows in parts.items():
-        if name != "emb":
+        if isinstance(rows, _PerExample):
             total = grads[name]
             for j in range(lo, hi):
                 total += rows[j]
@@ -666,14 +657,18 @@ def _add_context(grads: FlatBlocks, members) -> None:
     """Add one context's gradient to ``grads``.
 
     ``members`` lists the ``(parts, row)`` of the context's passages in
-    passage order, ``parts`` a held stack's contributions
-    (:func:`_backward_stack`).  They are summed in that order and the sum
-    is added to the total: the adds of forming the context's gradient from
-    zeros and adding it to the total.  Skipping the zeros, and adding an
-    embedding sum only at the ids it touches, change no bit, because a
-    total that starts at +0.0 never holds -0.0 (``x + 0.0 == x``).
+    passage order, ``parts`` a stack's contributions
+    (:func:`_backward_stack`).  One passage is :func:`_add_rows` of its row.
+    More are summed in passage order and the sum is added to the total: the
+    adds of forming the context's gradient from zeros and adding it to the
+    total.  Skipping the zeros, and adding an embedding sum only at its
+    stacks' ids, change no bit, because a total that starts at +0.0 never
+    holds -0.0 (``x + 0.0 == x``).
     """
     (first, row), rest = members[0], members[1:]
+    if not rest:
+        _add_rows(grads, first, row, row + 1)
+        return
     positions, stacked = first["stacked"]
     total = stacked[row]
     for parts, j in rest:
@@ -686,22 +681,15 @@ def _add_context(grads: FlatBlocks, members) -> None:
                 total = total + parts[name][j]
             grads[name] += total
 
-    tokens, rows = [], []
-    for parts, j in members:
-        stack_tokens, stack_rows, bounds = parts["emb"]
-        tokens.append(stack_tokens[bounds[j] : bounds[j + 1]])
-        rows.append(stack_rows[bounds[j] : bounds[j + 1]])
-    if not rest:
-        grads["emb"][tokens[0]] += rows[0]
-        return
-    # The union of the passages' ids (np.unique's first call costs 1 MB of imports).
+    # The union of the stacks' ids (np.unique's first call costs 1 MB of imports).
     seen = np.zeros(len(grads["emb"]), dtype=bool)
-    for ids in tokens:
-        seen[ids] = True
+    for parts, _ in members:
+        seen[parts["emb"][0]] = True
     ids = np.flatnonzero(seen)
     total = np.zeros((ids.size, grads["emb"].shape[1]))
-    for passage_ids, passage_rows in zip(tokens, rows):
-        total[np.searchsorted(ids, passage_ids)] += passage_rows
+    for parts, j in members:
+        stack_ids, rows = parts["emb"]
+        total[np.searchsorted(ids, stack_ids)] += rows[j]
     grads["emb"][ids] += total
 
 
@@ -825,12 +813,12 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
     per factor (start, end, joint) over its passages' scores in passage
     order, marginalizing every distantly supervised position; every
     context's three pools run as one :func:`_pooled_losses`.  The stacks'
-    backward passes then run as held stacks (:func:`_backward_stack`), each
-    stack's forward arrays released after its pass; each context is added
-    (:func:`_add_context`) as soon as its stacks have run, and a stack's
-    contributions are released once its passages have been added.  Losses
-    and gradients equal a loop of :func:`context_loss_and_grads` over the
-    contexts bit for bit.
+    backward passes then run (:func:`_backward_stack`, which forms what a
+    stack dropped again), each stack's forward arrays released after its
+    pass; each context is added (:func:`_add_context`) as soon as its stacks
+    have run, and a stack's contributions are released once its passages
+    have been added.  Losses and gradients equal a loop of
+    :func:`context_loss_and_grads` over the contexts bit for bit.
     """
     passages = [p for context in contexts for p in context.passages]
     items = [
@@ -872,11 +860,10 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
     for k, (grad_start, grad_end, grad_cells) in enumerate(zip(*score_grads)):
         stack, _ = stacks[k]
         stacks[k] = None  # its forward arrays go once its backward pass is done
-        stack.h_start = start_reps(stack.h, params.w_joint, params.b_joint)
         grad_joint = np.zeros((len(grad_cells),) + stack.mask.shape)
         grad_joint.reshape(len(grad_cells), -1)[:, stack.mask.ravel()] = grad_cells
         result = LossResult(0.0, grad_start, grad_end, grad_joint)
-        parts[k] = _backward_stack(params, stack, result, held=True)
+        parts[k] = _backward_stack(params, stack, result)
         while added < len(spots) and all(parts[s] is not None for s, _ in spots[added]):
             _add_context(grads, [(parts[s], j) for s, j in spots[added]])
             added += 1
@@ -1242,22 +1229,20 @@ def evaluate_model(
 ) -> EvalReport:
     """Greedy-decode a dev set and score EM/F1 and the cross-boundary rate.
 
-    The cross-boundary rate is measured over examples that record at least
-    two candidate answer spans: a decode crosses when its start falls inside
-    one candidate and its end inside another.
+    EM/F1 are :func:`~spanobj.evaluation.score_pairs`' aggregates, the
+    ``eval`` command's; an empty dev set scores zero.  The cross-boundary
+    rate is measured over examples that record at least two candidate
+    answer spans: a decode crosses when its start falls inside one
+    candidate and its end inside another.
     """
     dev_set = list(dev_set)
-    em_bits = []
-    f1_values = []
+    pairs = []
     crossings = 0
     eligible = 0
     dists = predict_distributions(params, dev_set, objective, policy, beam_width)
     for enc, dist in zip(dev_set, dists):
         predictions = decoding.top_k(dist, 1, enc.example.passage)
-        text = predictions[0].text if predictions else ""
-        em_bit, f1_value = em_f1(text, enc.example.answers)
-        em_bits.append(em_bit)
-        f1_values.append(f1_value)
+        pairs.append((predictions[0].text if predictions else "", enc.example.answers))
 
         regions = [(t.start, t.end) for t in getattr(enc.example, "candidate_spans", [])]
         if len(regions) >= 2 and predictions:
@@ -1265,11 +1250,11 @@ def evaluate_model(
             span = predictions[0].span
             if decoding.span_crosses((span.start, span.end), regions):
                 crossings += 1
-    n = len(em_bits)
+    scores = score_pairs(pairs) if pairs else SimpleNamespace(em=0.0, f1=0.0)
     return EvalReport(
-        em=100.0 * float(np.mean(em_bits)) if n else 0.0,
-        f1=100.0 * float(np.mean(f1_values)) if n else 0.0,
-        n=n,
+        em=scores.em,
+        f1=scores.f1,
+        n=len(pairs),
         cross_rate=crossings / eligible if eligible else 0.0,
         cross_count=crossings,
         cross_eligible=eligible,

@@ -249,6 +249,53 @@ def test_stats_reports_significance(pipeline, tmp_path, capsys):
     assert _file_bytes(out).decode("utf-8").strip() in printed
 
 
+def _stats_inputs(tmp_path):
+    paths = []
+    for label in ("compound", "independent"):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"label": label, "seeds": [1, 2], "values": [1.0, 2.0]}))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command, name", [
+    ("generate", "embeddings.txt"),
+    ("eval", "report.json"),
+    ("eval", "hist.csv"),
+    ("stats", "report.txt"),
+])
+def test_a_failed_cli_write_leaves_the_previous_file_whole(
+    pipeline, tmp_path, capsys, monkeypatch, command, name
+):
+    """Every output is written beside its target and moved over it: when
+    that move fails, the old file is whole and no temporary file is left."""
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = {
+        "generate": ["generate", "--out", str(out), "--seed", "3", "--n-train", "4",
+                     "--n-dev", "2", "--subjects", "2", "--attributes", "2", "--value-pool", "4"],
+        "eval": ["eval", "--predictions", str(_decoded(pipeline, tmp_path)),
+                 "--gold", str(pipeline["corpus"] / "dev.jsonl"), "--out", str(out / "report.json"),
+                 "--hist-out", str(out / "hist.csv"), "--top-k", "3"],
+        "stats": ["stats", "--metrics", *_stats_inputs(tmp_path),
+                  "--comparisons", "compound>independent", "--out", str(out / "report.txt")],
+    }[command]
+    target = out / name
+    target.write_bytes(b"old\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.fspath(dst) == os.fspath(target):
+            raise OSError(f"no space left writing {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    record = _expect_error(capsys, argv, "OSError")
+    assert name in record["message"]
+    assert target.read_bytes() == b"old\n"
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_resume_training_matches_uninterrupted_run(pipeline, tmp_path):
     corpus = str(pipeline["corpus"])
     straight = tmp_path / "straight"

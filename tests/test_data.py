@@ -290,6 +290,17 @@ def test_a_failed_write_leaves_the_previous_records_whole(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
 
 
+def test_a_failed_embedding_write_leaves_the_previous_table_whole(tmp_path):
+    path = tmp_path / "emb.txt"
+    save_embeddings(EmbeddingTable(["p0", "p1"], np.eye(2)), os.fspath(path))
+    before = path.read_bytes()
+    # The second row's id is not a string, so the write fails after the header and a row.
+    with pytest.raises(TypeError):
+        save_embeddings(EmbeddingTable(["q0", 1], np.ones((2, 2))), os.fspath(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+
 def _saved_dataset_and_contexts(tmp_path):
     """Paths of a saved dataset file and of a saved contexts file."""
     config = GeneratorConfig(n_train=8, n_dev=2, subjects=4, attributes=2, value_pool=6)

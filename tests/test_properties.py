@@ -28,7 +28,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from unittest import mock
 
 import numpy as np
@@ -84,7 +84,7 @@ from spanobj.objectives import (
     stack_one,
     unstack_one,
 )
-from spanobj.similarity import KIND_ADDITIVE_WEIGHTED_DOT, KIND_DOT
+from spanobj.similarity import KIND_ADDITIVE_WEIGHTED_DOT, KIND_DOT, SIMILARITY_KINDS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -576,6 +576,52 @@ def test_the_stack_plan_holds_every_item_once_in_ordered_one_length_stacks(
     if one_length:
         stacks = [stack for window in windows for stack in window]
         assert stacks == [list(range(lo, hi)) for lo, hi in runs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from((1, 3, 6)),
+    st.integers(1, MAX_STACK),
+    st.sampled_from(OBJECTIVE_KINDS),
+    st.sampled_from(MASK_POLICIES),
+    st.sampled_from(SIMILARITY_KINDS),
+    st.integers(0, 2**16),
+    st.data(),
+)
+def test_a_stack_that_dropped_its_inputs_gives_the_same_contributions_bit_for_bit(
+    length, size, objective, policy, sim, seed, data
+):
+    """A shared-normalization chunk's stacks drop the mixing-layer input,
+    the joint start representations and the joint matrix before their
+    backward passes; every contribution (the stacked matrix, each example's
+    per-example products and its embedding rows) equals the kept stack's."""
+    params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():  # nonzero biases, so every block carries signal
+        block += rng.normal(0.0, 0.1, size=block.shape)
+    ids = st.integers(0, VOCAB - 1)
+    questions = [np.array(data.draw(st.lists(ids, min_size=1, max_size=4))) for _ in range(size)]
+    passages = [np.array(data.draw(st.lists(ids, min_size=length, max_size=length))) for _ in range(size)]
+    starts = [data.draw(st.integers(0, length - 1)) for _ in range(size)]
+    targets = [SpanTarget(start, data.draw(st.integers(start, length - 1))) for start in starts]
+
+    joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
+    stack = model._forward_stack(params, questions, passages, policy, joint)
+    result = model._stack_loss(params, stack, targets, objective)
+    kept = model._backward_stack(params, stack, result)
+    dropped = model._backward_stack(
+        params, replace(stack, features=None, h_start=None, joint=None), result
+    )
+
+    assert list(dropped) == list(kept)
+    for name, want in kept.items():
+        got = dropped[name]
+        if isinstance(want, model._PerExample):
+            for j in range(size):
+                assert got[j].tobytes() == want[j].tobytes(), (name, j)
+        else:  # "stacked" and "emb": (positions or ids, (B, ...) rows)
+            assert got[0].tobytes() == want[0].tobytes(), name
+            assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes(), name
 
 
 # ---------------------------------------------------------------------------
