@@ -91,6 +91,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"option 'seeds' takes integers, got {args.seeds!r}") from err
     if not seeds:
         raise ConfigError("no training seeds given")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"option 'seeds' names a seed twice: {args.seeds!r}")
     # Every config is checked before anything is read or written.
     configs = [model.TrainConfig(seed=s, **_config_fields(args, model.TrainConfig)) for s in seeds]
     shared = args.objective == OBJ_COMPOUND_SHARED
@@ -267,7 +269,9 @@ def cmd_stats(args) -> int:
             try:
                 record = json.load(fh)
                 samples.append(stats.RunSample(record["label"], record["values"]))
-                seed_sets[record["label"]] = list(record["seeds"])
+                seed_sets[record["label"]] = seeds = list(record["seeds"])
+                if len(seeds) != len(samples[-1].values):
+                    raise InvalidInputError(f"{path} holds {len(samples[-1].values)} values for {len(seeds)} seeds")
             except SpanObjError:
                 raise
             except MALFORMED_RECORD_ERRORS as err:

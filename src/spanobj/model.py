@@ -13,9 +13,8 @@ flat vector cut into named blocks in serialization order (:class:`ModelParams`);
 gradients and AdamW moments are vectors cut the same way (:class:`FlatBlocks`),
 so a step, a gradient scale and a checkpoint write each make one pass.  One
 :func:`train_step`, under the one epoch loop of :func:`train`, trains
-every objective: a batch of examples through
-:func:`batch_loss_and_grads`, a batch of contexts through the
-shared-normalization chunks below.
+every objective through one :func:`batch_loss_and_grads` call: a batch of
+examples, or of contexts through the shared-normalization chunks below.
 
 Everything runs through one batched core, fed by one stack planner
 (:func:`_stack_windows` over :func:`_plan_stacks`).  It cuts items into
@@ -28,12 +27,8 @@ Stacks come in the order of their first members, and each stack's forward
 pass is run and checked for finiteness.  The planner has three consumers:
 
 * training batches (:func:`batch_loss_and_grads`), in windows of
-  ``MAX_WINDOW_CELLS`` (180^2 / 2) cells.  After each stack, every example
-  whose predecessors have all been added is added to the gradient total,
-  in example order, as runs of one stack's rows (one gather and scatter
-  of the stacked blocks and one of the embedding rows per run).  A window
-  holds its stacks' contributions until they are added, so memory sets
-  its budget, and the stack order lets the adds start soonest;
+  ``MAX_WINDOW_CELLS`` (180^2 / 2) cells; a window holds its stacks'
+  contributions until they are added, so memory sets its budget;
 * shared-normalization chunks, one window per chunk (below);
 * decoding (:func:`predict_distributions`), in windows of
   ``MAX_DECODE_CELLS`` (8 x 180^2) cells; a window's distributions are
@@ -52,7 +47,10 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 * softmax and row sums run over C-contiguous rows;
 * a stacked forward pass equals the B=1 pass row by row, whatever order
   the rows were sorted into;
-* each example's gradient is added to the total in example order; the
+* each item's gradient is added to the total in item order, by one adder
+  (:func:`_add_ready`) for examples and contexts, as soon as its stacks
+  have run; a run of one stack's rows is one gather and scatter of the
+  stacked blocks and one of the embedding rows (:func:`_add_rows`); the
   ``w_mix`` and ``w_joint`` gradients are formed per example
   (``a[j] @ b[j]``) rather than as (B, d, 3d) stacks, and embedding rows
   are summed per example over the stack's distinct ids before they reach
@@ -78,17 +76,17 @@ stack drops its joint matrix once its unmasked cells are gathered, and its
 mixing-layer input and joint start representations, which
 :func:`_backward_stack` forms again when it finds them gone; each context
 is added as soon as its stacks have run, and a stack's contributions go
-once its passages have been added.  Every stack, a chunk's or a batch's,
-returns its contributions in one format (:func:`_backward_stack`), read by
-:func:`_add_rows` and :func:`_add_context`.  ``context_loss_and_grads`` is
-that path for one context.  The outputs equal a loop over contexts bit for
-bit because:
+once its last passage has been added.  Every stack, a chunk's or a
+batch's, returns its contributions in one format (:func:`_backward_stack`),
+which :func:`_add_ready` adds.  ``context_loss_and_grads`` is that path
+for one context.  The outputs equal a loop over contexts bit for bit
+because:
 
 * the backward pass returns each passage's contribution on its own
   instead of adding it into the total;
-* a one-passage context is added as its row; a longer one sums its
-  passages' contributions in passage order, and the sum is added to the
-  batch total in context order;
+* one-passage contexts are added as their rows, as examples are; a longer
+  one sums its passages' contributions in passage order, and the sum is
+  added to the batch total in context order;
 * the sum needs no zeros to start from, and an embedding sum is added only
   at its stacks' ids, because a total that starts at +0.0 never holds
   -0.0 (``x + 0.0 == x``).
@@ -528,8 +526,8 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     ``w_q`` map to per-example products formed when read, so a stack holds
     no B weight-sized blocks.  ``"emb"`` maps to ``(ids, rows)``, the
     stack's distinct token ids and a (B, ids, d) array of each example's
-    embedding gradient at them.  :func:`_add_rows` and :func:`_add_context`
-    add the contributions up.
+    embedding gradient at them.  :func:`_add_ready` adds the contributions
+    up.
 
     Each gradient the result reports takes its one route: boundary scores
     through w_s/w_e, the joint matrix through the joint head and similarity
@@ -653,91 +651,102 @@ def _add_rows(grads: FlatBlocks, parts: dict, lo: int, hi: int) -> None:
     grads["emb"][ids] = emb
 
 
-def _add_context(grads: FlatBlocks, members) -> None:
-    """Add one context's gradient to ``grads``.
-
-    ``members`` lists the ``(parts, row)`` of the context's passages in
-    passage order, ``parts`` a stack's contributions
-    (:func:`_backward_stack`).  One passage is :func:`_add_rows` of its row.
-    More are summed in passage order and the sum is added to the total: the
-    adds of forming the context's gradient from zeros and adding it to the
-    total.  Skipping the zeros, and adding an embedding sum only at its
-    stacks' ids, change no bit, because a total that starts at +0.0 never
-    holds -0.0 (``x + 0.0 == x``).
-    """
-    (first, row), rest = members[0], members[1:]
-    if not rest:
-        _add_rows(grads, first, row, row + 1)
-        return
-    positions, stacked = first["stacked"]
-    total = stacked[row]
-    for parts, j in rest:
-        total = total + parts["stacked"][1][j]
-    grads.flat[positions] += total
-    for name, rows in first.items():
-        if isinstance(rows, _PerExample):
-            total = rows[row]
-            for parts, j in rest:
-                total = total + parts[name][j]
-            grads[name] += total
-
-    # The union of the stacks' ids (np.unique's first call costs 1 MB of imports).
-    seen = np.zeros(len(grads["emb"]), dtype=bool)
-    for parts, _ in members:
-        seen[parts["emb"][0]] = True
-    ids = np.flatnonzero(seen)
-    total = np.zeros((ids.size, grads["emb"].shape[1]))
-    for parts, j in members:
-        stack_ids, rows = parts["emb"]
-        total[np.searchsorted(ids, stack_ids)] += rows[j]
-    grads["emb"][ids] += total
-
-
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
-    """Per-example losses and the summed parameter gradients of a batch.
+    """Per-item losses and the summed parameter gradients of a batch of
+    examples, or of supervised contexts (items with ``passages``), which
+    train ``compound-shared`` in chunks (:func:`_context_chunks`).
 
-    The batch runs as the planner's stacks (:func:`_stack_windows`, windows
-    of at most ``MAX_WINDOW_CELLS`` score cells).  After each stack, every
-    example whose predecessors have all been added is added, in example
-    order, as runs of one stack's rows; stacks come in the order of their
-    first members, so the adds start soonest, which bounds the
-    contributions held.  Losses and gradients equal a loop of
-    :func:`loss_and_grads` over the batch bit for bit.
+    Examples run as the planner's stacks (:func:`_stack_windows`, windows of
+    at most ``MAX_WINDOW_CELLS`` score cells), and :func:`_add_ready` adds
+    each after its stack's backward pass, in example order.  Losses and
+    gradients equal a loop of :func:`loss_and_grads` or
+    :func:`context_loss_and_grads` over the batch bit for bit.
     """
     grads = zero_grads(params)
+    if batch and hasattr(batch[0], "passages"):
+        if objective != OBJ_COMPOUND_SHARED:
+            raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {objective!r}")
+        losses = []
+        for chunk in _context_chunks(batch):
+            losses += _chunk_loss_and_grads(params, chunk, policy, grads)
+        return losses, grads
     losses = [0.0] * len(batch)
     # The independent and conditional objectives never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    held, added = {}, 0  # every example before ``added`` has been added
+    place, parts, added = [None] * len(batch), [], 0
     for window in _stack_windows(params, batch, MAX_WINDOW_CELLS, policy, joint):
         for members, stack in window:
             result = _stack_loss(params, stack, [batch[i].target for i in members], objective)
-            for i, loss in zip(members, result.loss.tolist()):
+            k = len(parts)
+            for j, (i, loss) in enumerate(zip(members, result.loss.tolist())):
                 losses[i] = loss
-            held[members[0]] = _backward_stack(params, stack, result), members, 0
-            added = _add_held(grads, held, added)
+                place[i] = [(k, j)]
+            parts.append((_backward_stack(params, stack, result), len(members)))
+            added = _add_ready(grads, place, parts, added)
     return losses, grads
 
 
-def _add_held(grads: dict, held: dict, added: int) -> int:
-    """Add examples ``added``, ``added + 1``, ... while a stack holds them.
+def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
+    """Add items ``added``, ``added + 1``, ... to ``grads`` while their stacks
+    have run; returns the first item not added.
 
-    ``held`` maps a stack's first example not yet added to the stack's
-    contributions, its members (rising example numbers) and that example's
-    row.  Consecutive examples of one stack are added as one run of rows.
-    Returns the first example not added.
+    ``place[i]`` lists item ``i``'s ``(stack, row)`` pairs (one for an
+    example, a context's passages in passage order), or is None until its
+    stacks are planned.  ``parts[k]`` holds stack ``k``'s contributions
+    (:func:`_backward_stack`) and row count, or None before its backward
+    pass and once dropped.  A stack's members rise, so the last item that reads a stack
+    reads its last row, and the stack is dropped once that row is added.
+
+    A run of one-row items at consecutive rows of one stack is one
+    :func:`_add_rows`.  An item of several rows sums them in order and adds
+    the sum: the adds of forming its gradient from zeros and adding it.
+    Skipping the zeros, and adding an embedding sum only at its stacks'
+    ids, change no bit, because a total that starts at +0.0 never holds
+    -0.0 (``x + 0.0 == x``).
     """
-    while added in held:
-        parts, members, row = held.pop(added)
-        size = len(members)
-        end = size
-        if members[-1] - added != size - 1 - row:  # a later member is not next
-            end = row + 1
-            while members[end] == members[end - 1] + 1:
-                end += 1
-            held[members[end]] = parts, members, end
-        _add_rows(grads, parts, row, end)
-        added = members[end - 1] + 1
+    count = len(place)
+    while added < count and place[added] is not None:
+        spots = place[added]
+        for k, _ in spots:
+            if parts[k] is None:
+                return added
+        added += 1
+        if len(spots) == 1:
+            ((k, lo),) = spots
+            hi = lo + 1
+            while added < count and place[added] == [(k, hi)]:
+                hi += 1
+                added += 1
+            _add_rows(grads, parts[k][0], lo, hi)
+            spots = [(k, hi - 1)]  # the run's last row
+        else:
+            sources = [(parts[k][0], j) for k, j in spots]
+            (first, row), rest = sources[0], sources[1:]
+            positions, stacked = first["stacked"]
+            total = stacked[row]
+            for contributions, j in rest:
+                total = total + contributions["stacked"][1][j]
+            grads.flat[positions] += total
+            for name, rows in first.items():
+                if isinstance(rows, _PerExample):
+                    total = rows[row]
+                    for contributions, j in rest:
+                        total = total + contributions[name][j]
+                    grads[name] += total
+
+            # The union of the stacks' ids (np.unique's first call costs 1 MB of imports).
+            seen = np.zeros(len(grads["emb"]), dtype=bool)
+            for contributions, _ in sources:
+                seen[contributions["emb"][0]] = True
+            ids = np.flatnonzero(seen)
+            total = np.zeros((ids.size, grads["emb"].shape[1]))
+            for contributions, j in sources:
+                stack_ids, rows = contributions["emb"]
+                total[np.searchsorted(ids, stack_ids)] += rows[j]
+            grads["emb"][ids] += total
+        for k, j in spots:
+            if j == parts[k][1] - 1:
+                parts[k] = None
     return added
 
 
@@ -815,9 +824,8 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
     context's three pools run as one :func:`_pooled_losses`.  The stacks'
     backward passes then run (:func:`_backward_stack`, which forms what a
     stack dropped again), each stack's forward arrays released after its
-    pass; each context is added (:func:`_add_context`) as soon as its stacks
-    have run, and a stack's contributions are released once its passages
-    have been added.  Losses and gradients equal a loop of
+    pass, and :func:`_add_ready` adds each context in context order as soon
+    as its stacks have run.  Losses and gradients equal a loop of
     :func:`context_loss_and_grads` over the contexts bit for bit.
     """
     passages = [p for context in contexts for p in context.passages]
@@ -827,14 +835,13 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         for p in context.passages
     ]
     (window,) = _stack_windows(params, items, math.inf, policy)
-    stacks, last, place = [], [], [None] * len(items)  # passage -> (stack, row)
+    stacks, place = [], [None] * len(items)  # passage -> (stack, row)
     for members, stack in window:
         # Each row's unmasked span scores, row-major, are all the losses read
         # of the matrices.  The mixing layer's input and the joint head's
         # start representations are formed again in the backward pass.
         stacks.append((stack, stack.joint.reshape(len(members), -1)[:, stack.mask.ravel()]))
         stack.joint = stack.h_start = stack.features = None
-        last.append(members[-1])
         for j, i in enumerate(members):
             place[i] = (len(stacks) - 1, j)
 
@@ -853,8 +860,7 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
     ]
     losses, score_grads = _pooled_losses(factors, place, firsts, golds)
 
-    # Each context is added, in context order, once its stacks have run;
-    # a stack's contributions go once its passages have been added.
+    # Each context is added, in context order, once its stacks have run.
     spots = [place[lo:hi] for lo, hi in zip(firsts.tolist(), firsts[1:].tolist())]
     parts, added = [None] * len(stacks), 0
     for k, (grad_start, grad_end, grad_cells) in enumerate(zip(*score_grads)):
@@ -863,13 +869,8 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         grad_joint = np.zeros((len(grad_cells),) + stack.mask.shape)
         grad_joint.reshape(len(grad_cells), -1)[:, stack.mask.ravel()] = grad_cells
         result = LossResult(0.0, grad_start, grad_end, grad_joint)
-        parts[k] = _backward_stack(params, stack, result)
-        while added < len(spots) and all(parts[s] is not None for s, _ in spots[added]):
-            _add_context(grads, [(parts[s], j) for s, j in spots[added]])
-            added += 1
-        for i in range(k + 1):
-            if last[i] < firsts[added]:
-                parts[i] = None
+        parts[k] = _backward_stack(params, stack, result), len(grad_cells)
+        added = _add_ready(grads, spots, parts, added)
     return losses
 
 
@@ -935,8 +936,7 @@ def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALI
         raise InvalidInputError("context has no passages")
     if not _supervised(context):
         return None
-    grads = zero_grads(params)
-    (loss,) = _chunk_loss_and_grads(params, [context], policy, grads)
+    (loss,), grads = batch_loss_and_grads(params, [context], OBJ_COMPOUND_SHARED, policy)
     return loss, grads
 
 
@@ -1055,15 +1055,9 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
     shared = hasattr(batch[0], "passages")
     if shared and config.objective != OBJ_COMPOUND_SHARED:
         raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {config.objective!r}")
+    used = [item for item in batch if not shared or _supervised(item)]
     try:
-        if shared:
-            used = [context for context in batch if _supervised(context)]
-            grads, losses = zero_grads(params), []
-            for chunk in _context_chunks(used):
-                losses += _chunk_loss_and_grads(params, chunk, config.policy, grads)
-        else:
-            used = batch
-            losses, grads = batch_loss_and_grads(params, batch, config.objective, config.policy)
+        losses, grads = batch_loss_and_grads(params, used, config.objective, config.policy)
     except InvalidInputError as err:
         raise DivergenceError(f"non-finite forward pass: {err}") from err
     total = 0.0

@@ -600,6 +600,17 @@ def test_cli_surface_lists_every_flag_and_default(tmp_path, capsys, monkeypatch,
     assert {k: type(v) for k, v in resolved.items()} == {k: type(v) for k, v in defaults.items()}
 
 
+def test_train_rejects_a_seed_named_twice(pipeline, tmp_path, capsys):
+    # Training seed 1 twice would write the same checkpoint twice.
+    out = tmp_path / "runs"
+    record = _expect_error(capsys, [
+        "train", "--data", str(pipeline["corpus"]), "--out", str(out),
+        "--objective", "independent", "--seeds", "1,0,1", "--epochs", "1",
+    ], "ConfigError")
+    assert record["message"] == "option 'seeds' names a seed twice: '1,0,1'"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "train", "context"])
 def test_negative_seeds_are_config_errors(pipeline, tmp_path, capsys, command):
     corpus = pipeline["corpus"]
@@ -723,6 +734,22 @@ def test_stats_rejects_mismatched_seed_sets(tmp_path, capsys):
     _expect_error(capsys, [
         "stats", "--metrics", *paths, "--comparisons", "a>b",
     ], "InvalidInputError")
+
+
+def test_stats_rejects_a_file_whose_values_do_not_match_its_seeds(tmp_path, capsys):
+    # Both files name the same two seeds, but the first holds three values:
+    # pairing them by seed would compare a value that belongs to no seed.
+    paths = []
+    for label, values in [("a", [71.0, 72.0, 73.0]), ("b", [61.0, 62.0])]:
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"label": label, "seeds": [1, 2], "values": values}))
+        paths.append(str(path))
+    out = tmp_path / "report.txt"
+    record = _expect_error(capsys, [
+        "stats", "--metrics", *paths, "--comparisons", "a>b", "--out", str(out),
+    ], "InvalidInputError")
+    assert record["message"] == f"{paths[0]} holds 3 values for 2 seeds"
+    assert not out.exists()
 
 
 def test_stats_rejects_malformed_comparison(tmp_path, capsys):

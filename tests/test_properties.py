@@ -691,14 +691,15 @@ class _Context:
 
 
 @st.composite
-def contexts(draw, min_passages=1, max_passages=4, lengths=(1, 3, 6)):
-    """A context of passages of mixed L, each with 0-3 gold spans (or none at all)."""
-    supervised = draw(st.booleans()) or draw(st.booleans())
+def contexts(draw, min_passages=1, max_passages=4, lengths=(1, 3, 6), min_gold=0):
+    """A context of passages of mixed L, each with ``min_gold``-3 gold spans
+    (or, without ``min_gold``, perhaps none at all)."""
+    supervised = min_gold > 0 or draw(st.booleans()) or draw(st.booleans())
     passages = []
     for _ in range(draw(st.integers(min_passages, max_passages))):
         length = draw(st.sampled_from(lengths))
         gold = set()
-        for _ in range(draw(st.integers(0, 3)) if supervised else 0):
+        for _ in range(draw(st.integers(min_gold, 3)) if supervised else 0):
             start = draw(st.integers(0, length - 1))
             gold.add(SpanTarget(start, draw(st.integers(start, length - 1))))
         ids = draw(st.lists(st.integers(0, VOCAB - 1), min_size=length, max_size=length))
@@ -714,10 +715,27 @@ _CONTEXT_CHUNKS = model._context_chunks
 
 
 @st.composite
+def context_runs(draw):
+    """Supervised one-passage contexts of one length that no other context
+    uses, cut by a supervised context of several passages of that length.
+
+    Their passages share a stack, the first two to four at consecutive rows
+    (a run of one-row items), then the cutting context's, then the rest."""
+    length = (draw(st.sampled_from((2, 4))),)
+    one = contexts(1, 1, lengths=length, min_gold=1)
+    run = draw(st.lists(one, min_size=2, max_size=4))
+    cut = draw(contexts(2, 3, lengths=length, min_gold=1))
+    return run + [cut] + draw(st.lists(one, min_size=1, max_size=3))
+
+
+@st.composite
 def context_batches(draw):
-    """Contexts, optionally one with more than MAX_STACK passages and more
-    than ``_SMALL_BUDGET`` cells, and a batch size."""
+    """Contexts with :func:`context_runs` among them, optionally one with more
+    than MAX_STACK passages and more than ``_SMALL_BUDGET`` cells, and a
+    batch size."""
     batch = draw(st.lists(contexts(), min_size=1, max_size=12))
+    at = draw(st.integers(0, len(batch)))
+    batch[at:at] = draw(context_runs())
     if draw(st.booleans()):
         big = draw(contexts(MAX_STACK + 1, MAX_STACK + 3, lengths=(3, 6)))
         batch.insert(draw(st.integers(0, len(batch))), big)
@@ -745,6 +763,7 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
     for _, block in params.blocks():  # nonzero biases, so every block carries signal
         block += rng.normal(0.0, 0.1, size=block.shape)
 
+    used, want_losses, want_total = [], [], _ref_zeros(params)
     for context in contexts_:
         got = model.context_loss_and_grads(params, context, policy)
         if not any(p.gt_spans for p in context.passages):
@@ -756,6 +775,16 @@ def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim
         assert sorted(grads) == sorted(want_grads)
         for name in grads:
             assert np.array_equal(grads[name], want_grads[name]), name
+            want_total[name] += want_grads[name]
+        used.append(context)
+        want_losses.append(want_loss)
+
+    # The supervised contexts as one batch, one chunk at the default budget,
+    # so the runs of one-passage contexts are added as runs of rows.
+    losses, grads = model.batch_loss_and_grads(params, used, OBJ_COMPOUND_SHARED, policy)
+    assert losses == want_losses
+    for name in want_total:
+        assert np.array_equal(grads[name], want_total[name]), name
 
     # Steps over batches: chunks never cross a batch edge, and a batch edge
     # need not fall on a chunk edge of the whole list.
