@@ -165,23 +165,20 @@ def cmd_decode(args) -> int:
     examples = data_mod.load_dataset(args.data)
     encoded = data_mod.encode_examples(examples, vocab)
 
-    # Every record is built before the file is opened, so a failed decode writes nothing.
-    records = []
+    # Every line is built before the file is opened, so a failed decode writes nothing.
+    lines, count, short = [], 0, 0
     dists = model.predict_distributions(ckpt.params, encoded, ckpt.objective, policy, args.beam)
     for enc, dist in zip(encoded, dists):
         passage = enc.example.passage
         dist = decoding.apply_filters(dist, passage, args.filter, args.zeta, args.surface_k)
-        for rank, pred in enumerate(decoding.top_k(dist, args.top_k, passage), 1):
-            records.append({
-                "example_id": enc.id,
-                "rank": rank,
-                "start": pred.span.start,
-                "end": pred.span.end,
-                "text": pred.text,
-                "probability": pred.probability,
-            })
-    data_mod.write_records(args.out, records)
-    print(f"wrote {len(records)} predictions for {len(encoded)} examples to {args.out}")
+        predictions = decoding.top_k(dist, args.top_k, passage)
+        lines.append(data_mod.prediction_lines(enc.id, predictions))
+        count += len(predictions)
+        short += len(predictions) < args.top_k
+    with data_mod.replacing(args.out) as fh:
+        fh.write("".join(lines))
+    print(f"wrote {count} predictions for {len(encoded)} examples to {args.out}; "
+          f"{short} short of top-{args.top_k}")
     return 0
 
 

@@ -378,8 +378,10 @@ def encode_contexts(contexts, vocab: Vocabulary):
 
 
 # Every record file (datasets, contexts, predictions, logs, reports and
-# checkpoint headers) is encoded by this one encoder: sorted keys and no
-# spaces, so identical records give identical bytes.
+# checkpoint headers) holds this one encoder's bytes: sorted keys and no
+# spaces, so identical records give identical bytes.  Prediction lines are
+# formatted to the same bytes directly (:func:`prediction_lines`), and a
+# property test holds them to this encoder.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -404,10 +406,31 @@ def replacing(path, mode: str = "w"):
 
 def write_records(path, records) -> None:
     """One :data:`canonical_json` object per line, replacing ``path`` whole (:func:`replacing`)."""
+    text = "".join([canonical_json(record) + "\n" for record in records])
     with replacing(path) as fh:
-        for record in records:
-            fh.write(canonical_json(record))
-            fh.write("\n")
+        fh.write(text)
+
+
+# The encoder's string codec: ASCII-only, as canonical_json writes strings.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def prediction_lines(example_id, predictions) -> str:
+    """The :data:`canonical_json` lines of one example's ranked predictions.
+
+    Each line is the record ``{example_id, rank, start, end, text,
+    probability}`` of one :class:`~spanobj.decoding.Prediction`, ranks from
+    1, written as the encoder writes it: keys sorted, the id encoded once,
+    the text as an ASCII-escaped JSON string and the probability by
+    ``float.__repr__``.
+    """
+    example_id = canonical_json(example_id)
+    return "".join([
+        f'{{"end":{p.span.end},"example_id":{example_id},'
+        f'"probability":{float.__repr__(p.probability)},"rank":{rank},'
+        f'"start":{p.span.start},"text":{_json_string(p.text)}}}\n'
+        for rank, p in enumerate(predictions, 1)
+    ])
 
 
 def read_records(path, what: str, parse) -> list:

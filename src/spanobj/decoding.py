@@ -15,6 +15,18 @@ emit) keeps its mass and rank, is never looked up as text and never pooled;
 a span at probability zero (cut by the length filter, or pooled away by the
 surface-form filter) is skipped by :func:`top_k` like an inverted one.
 
+Ranked once.  :func:`surface_form_filter` ranks its top-k rows, reads their
+texts and pools repeated strings, and the distribution it returns keeps
+that work as ``head``: the passage, the extractable head rows in rank order
+and their texts.  Given that same passage object and a head holding at
+least k live rows (pooled mass > 0), :func:`top_k` ranks only those rows and
+reads their texts from the head.  That is exact, because the head's live
+rows are a prefix of the whole live ranking: a live head row's pooled mass
+is a ``math.fsum`` of non-negative terms, so at least its own original
+mass, while a row outside the head keeps its mass, was ranked below every
+head row, and loses any probability tie on (start, end).  Every other
+distribution's ``head`` is the class default ``None``.
+
 Decoding core.  ``model.predict_distributions`` runs examples through the
 model in stacks of one passage length (``model.predict_distribution`` is
 its one-example view) and calls the builders here row by row.  The beam
@@ -23,16 +35,16 @@ scores its top starts in stacks too: at most ``MAX_STACK`` starts and
 stack at L=180, where a wider stack was measured slower), each stack one
 pass of :func:`~spanobj.objectives.conditional_hidden` and one row-wise
 log-softmax, which equal the per-start pass row by row.  The surface-form
-filter slices a dataset passage's text directly and sums only strings that
-occur more than once in its head: ``math.fsum([p]) == p`` for every
-probability but -0.0, which it turns into 0.0, as ``p + 0.0`` does, so a
-string found once keeps its mass plus 0.0.  The product decoder reads its
-cells from the cache of :func:`~spanobj.numerics.span_cells` and sums its
-L^2 products with :func:`~spanobj.numerics._fsum`, which equals
-``math.fsum`` bit for bit and runs an exact binned kernel from
-``_BINNED_FSUM_MIN`` values up; the joint decoder reads the cached cells
-when its mask is a cached ``span_mask`` object.  Every output equals the
-one-example decoders' bit for bit.
+filter slices a dataset passage's text directly, groups its head in one
+dict pass over first occurrences, and sums only strings that occur more
+than once: ``math.fsum([p]) == p`` for every probability but -0.0, which it
+turns into 0.0, as ``p + 0.0`` does, so a string found once keeps its mass
+plus 0.0.  The product decoder reads its cells from the cache of
+:func:`~spanobj.numerics.span_cells` and sums its L^2 products with
+:func:`~spanobj.numerics._fsum`, which equals ``math.fsum`` bit for bit and
+runs an exact binned kernel from ``_BINNED_FSUM_MIN`` values up; the joint
+decoder reads the cached cells when its mask is a cached ``span_mask``
+object.  Every output equals the one-example decoders' bit for bit.
 """
 
 from __future__ import annotations
@@ -102,6 +114,10 @@ class SpanDistribution:
     ``SpanDistribution(entries, raw_mass)`` builds one from ``(start, end,
     probability)`` triples; the decoders use :meth:`from_arrays`.
     """
+
+    # What :func:`surface_form_filter` leaves for :func:`top_k` (set on its
+    # result only).  A class default, so no other distribution allocates it.
+    head = None
 
     def __init__(self, entries=(), raw_mass: float = 1.0) -> None:
         entries = list(entries)
@@ -279,29 +295,39 @@ def surface_form_filter(
     have no surface string: they keep their mass and are never pooled.
     Spans below the top-k are untouched, and the total top-k mass is
     conserved.  Only the top-k rows are looked up as text.
+
+    The result keeps that work as its ``head``: ``(passage, rows, texts)``,
+    the extractable top-k rows in rank order and their texts, which
+    :func:`top_k` ranks again instead of the whole distribution.
     """
     if k < 1:
         raise InvalidInputError(f"top-k cutoff must be >= 1, got {k}")
     head = dist.order(k)
     head = head[dist.ends[head] >= dist.starts[head]]
     texts = _span_texts(passage, dist.starts[head].tolist(), dist.ends[head].tolist())
-    groups: dict[str, list] = {}
-    for i, text in enumerate(texts):
-        groups.setdefault(text, []).append(i)
-    mass = dist.probs[head].tolist()
     # A string's pooled mass is math.fsum over its rows.  For a string found
     # once that is the row's own value, except that -0.0 sums to 0.0, as
     # adding 0.0 does; so only repeated strings are summed.
-    pooled = [p + 0.0 for p in mass]
-    for group in groups.values():
-        if len(group) > 1:
-            # Rows arrive rank-ordered, so the first holds the group's mass.
-            pooled[group[0]] = math.fsum([mass[i] for i in group])
-            for i in group[1:]:
-                pooled[i] = 0.0
+    mass = dist.probs[head]
+    pooled = mass + 0.0
+    # One pass over first occurrences: a row whose string came first at an
+    # earlier (higher-ranked) row joins that row's group.
+    first: dict[str, int] = {}
+    groups: dict[int, list] = {}
+    for i, text in enumerate(texts):
+        owner = first.setdefault(text, i)
+        if owner != i:
+            groups.setdefault(owner, [owner]).append(i)
+    if groups:
+        mass = mass.tolist()
+        for owner, group in groups.items():
+            pooled[owner] = math.fsum([mass[i] for i in group])
+            pooled[group[1:]] = 0.0
     probs = dist.probs.copy()
     probs[head] = pooled
-    return SpanDistribution.from_arrays(dist.starts, dist.ends, probs, raw_mass=dist.raw_mass)
+    out = SpanDistribution.from_arrays(dist.starts, dist.ends, probs, raw_mass=dist.raw_mass)
+    out.head = (passage, head, texts)
+    return out
 
 
 def _span_texts(passage, starts: list, ends: list) -> list:
@@ -344,9 +370,27 @@ def top_k(dist: SpanDistribution, k: int, passage=None) -> list[Prediction]:
     Only extractable spans with mass are predictions: inverted candidates
     (end before start) and spans at probability zero (cut by a filter) are
     skipped.  Texts are recovered from the passage when one is supplied.
+
+    A distribution with a surface-filter ``head`` over this same passage
+    object, holding at least k live rows, is ranked within its head alone:
+    those rows are a prefix of the whole live ranking (see the module
+    docstring), and their texts are already known.
     """
     if k < 1:
         raise InvalidInputError(f"k must be >= 1, got {k}")
+    if dist.head is not None and dist.head[0] is passage:
+        _, rows, texts = dist.head
+        starts, ends, probs = dist.starts[rows], dist.ends[rows], dist.probs[rows]
+        ranked = np.lexsort((ends, starts, -probs))
+        ranked = ranked[probs[ranked] > 0.0][:k]
+        if ranked.size == k:
+            return [
+                Prediction(SpanTarget(s, e), texts[i], p)
+                for i, s, e, p in zip(
+                    ranked.tolist(), starts[ranked].tolist(), ends[ranked].tolist(),
+                    probs[ranked].tolist(),
+                )
+            ]
     live = np.flatnonzero((dist.ends >= dist.starts) & (dist.probs > 0.0))
     rows = live[rank_rows(dist.starts[live], dist.ends[live], dist.probs[live], k)]
     return [

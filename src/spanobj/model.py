@@ -100,6 +100,7 @@ metrics); shared-normalization training consumes contexts carrying
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -845,13 +846,12 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         for j, i in enumerate(members):
             place[i] = (len(stacks) - 1, j)
 
-    golds = ([], [], [])  # each passage's start, end and joint gold positions
-    for p, (k, _) in zip(passages, place):
-        spans = [(int(t.start), int(t.end)) for t in p.gt_spans]
-        length = np.size(p.passage_ids)
-        golds[0].append(boundary_gold([s for s, _ in spans], length))
-        golds[1].append(boundary_gold([e for _, e in spans], length))
-        golds[2].append(joint_gold(spans, stacks[k][0].mask))
+    # Each passage's start, end and joint gold positions.
+    golds = tuple(zip(*(
+        _gold_positions(tuple((int(t.start), int(t.end)) for t in p.gt_spans),
+                        np.size(p.passage_ids), policy)
+        for p in passages
+    )))
     firsts = np.cumsum([0] + [len(context.passages) for context in contexts])
     factors = [
         [stack.start_scores for stack, _ in stacks],
@@ -872,6 +872,21 @@ def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dic
         parts[k] = _backward_stack(params, stack, result), len(grad_cells)
         added = _add_ready(grads, spots, parts, added)
     return losses
+
+
+@functools.lru_cache(maxsize=4096)
+def _gold_positions(spans: tuple, length: int, policy: str) -> tuple:
+    """The ascending start, end and joint gold positions of a passage of
+    ``length`` with gold ``(start, end)`` ``spans``.
+
+    Contexts do not change between epochs, so each passage's are formed
+    once; a gold cell the policy masks raises every time it is asked for.
+    """
+    return (
+        tuple(boundary_gold([s for s, _ in spans], length)),
+        tuple(boundary_gold([e for _, e in spans], length)),
+        tuple(joint_gold(spans, span_mask(length, policy))),
+    )
 
 
 def _pooled_losses(factors: list, place: list, firsts: np.ndarray, golds: tuple) -> tuple:

@@ -132,6 +132,24 @@ def test_decode_is_deterministic(pipeline, tmp_path):
     assert _file_bytes(first) == _file_bytes(second)
 
 
+def test_decode_reports_the_lists_shorter_than_top_k_on_stdout_only(pipeline, tmp_path, capsys):
+    # No passage here has 1000 spans, so every example's list is short.
+    preds = tmp_path / "preds.jsonl"
+    argv = ["decode", "--checkpoint", str(pipeline["checkpoint"]),
+            "--data", str(pipeline["corpus"] / "dev.jsonl"), "--out", str(preds)]
+    assert cli.main(argv + ["--top-k", "1000"]) == 0
+    records = _read_lines(preds)
+    assert capsys.readouterr().out == (
+        f"wrote {len(records)} predictions for 12 examples to {preds}; 12 short of top-1000\n"
+    )
+    # The file holds the records alone, each line canonical_json's bytes.
+    keys = ["end", "example_id", "probability", "rank", "start", "text"]
+    assert all(sorted(record) == keys for record in records)
+    assert _file_bytes(preds) == "".join(data.canonical_json(r) + "\n" for r in records).encode()
+    assert cli.main(argv + ["--top-k", "1"]) == 0
+    assert capsys.readouterr().out.endswith("; 0 short of top-1\n")
+
+
 def test_eval_scores_rank_one_predictions(pipeline, tmp_path):
     preds = tmp_path / "preds.jsonl"
     report_path = tmp_path / "report.json"

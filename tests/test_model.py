@@ -21,6 +21,7 @@ from spanobj.errors import (
     ConfigError,
     DivergenceError,
     InvalidInputError,
+    InvalidTargetError,
     VocabularyError,
 )
 from spanobj.model import (
@@ -44,6 +45,7 @@ from spanobj.model import (
     zero_grads,
 )
 from spanobj.numerics import (
+    MASK_FULL,
     MASK_POLICIES,
     MASK_VALID,
     MAX_STACK,
@@ -482,6 +484,21 @@ def test_context_without_passages_is_invalid_input_not_divergence():
         train_dss(contexts, config, vocab_size=15)
     with pytest.raises(InvalidInputError, match="no passages"):
         context_loss_and_grads(init_params(15, dim=6), contexts[1])
+
+
+def test_a_masked_gold_cell_raises_each_time_its_positions_are_asked_for():
+    # A passage's gold positions are formed once and reused in later epochs,
+    # but an error is not kept: a gold cell the policy masks raises each time.
+    rng = np.random.default_rng(47)
+    params = init_params(15, dim=6)
+    inverted = SimpleNamespace(start=3, end=1)
+    ctx = _Ctx(rng.integers(1, 15, size=3), [(rng.integers(1, 15, size=5), [inverted])])
+    for _ in range(2):
+        with pytest.raises(InvalidTargetError, match=r"gt span \(3, 1\) is masked"):
+            context_loss_and_grads(params, ctx)
+    # The full policy masks no cell, and the positions are kept per policy.
+    loss, _ = context_loss_and_grads(params, ctx, MASK_FULL)
+    assert np.isfinite(loss)
 
 
 def test_context_chunks_hold_whole_contexts_within_the_window_cell_budget():

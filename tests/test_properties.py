@@ -16,6 +16,10 @@ filter that pools only repeated strings to copies of the one-example
 decoders they replaced, bit for bit.  The exact-sum properties hold the
 binned kernel to ``math.fsum``, and the product decoder that sums with it
 over cached cells to a copy of the fsum version it replaced, bit for bit.
+The rank-once property holds ``top_k`` over a surface-filtered
+distribution, which ranks the filter's head alone when it can, to a full
+sort of the reference filter's pooled rows, and the line property holds
+``data.prediction_lines`` to ``canonical_json``.
 The flat-vector properties hold AdamW's one pass over flat vectors to a
 copy of the per-block step it replaced (also the core and chunk
 properties' reference step), the bincount scatter to the two ``np.add.at``
@@ -23,12 +27,16 @@ calls it replaced, and checkpoint bytes to a copy of the block-wise
 writer, bit for bit.
 """
 
+import copy
 import functools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -37,8 +45,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from spanobj import model
-from spanobj.data import Passage
+from spanobj.data import Passage, canonical_json, prediction_lines
 from spanobj.decoding import (
+    Prediction,
     SpanDistribution,
     beam_decode,
     independent_distribution,
@@ -87,6 +96,7 @@ from spanobj.objectives import (
 from spanobj.similarity import KIND_ADDITIVE_WEIGHTED_DOT, KIND_DOT, SIMILARITY_KINDS
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _rank_key(row):
@@ -1237,6 +1247,93 @@ def test_surface_form_filter_equals_the_pool_every_string_filter_bit_for_bit(
     _assert_same_bits(
         surface_form_filter(dist, passage, k), _ref_surface_form_filter(dist, passage, k)
     )
+
+
+@st.composite
+def filter_passages(draw):
+    """A dataset passage or a token list over 8 tokens, with repeated strings."""
+    words = draw(st.lists(st.sampled_from(("a", "b", "ab")), min_size=8, max_size=8))
+    gaps = draw(st.lists(st.sampled_from(("", " ", "  ", "\t")), min_size=9, max_size=9))
+    if draw(st.booleans()):
+        text = gaps[0] + "".join(word + " " + gap for word, gap in zip(words, gaps[1:]))
+        return Passage.from_text("p", text)
+    return [gap + word for word, gap in zip(words, gaps)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    distributions(),
+    # Cut-offs from 1 to 70, small ones often, so that heads both hold k live
+    # rows (top_k ranks the head alone) and fall short of k (it ranks them all).
+    st.one_of(st.integers(1, 70), st.integers(1, 4)),
+    st.one_of(st.integers(1, 70), st.integers(1, 4)),
+    filter_passages(),
+    st.sampled_from(("same", "equal copy", "other")),
+    filter_passages(),
+)
+def test_top_k_of_a_surface_filtered_distribution_is_a_full_sort_of_its_pooled_live_rows(
+    case, surface_k, k, passage, reader, other
+):
+    # top_k reads the filter's head only for the filter's own passage object;
+    # an equal copy or another passage takes the full ranking, texts and all.
+    _, dist = case
+    reader = {"same": passage, "equal copy": copy.copy(passage), "other": other}[reader]
+    pooled = _ref_surface_form_filter(dist, passage, surface_k)
+    ranked = sorted(_rows(pooled, slice(None)), key=_rank_key)
+    live = [(s, e, p) for s, e, p in ranked if s <= e and p > 0.0][:k]
+    want = [(s, e, span_text(reader, s, e), p) for s, e, p in live]
+    got = top_k(surface_form_filter(dist, passage, surface_k), k, reader)
+    assert [(p.span.start, p.span.end, p.text, p.probability) for p in got] == want
+
+
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'), st.characters())
+)
+
+
+@PROPERTY
+@given(
+    st.one_of(JSON_TEXT, st.integers()),
+    st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            JSON_TEXT,
+            st.one_of(st.sampled_from((5e-324, 1.0)), st.floats(min_value=5e-324, max_value=1e300)),
+        ),
+        max_size=4,
+    ),
+)
+def test_prediction_lines_are_the_canonical_json_of_their_records(example_id, rows):
+    predictions = [Prediction(SpanTarget(s, s + n), text, p) for s, n, text, p in rows]
+    want = "".join(
+        canonical_json({
+            "example_id": example_id, "rank": rank, "start": p.span.start, "end": p.span.end,
+            "text": p.text, "probability": p.probability,
+        }) + "\n"
+        for rank, p in enumerate(predictions, 1)
+    )
+    assert prediction_lines(example_id, predictions) == want
+
+
+def test_a_failing_property_reports_its_example(tmp_path):
+    # Under this repository's pytest settings (warnings are errors), a
+    # falsified property must print its example, not end the session.
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_falsified.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "Falsifying example" in out and "INTERNALERROR" not in out, out
+    assert "1 failed" in out, out
 
 
 # ---------------------------------------------------------------------------
