@@ -30,9 +30,10 @@ distribution's ``head`` is the class default ``None``.
 Decoding core.  ``model.predict_distributions`` runs examples through the
 model in stacks of one passage length (``model.predict_distribution`` is
 its one-example view) and calls the builders here row by row.  The beam
-scores its top starts in stacks too: at most ``MAX_STACK`` starts and
-``MAX_STACK_CELLS`` score cells each (the training caps, so one start per
-stack at L=180, where a wider stack was measured slower), each stack one
+scores its top starts in stacks too, capped like the model core's
+(``stack_cap``: ``MAX_STACK_TOKENS`` tokens and ``MAX_STACK_CELLS`` score
+cells each), so a beam of 10 is one stack at L=12 and one start per stack
+at L=180, where a wider stack was measured slower; each stack one
 pass of :func:`~spanobj.objectives.conditional_hidden` and one row-wise
 log-softmax, which equal the per-start pass row by row.  The surface-form
 filter slices a dataset passage's text directly, groups its head in one

@@ -19,12 +19,13 @@ examples, or of contexts through the shared-normalization chunks below.
 Everything runs through one batched core, fed by one stack planner
 (:func:`_stack_windows` over :func:`_plan_stacks`).  It cuts items into
 runs of consecutive items sharing a passage length L, at most
-``MAX_STACK`` (8) items and ``MAX_STACK_CELLS`` (180^2) score cells each
-(one item at L=180), and consecutive runs into windows of at most a budget
-of score cells.  A window's items, sorted stably by length, are cut into
-stacks by the same rule, so items of one length run as exactly their runs.
-Stacks come in the order of their first members, and each stack's forward
-pass is run and checked for finiteness.  The planner has three consumers:
+``MAX_STACK_TOKENS`` (512) tokens and ``MAX_STACK_CELLS`` (180^2) score
+cells each (42 items at L=12, 8 at L=60, one at L=180), and consecutive
+runs into windows of at most a budget of score cells.  A window's items,
+sorted stably by length, are cut into stacks by the same rule, so items of
+one length run as exactly their runs.  Stacks come in the order of their
+first members, and each stack's forward pass is run and checked for
+finiteness.  The planner has three consumers:
 
 * training batches (:func:`batch_loss_and_grads`), in windows of
   ``MAX_WINDOW_CELLS`` (180^2 / 2) cells; a window holds its stacks'
@@ -50,13 +51,15 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 * each item's gradient is added to the total in item order, by one adder
   (:func:`_add_ready`) for examples and contexts, as soon as its stacks
   have run; a run of one stack's rows is one gather and scatter of the
-  stacked blocks and one of the embedding rows (:func:`_add_rows`); the
-  ``w_mix`` and ``w_joint`` gradients are formed per example
-  (``a[j] @ b[j]``) rather than as (B, d, 3d) stacks, and embedding rows
-  are summed per example over the stack's distinct ids before they reach
-  the total, by one ``np.bincount``, which adds each cell's values in row
-  order from +0.0, as ``np.add.at`` does.  An example's rows at ids it does
-  not touch are +0.0, and adding +0.0 changes no total, because a total
+  stacked blocks and one ``np.add.at`` of the embedding rows, which
+  applies them in order (one example's, at distinct ids, are one gather
+  and scatter; :func:`_add_rows`); the ``w_mix`` and
+  ``w_joint`` gradients are formed per example (``a[j] @ b[j]``) rather
+  than as (B, d, 3d) stacks, and embedding rows are summed per example at
+  that example's own distinct ids before they reach the total, by one
+  ``np.bincount``, which adds each cell's values in row order from +0.0,
+  as ``np.add.at`` does.  The total gets nothing at the ids an example
+  does not touch, which equals adding +0.0 rows there, because a total
   that starts at +0.0 never holds -0.0;
 * questions of different lengths are padded, the padding is zeroed by a
   0/1 mask and the sum divided by the true count, which equals
@@ -351,8 +354,8 @@ def _check_ids(seqs, vocab_size: int, what: str) -> list:
 def _stack_bounds(lengths):
     """``(lo, hi)`` runs of consecutive items sharing a passage length.
 
-    Each run holds at most ``MAX_STACK`` items and ``MAX_STACK_CELLS``
-    score cells (at least one item).
+    Each run holds at most ``stack_cap(L)`` items: ``MAX_STACK_TOKENS``
+    tokens and ``MAX_STACK_CELLS`` score cells (at least one item).
     """
     lo = 0
     while lo < len(lengths):
@@ -407,7 +410,9 @@ def _forward_stack(
     q = (params.w_q @ q_bar[:, :, None])[:, :, 0] + params.b_q
 
     features = _features(params, passages, q)
-    h = np.tanh(params.w_mix @ features + params.b_mix[:, None])
+    h = params.w_mix @ features
+    h += params.b_mix[:, None]
+    np.tanh(h, out=h)
 
     start_scores = params.w_s @ h + params.b_s[0]
     end_scores = params.w_e @ h + params.b_e[0]
@@ -488,6 +493,7 @@ def _stack_windows(params: ModelParams, items, budget, policy: str, joint: bool 
             )
             _check_finite(stack)
             yield members, stack
+            del stack  # so the next stack's forward pass runs without it
 
     return map(run, _plan_stacks([np.size(item.passage_ids) for item in items], budget))
 
@@ -521,14 +527,18 @@ class _PerExample:
 def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> dict:
     """Every example's parameter-gradient contribution, not yet added anywhere.
 
-    The blocks formed as stacked arrays are one ``(positions, (B, values))``
-    matrix under ``"stacked"``, block after block as they are formed, with
-    the values' positions in the flat vector.  ``w_joint``, ``w_mix`` and
-    ``w_q`` map to per-example products formed when read, so a stack holds
-    no B weight-sized blocks.  ``"emb"`` maps to ``(ids, rows)``, the
-    stack's distinct token ids and a (B, ids, d) array of each example's
-    embedding gradient at them.  :func:`_add_ready` adds the contributions
-    up.
+    The blocks formed as small stacked arrays are one ``(positions, (B,
+    values))`` matrix under ``"stacked"``, block after block as they are
+    formed, with the values' positions in the flat vector.
+    ``"per_example"`` maps each weight block to contributions read per
+    example: ``w_joint``, ``w_mix`` and ``w_q`` to products formed when
+    read, so a stack holds no B weight-sized products, and ``w_cond`` to
+    the loss result's own (B, d, 2d) gradient, not a copy.  ``"emb"`` maps
+    to ``(ids, rows, bounds)``: example j's distinct token ids, ascending,
+    are ``ids[bounds[j]:bounds[j + 1]]`` and its embedding gradient at them
+    the same rows of ``rows``, so the rows grow with the stack's tokens,
+    not with B times the ids of the whole stack.  :func:`_add_ready` adds
+    the contributions up.
 
     Each gradient the result reports takes its one route: boundary scores
     through w_s/w_e, the joint matrix through the joint head and similarity
@@ -544,7 +554,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
     size, d, length = h.shape
     d_h = np.zeros_like(h)
-    parts, blocks = {}, {}  # per-example products; stacked (B, ...) blocks
+    per_example, blocks = {}, {}  # contributions read per example; stacked (B, ...) blocks
 
     for head, g in (("s", result.grad_start), ("e", result.grad_end)):
         if g is not None:
@@ -558,7 +568,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
             h_start = start_reps(h, params.w_joint, params.b_joint)
         d_hs, d_he, d_w_sim = span_score_grads(h_start, h, params.similarity, result.grad_joint)
         del h_start
-        parts["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
+        per_example["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
         blocks["b_joint"] = d_hs.sum(axis=2)
         d_he += params.w_joint.T @ d_hs
         d_h += d_he
@@ -568,7 +578,8 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
 
     cond = result.grad_cond
     if cond is not None:
-        blocks.update(w_cond=cond.w, b_cond=cond.b, w_cond_out=cond.w_out)
+        per_example["w_cond"] = cond.w
+        blocks.update(b_cond=cond.b, w_cond_out=cond.w_out)
     if result.grad_h is not None:
         d_h += result.grad_h
 
@@ -578,12 +589,12 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     features = stack.features
     if features is None:
         e = np.ascontiguousarray(params.emb[passage_ids].transpose(0, 2, 1))
-        parts["w_mix"] = _PerExample(
+        per_example["w_mix"] = _PerExample(
             lambda j: d_pre[j] @ _features(params, passage_ids[j], q[j]).T
         )
     else:
         e = features[:, :d]
-        parts["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
+        per_example["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
     blocks["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
@@ -593,33 +604,68 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     del d_features, e
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
-    parts["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
+    per_example["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
     blocks["b_q"] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
     # Embedding rows: each example's passage rows, then its question rows,
-    # summed per example over the stack's distinct ids.
+    # summed per example at its own distinct ids (:func:`_example_slots`).
     q_lengths = stack.question_lengths
-    token_ids = np.concatenate([passage_ids.ravel(), stack.question_ids])
-    seen = np.zeros(params.vocab_size, dtype=bool)
-    seen[token_ids] = True
-    ids = np.flatnonzero(seen)
-    slot_of = np.zeros(params.vocab_size, dtype=np.int64)
-    slot_of[ids] = np.arange(ids.size)
-    slot = slot_of[token_ids] + ids.size * np.concatenate(
-        [np.repeat(np.arange(size), length), np.repeat(np.arange(size), q_lengths)]
-    )
-    rows = np.empty((token_ids.size, d))
+    ids, slot, bounds = _example_slots(passage_ids, stack.question_ids, q_lengths, params.vocab_size)
+    rows = np.empty((slot.size, d))
     rows[: size * length].reshape(size, length, d)[...] = d_e.transpose(0, 2, 1)
     del d_e
     rows[size * length :] = np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
-    parts["emb"] = (ids, _sum_rows(slot, rows, size * ids.size).reshape(size, ids.size, d))
+    emb = (ids, _sum_rows(slot, rows, ids.size), bounds)
     del rows, slot
-    parts["stacked"] = (
-        params.positions(tuple(blocks)),
-        np.concatenate([block.reshape(size, -1) for block in blocks.values()], axis=1),
-    )
-    return parts
+    stacked = np.concatenate([block.reshape(size, -1) for block in blocks.values()], axis=1)
+    return {
+        "stacked": (params.positions(tuple(blocks)), stacked),
+        "per_example": per_example,
+        "emb": emb,
+    }
+
+
+def _example_slots(passage_ids, question_ids, q_lengths, vocab: int) -> tuple:
+    """Number each stack example's distinct token ids: ``(ids, slots, bounds)``.
+
+    Example j's distinct ids, ascending, are ``ids[bounds[j]:bounds[j + 1]]``,
+    and ``slots`` maps each token (the passage tokens, then the question
+    tokens) to its example's entry for its id.  A stack's pairs are
+    numbered by one sort of the keys ``example * V + id``, so the work grows
+    with its tokens.  One example's ids are marked in a vocabulary-sized
+    table instead (:func:`_distinct`), about twice as fast at L=180, where
+    every stack holds one example.
+    """
+    size = len(passage_ids)
+    if size == 1:
+        tokens = np.concatenate([passage_ids[0], question_ids])
+        ids = _distinct(tokens, vocab)
+        return ids, np.searchsorted(ids, tokens), [0, ids.size]
+    offsets = np.arange(size) * vocab
+    keys = np.concatenate([
+        (passage_ids + offsets[:, None]).ravel(), question_ids + np.repeat(offsets, q_lengths)
+    ])
+    # A stable sort: after a train-short pass, a first stable argsort of
+    # int64 keys raised peak RSS by nothing, a first default one (the code
+    # it maps) by 0.375 MB.
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    slots = np.empty(keys.size, dtype=np.int64)
+    slots[order] = np.cumsum(first) - 1
+    keys = keys[first]
+    return keys % vocab, slots, np.searchsorted(keys, np.append(offsets, size * vocab)).tolist()
+
+
+def _distinct(ids: np.ndarray, vocab: int) -> np.ndarray:
+    """The distinct ``ids``, ascending, marked in a table of ``vocab`` flags
+    (np.unique's first call costs 1 MB of imports)."""
+    seen = np.zeros(vocab, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
 
 
 def _sum_rows(slots: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
@@ -627,29 +673,44 @@ def _sum_rows(slots: np.ndarray, rows: np.ndarray, count: int) -> np.ndarray:
     ``np.bincount`` over cells ``slot * d + column``, which adds in row
     order from +0.0, as ``np.add.at`` into zeros does."""
     d = rows.shape[1]
-    cells = (slots[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(cells, weights=rows.ravel(), minlength=count * d).reshape(count, d)
+    sums = np.bincount(_cells(slots, d), weights=rows.ravel(), minlength=count * d)
+    return sums.reshape(count, d)
+
+
+def _cells(rows: np.ndarray, d: int) -> np.ndarray:
+    """The flat positions ``row * d + column`` of these rows of a (n, d) table, row by row."""
+    return (rows[:, None] * d + np.arange(d)).ravel()
+
+
+def _emb_rows(parts: dict, lo: int, hi: int) -> tuple:
+    """Examples ``lo..hi-1``'s embedding ids and rows in a stack's
+    contributions (:func:`_backward_stack`), one example after the other."""
+    ids, rows, bounds = parts["emb"]
+    return ids[bounds[lo] : bounds[hi]], rows[bounds[lo] : bounds[hi]]
 
 
 def _add_rows(grads: FlatBlocks, parts: dict, lo: int, hi: int) -> None:
     """Add rows ``lo..hi-1`` of a stack's contributions (:func:`_backward_stack`)
-    to ``grads``, one example after the other: the stacked matrix and the
-    embedding rows each through one gather and one scatter."""
+    to ``grads``, one example after the other: the stacked matrix through
+    one gather and one scatter, the embedding rows through one
+    ``np.add.at``, which applies its values in order.  It runs over the
+    table's flat cells, where it is about three times as fast as over its
+    rows (35 us against 117 us for 420 rows of 32 on a 2-vCPU x86-64 host);
+    one example's rows, at distinct ids, need only a gather and a scatter."""
     positions, stacked = parts["stacked"]
     total = grads.flat[positions]
     for j in range(lo, hi):
         total += stacked[j]
     grads.flat[positions] = total
-    for name, rows in parts.items():
-        if isinstance(rows, _PerExample):
-            total = grads[name]
-            for j in range(lo, hi):
-                total += rows[j]
-    ids, rows = parts["emb"]
-    emb = grads["emb"][ids]
-    for j in range(lo, hi):
-        emb += rows[j]
-    grads["emb"][ids] = emb
+    for name, rows in parts["per_example"].items():
+        total = grads[name]
+        for j in range(lo, hi):
+            total += rows[j]
+    ids, rows = _emb_rows(parts, lo, hi)
+    if hi - lo == 1:  # one example's ids are distinct: one gather, add and scatter
+        grads["emb"][ids] += rows
+    else:
+        np.add.at(grads["emb"].reshape(-1), _cells(ids, rows.shape[1]), rows.reshape(-1))
 
 
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
@@ -678,6 +739,7 @@ def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str
     for window in _stack_windows(params, batch, MAX_WINDOW_CELLS, policy, joint):
         for members, stack in window:
             result = _stack_loss(params, stack, [batch[i].target for i in members], objective)
+            stack.joint = None  # the loss has read it, the backward pass never does
             k = len(parts)
             for j, (i, loss) in enumerate(zip(members, result.loss.tolist())):
                 losses[i] = loss
@@ -728,23 +790,17 @@ def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
             for contributions, j in rest:
                 total = total + contributions["stacked"][1][j]
             grads.flat[positions] += total
-            for name, rows in first.items():
-                if isinstance(rows, _PerExample):
-                    total = rows[row]
-                    for contributions, j in rest:
-                        total = total + contributions[name][j]
-                    grads[name] += total
+            for name, rows in first["per_example"].items():
+                total = rows[row]
+                for contributions, j in rest:
+                    total = total + contributions["per_example"][name][j]
+                grads[name] += total
 
-            # The union of the stacks' ids (np.unique's first call costs 1 MB of imports).
-            seen = np.zeros(len(grads["emb"]), dtype=bool)
-            for contributions, _ in sources:
-                seen[contributions["emb"][0]] = True
-            ids = np.flatnonzero(seen)
-            total = np.zeros((ids.size, grads["emb"].shape[1]))
-            for contributions, j in sources:
-                stack_ids, rows = contributions["emb"]
-                total[np.searchsorted(ids, stack_ids)] += rows[j]
-            grads["emb"][ids] += total
+            # The rows' sums over the union of their ids, each from +0.0 in row order.
+            ids, rows = zip(*(_emb_rows(contributions, j, j + 1) for contributions, j in sources))
+            ids, rows = np.concatenate(ids), np.concatenate(rows)
+            union = _distinct(ids, len(grads["emb"]))
+            grads["emb"][union] += _sum_rows(np.searchsorted(union, ids), rows, union.size)
         for k, j in spots:
             if j == parts[k][1] - 1:
                 parts[k] = None
@@ -1199,6 +1255,7 @@ def predict_distributions(
                     )
                 else:
                     dists[i] = decoding.joint_distribution(ScoreMatrix(stack.joint[j], stack.mask))
+            del stack  # so the next stack's forward pass runs without it
         for i in sorted(dists):
             yield dists.pop(i)
 

@@ -31,9 +31,13 @@ MASK_FULL = "full"
 MASK_POLICIES = (MASK_VALID, MASK_FULL)
 
 # A stack (rows run through one batched array pass: a training or decoding
-# stack of examples, or a stack of beam starts) holds at most this many rows
-# and L x L score cells, so one at L=180 holds a single row.
-MAX_STACK = 8
+# stack of examples, or a stack of beam starts) holds at most this many
+# tokens (B x L) and B x L x L score cells, at least one row.  The token
+# budget bounds the (B, 3d, L) arrays a pass forms.  512 tokens are what
+# the widest stacks held under the fixed cap of eight rows it replaces
+# (eight rows at L=63), so a 32-example batch at L=12 is one stack, L=60
+# keeps eight rows, and L=180, where the cell budget binds, one.
+MAX_STACK_TOKENS = 512
 MAX_STACK_CELLS = 180 * 180
 # A training window (consecutive runs of one-length examples, sorted by
 # length before they are cut into stacks) holds at most this many score
@@ -44,9 +48,10 @@ MAX_STACK_CELLS = 180 * 180
 # the smaller budget is kept; see BENCH_batch_windows.json for its
 # ten-pair figures against unsorted runs.
 MAX_WINDOW_CELLS = MAX_STACK_CELLS // 2
-# A decoding window (at least one run) holds at most MAX_STACK full stacks of
-# score cells, so the distributions it holds until it is yielded stay few.
-MAX_DECODE_CELLS = MAX_STACK * MAX_STACK_CELLS
+# A decoding window (at least one run) holds at most this many score cells
+# (eight passages at L=180), so the distributions it holds until it is
+# yielded stay few.
+MAX_DECODE_CELLS = 259_200
 # _fsum runs the binned kernel from this many values up.  Its fixed cost
 # (two bincounts into 2,098 exponent bins, and a Python loop over the bins
 # in use) outweighs fsum's loop below 500-700 values: on a 2-vCPU x86-64
@@ -68,7 +73,8 @@ _EXPONENT_BINS = 1024 - _LEAST_EXPONENT + 1
 
 def stack_cap(length: int) -> int:
     """Rows a stack may hold at passage length ``length`` (at least one)."""
-    return min(MAX_STACK, max(1, MAX_STACK_CELLS // max(1, length * length)))
+    length = max(1, length)
+    return max(1, min(MAX_STACK_TOKENS // length, MAX_STACK_CELLS // (length * length)))
 
 
 def span_mask(length: int, policy: str = MASK_VALID) -> np.ndarray:

@@ -10,6 +10,14 @@ one-line change:
 * ``weighted-dot``            -- ``w . (h_s * h_e)``,           w in R^d
 * ``additive``                -- ``w . [h_s; h_e]``,            w in R^2d
 * ``additive-weighted-dot``   -- ``w . [h_s; h_e; h_s * h_e]``, w in R^3d
+
+``additive`` is separable: its score is ``a(s) + b(e)``, with
+``a(s) = w[:d] . h_s`` and ``b(e) = w[d:] . h_e``, so no term couples the
+start and the end.  Its joint softmax is then the independent product
+``softmax(a) x softmax(b)`` restricted to the valid cells and renormalized,
+and its argmax can still pair the start of one answer region with the end
+of another, as the independent objective's can.  The other three kinds
+carry the interaction term ``h_s * h_e``.
 """
 
 from __future__ import annotations

@@ -48,8 +48,8 @@ from spanobj.numerics import (
     MASK_FULL,
     MASK_POLICIES,
     MASK_VALID,
-    MAX_STACK,
     MAX_STACK_CELLS,
+    MAX_STACK_TOKENS,
     MAX_WINDOW_CELLS,
     finite_diff_gradient,
 )
@@ -385,12 +385,57 @@ def test_train_step_raises_divergence_on_poisoned_params():
         train(dataset, config, params=params)
 
 
-def test_stacks_are_runs_of_one_length_capped_by_examples_and_cells():
-    lengths = [180, 180] + [90] * 5 + [12] * 10 + [60, 12]
+def test_stacks_are_runs_of_one_length_capped_by_tokens_and_cells():
+    lengths = [180, 180] + [90] * 5 + [12] * 50 + [60] * 10 + [12]
     assert list(_stack_bounds(lengths)) == [
-        (0, 1), (1, 2), (2, 6), (6, 7), (7, 15), (15, 17), (17, 18), (18, 19),
+        (0, 1), (1, 2), (2, 6), (6, 7), (7, 49), (49, 57), (57, 65), (65, 67), (67, 68),
     ]
-    assert MAX_STACK == 8 and MAX_STACK_CELLS // (90 * 90) == 4
+    # The cell budget holds L=90 and L=180, the token budget L=12 and L=60.
+    assert MAX_STACK_CELLS // (90 * 90) == 4 < MAX_STACK_TOKENS // 90
+    assert MAX_STACK_TOKENS // 60 == 8 < MAX_STACK_CELLS // (60 * 60)
+    # A default batch of 32 examples at L=12 is one stack.
+    assert MAX_STACK_TOKENS // 12 == 42
+
+
+def _stack_and_loss(objective, size=3, length=12):
+    """A stack of examples whose ids repeat within and across examples, and its loss."""
+    import spanobj.model as model
+
+    rng = np.random.default_rng(53)
+    params = init_params(15, dim=4, seed=0)
+    questions = [rng.integers(0, 15, size=n) for n in range(2, 2 + size)]
+    passages = [rng.integers(0, 15, size=length) for _ in range(size)]
+    stack = model._forward_stack(params, questions, passages, MASK_VALID)
+    result = model._stack_loss(params, stack, [SpanTarget(1, 3)] * size, objective)
+    return params, questions, passages, stack, result
+
+
+def test_a_stacks_embedding_rows_are_each_examples_rows_at_its_own_ids():
+    # The rows grow with the examples' distinct ids, not with B times the
+    # stack's: example j holds exactly its passage and question ids, and
+    # its rows are its one-example embedding gradient there.
+    import spanobj.model as model
+
+    params, questions, passages, stack, result = _stack_and_loss(OBJ_COMPOUND)
+    ids, rows, bounds = model._backward_stack(params, stack, result)["emb"]
+    distinct = [sorted(set(p.tolist()) | set(q.tolist())) for p, q in zip(passages, questions)]
+    assert rows.shape == (sum(map(len, distinct)), params.dim) and ids.shape == (rows.shape[0],)
+    for j, (want, q_ids, p_ids) in enumerate(zip(distinct, questions, passages)):
+        lo, hi = bounds[j], bounds[j + 1]
+        assert ids[lo:hi].tolist() == want
+        _, grads = loss_and_grads(params, q_ids, p_ids, SpanTarget(1, 3), OBJ_COMPOUND)
+        assert grads["emb"][want].tobytes() == rows[lo:hi].tobytes()
+    assert len(set(ids.tolist())) < ids.size  # the stack shares ids across examples
+
+
+def test_a_conditional_stack_hands_on_its_w_cond_gradient_without_a_copy():
+    import spanobj.model as model
+
+    params, _, _, stack, result = _stack_and_loss(OBJ_CONDITIONAL)
+    parts = model._backward_stack(params, stack, result)
+    assert np.shares_memory(parts["per_example"]["w_cond"], result.grad_cond.w)
+    positions, _ = parts["stacked"]
+    assert not np.isin(params.positions(("w_cond",)), positions).any()
 
 
 def test_batches_of_one_length_run_as_their_unsorted_stacks(monkeypatch):

@@ -40,11 +40,12 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from spanobj import model
+from spanobj import decoding, model, numerics
 from spanobj.data import Passage, canonical_json, prediction_lines
 from spanobj.decoding import (
     Prediction,
@@ -62,7 +63,6 @@ from spanobj.numerics import (
     _BINNED_FSUM_MIN,
     MASK_POLICIES,
     MASK_VALID,
-    MAX_STACK,
     ScoreMatrix,
     _binned_fsum,
     _fsum,
@@ -511,6 +511,11 @@ def windowed_batches(draw):
     lengths = draw(st.lists(st.sampled_from((1, 3, 6)), min_size=1, max_size=20))
     if draw(st.booleans()):
         lengths.insert(draw(st.integers(0, len(lengths))), 180)
+    return _draw_examples(draw, lengths), draw(st.sampled_from((model.MAX_WINDOW_CELLS, 1, 10, 40)))
+
+
+def _draw_examples(draw, lengths) -> list:
+    """Examples with passages of these lengths, random ids and targets."""
     batch = []
     for length in lengths:
         start = draw(st.integers(0, length - 1))
@@ -519,7 +524,7 @@ def windowed_batches(draw):
             np.array(draw(st.lists(st.integers(0, VOCAB - 1), min_size=length, max_size=length))),
             SpanTarget(start, draw(st.integers(start, length - 1))),
         ))
-    return batch, draw(st.sampled_from((model.MAX_WINDOW_CELLS, 1, 10, 40)))
+    return batch
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -591,7 +596,7 @@ def test_the_stack_plan_holds_every_item_once_in_ordered_one_length_stacks(
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     st.sampled_from((1, 3, 6)),
-    st.integers(1, MAX_STACK),
+    st.integers(1, 10),
     st.sampled_from(OBJECTIVE_KINDS),
     st.sampled_from(MASK_POLICIES),
     st.sampled_from(SIMILARITY_KINDS),
@@ -624,14 +629,58 @@ def test_a_stack_that_dropped_its_inputs_gives_the_same_contributions_bit_for_bi
     )
 
     assert list(dropped) == list(kept)
-    for name, want in kept.items():
-        got = dropped[name]
-        if isinstance(want, model._PerExample):
-            for j in range(size):
-                assert got[j].tobytes() == want[j].tobytes(), (name, j)
-        else:  # "stacked" and "emb": (positions or ids, (B, ...) rows)
-            assert got[0].tobytes() == want[0].tobytes(), name
-            assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes(), name
+    assert list(dropped["per_example"]) == list(kept["per_example"])
+    for name, want in kept["per_example"].items():
+        got = dropped["per_example"][name]
+        for j in range(size):
+            assert got[j].tobytes() == want[j].tobytes(), (name, j)
+    for name in ("stacked", "emb"):  # (positions, rows) and (ids, rows, bounds)
+        for got, want in zip(dropped[name], kept[name]):
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# Stack size against itself
+
+
+@settings(derandomize=True, deadline=None, max_examples=8)
+@pytest.mark.parametrize("sim", SIMILARITY_KINDS)
+@pytest.mark.parametrize("policy", MASK_POLICIES)
+@pytest.mark.parametrize("objective", OBJECTIVE_KINDS)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_stack_size_changes_no_bit(objective, policy, sim, data, seed):
+    """One batch stacked at most one row deep, at most eight (the old fixed
+    cap) and by the token and cell budgets gives the same losses, gradient
+    vector, parameters and AdamW moments after a step, and decodes, bit for
+    bit.  Examples mix lengths, so a window's sorted stacks merge runs;
+    ``compound-shared`` trains a batch of contexts."""
+    if objective == OBJ_COMPOUND_SHARED:
+        batch = data.draw(st.lists(contexts(min_gold=1), min_size=1, max_size=8))
+    else:
+        lengths = data.draw(st.lists(st.sampled_from((1, 3, 6)), min_size=1, max_size=24))
+        batch = _draw_examples(data.draw, lengths)
+    params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():  # nonzero biases, so every block carries signal
+        block += rng.normal(0.0, 0.1, size=block.shape)
+
+    outcomes = []
+    for cap in (lambda length: 1, lambda length: 8, stack_cap):
+        with mock.patch.object(model, "stack_cap", cap), mock.patch.object(decoding, "stack_cap", cap):
+            stepped = params.copy()
+            losses, grads = model.batch_loss_and_grads(stepped, batch, objective, policy)
+            optimizer = model.AdamW(lr=1e-2)
+            optimizer.step(stepped, grads)
+            outcome = [np.array(losses).tobytes()] + [
+                vector.flat.tobytes() for vector in (grads, stepped, optimizer.m, optimizer.v)
+            ]
+            if objective != OBJ_COMPOUND_SHARED:
+                for dist in model.predict_distributions(params, batch, objective, policy, 3):
+                    outcome += [dist.starts.tobytes(), dist.ends.tobytes(), dist.probs.tobytes()]
+                    outcome.append(dist.raw_mass.hex())
+        outcomes.append(outcome)
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +770,9 @@ def contexts(draw, min_passages=1, max_passages=4, lengths=(1, 3, 6), min_gold=0
 # A chunk budget of a few dozen score cells, so that most batches of these
 # contexts run as several chunks (the default budget holds any of them whole).
 _SMALL_BUDGET = 40
+# A stack budget of a dozen tokens (four passages at L=3, two at L=6), so
+# that a context's passages of one length can fill several stacks.
+_SMALL_STACK_TOKENS = 12
 _CONTEXT_CHUNKS = model._context_chunks
 
 
@@ -740,14 +792,14 @@ def context_runs(draw):
 
 @st.composite
 def context_batches(draw):
-    """Contexts with :func:`context_runs` among them, optionally one with more
-    than MAX_STACK passages and more than ``_SMALL_BUDGET`` cells, and a
-    batch size."""
+    """Contexts with :func:`context_runs` among them, optionally one of 9-11
+    passages, more than a stack of ``_SMALL_STACK_TOKENS`` holds and more
+    than ``_SMALL_BUDGET`` cells, and a batch size."""
     batch = draw(st.lists(contexts(), min_size=1, max_size=12))
     at = draw(st.integers(0, len(batch)))
     batch[at:at] = draw(context_runs())
     if draw(st.booleans()):
-        big = draw(contexts(MAX_STACK + 1, MAX_STACK + 3, lengths=(3, 6)))
+        big = draw(contexts(9, 11, lengths=(3, 6)))
         batch.insert(draw(st.integers(0, len(batch))), big)
     return batch, draw(st.integers(1, 12))
 
@@ -765,8 +817,14 @@ class _RecordingAdamW(model.AdamW):
     st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)),
     st.integers(0, 2**16),
     st.sampled_from((model.MAX_WINDOW_CELLS, _SMALL_BUDGET)),
+    st.sampled_from((numerics.MAX_STACK_TOKENS, _SMALL_STACK_TOKENS)),
 )
-def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed, budget):
+def test_context_chunks_equal_the_per_context_loop_bit_for_bit(case, policy, sim, seed, budget, tokens):
+    with mock.patch.object(numerics, "MAX_STACK_TOKENS", tokens):
+        _check_context_chunks(case, policy, sim, seed, budget)
+
+
+def _check_context_chunks(case, policy, sim, seed, budget):
     contexts_, batch_size = case
     params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
     rng = np.random.default_rng(seed)
@@ -1154,7 +1212,7 @@ def decode_sets(draw):
     """Unsorted examples of mixed L up to 180; sometimes more at L=180 than a window holds."""
     lengths = draw(st.lists(st.sampled_from((1, 5, 12, 24, 60, 90, 180)), min_size=1, max_size=12))
     if draw(st.booleans()):
-        lengths += [180] * (MAX_STACK + 1)
+        lengths += [180] * (model.MAX_DECODE_CELLS // 180**2 + 1)
     lengths = draw(st.permutations(lengths))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     return [
