@@ -312,10 +312,12 @@ class _Option(NamedTuple):
     name: str
     flag: str
     required: bool
+    minimum: int | None  # the smallest value the option takes
     arguments: dict  # add_argument keywords
 
 
-def _option(commands: str, name: str, default=None, required=False, **arguments) -> _Option:
+def _option(commands: str, name: str, default=None, required=False, minimum=None,
+            **arguments) -> _Option:
     """An option of the space-separated ``commands``.  Its type is its
     default's, a path's when None; a bool default makes an on/off flag."""
     if isinstance(default, bool):
@@ -325,7 +327,7 @@ def _option(commands: str, name: str, default=None, required=False, **arguments)
     # Keywords left at None would only slow add_argument, which every command runs.
     arguments = {key: value for key, value in arguments.items() if value is not None}
     flag = "--" + name.replace("_", "-")
-    return _Option(commands.split(), name, flag, required, dict(arguments, dest=name))
+    return _Option(commands.split(), name, flag, required, minimum, dict(arguments, dest=name))
 
 
 def _fields(command: str, config_cls, skip: str, **choices) -> list:
@@ -336,8 +338,8 @@ def _fields(command: str, config_cls, skip: str, **choices) -> list:
     ]
 
 
-# Every option, in --help order.  The parser, the config keys, the defaults
-# and the required checks all come from this table.
+# Every option, in --help order.  The parser, the config keys, the defaults,
+# the required checks and the minimums all come from this table.
 _OPTIONS = [
     _option("decode", "checkpoint", required=True),
     _option("eval", "predictions", required=True),
@@ -358,11 +360,11 @@ _OPTIONS = [
     _option("train", "contexts", help="context file for shared-normalization training"),
     # The default runs every filter: length, then surface form.
     _option("decode", "filter", decoding.FILTER_PIPELINES[-1], choices=decoding.FILTER_PIPELINES),
-    _option("decode", "zeta", decoding.DEFAULT_MAX_SPAN_LENGTH),
-    _option("decode", "surface_k", decoding.DEFAULT_SURFACE_TOP_K),
+    _option("decode", "zeta", decoding.DEFAULT_MAX_SPAN_LENGTH, minimum=0),
+    _option("decode", "surface_k", decoding.DEFAULT_SURFACE_TOP_K, minimum=1),
     _option("eval", "hist_out"),
-    _option("decode eval", "top_k", 20),
-    _option("train decode", "beam", decoding.DEFAULT_BEAM_WIDTH),
+    _option("decode eval", "top_k", 20, minimum=1),
+    _option("train decode", "beam", decoding.DEFAULT_BEAM_WIDTH, minimum=1),
     _option("train", "log_dev", False, help="evaluate the dev set after every epoch"),
     _option("train", "resume", False, help="continue from an existing checkpoint"),
 ]
@@ -429,7 +431,8 @@ def _config_flags(parser: argparse.ArgumentParser, command: str, path: str) -> l
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """Each option from its flag, else the config file, else its default."""
+    """Each option from its flag, else the config file, else its default,
+    checked against the table's required options and minimums."""
     # Only the named command gets its options.  With none named, parsing ends
     # at the top level (help or a usage error), and every command is built.
     parser = build_parser(next((arg for arg in argv if arg in _COMMANDS), None))
@@ -439,11 +442,16 @@ def _parse(argv: list) -> argparse.Namespace:
         flags = _config_flags(parser, args.command, args.config)
         args = parser.parse_args([args.command, *flags, *argv[1:]])
     for option in _OPTIONS:
-        if (args.command in option.commands and option.required
-                and getattr(args, option.name) is None):
+        if args.command not in option.commands:
+            continue
+        value = getattr(args, option.name)
+        if option.required and value is None:
             raise ConfigError(
                 f"{args.command}: option {option.flag} is required (a flag or a config key)"
             )
+        if option.minimum is not None and value < option.minimum:
+            raise ConfigError(f"{args.command}: option {option.flag} must be >= {option.minimum}, "
+                              f"got {value}")
     return args
 
 

@@ -14,23 +14,23 @@ gradients and AdamW moments are vectors cut the same way (:class:`FlatBlocks`),
 so a step, a gradient scale and a checkpoint write each make one pass.  One
 :func:`train_step`, under the one epoch loop of :func:`train`, trains
 every objective through one :func:`batch_loss_and_grads` call: a batch of
-examples, or of contexts through the shared-normalization chunks below.
+examples, or of contexts through the same windows (below).
 
 Everything runs through one batched core, fed by one stack planner
 (:func:`_stack_windows` over :func:`_plan_stacks`).  It cuts items into
 runs of consecutive items sharing a passage length L, at most
 ``MAX_STACK_TOKENS`` (512) tokens and ``MAX_STACK_CELLS`` (180^2) score
 cells each (42 items at L=12, 8 at L=60, one at L=180), and consecutive
-runs into windows of at most a budget of score cells.  A window's items,
-sorted stably by length, are cut into stacks by the same rule, so items of
-one length run as exactly their runs.  Stacks come in the order of their
-first members, and each stack's forward pass is run and checked for
-finiteness.  The planner has three consumers:
+groups of items, by default those runs, into windows of at most a budget
+of score cells.  A window's items, sorted stably by length, are cut into
+stacks by the same rule, so items of one length run as exactly their
+runs.  Stacks come in the order of their first members, and each stack's
+forward pass is run and checked for finiteness.  The planner has two
+consumers:
 
-* training batches (:func:`batch_loss_and_grads`), in windows of
-  ``MAX_WINDOW_CELLS`` (180^2 / 2) cells; a window holds its stacks'
-  contributions until they are added, so memory sets its budget;
-* shared-normalization chunks, one window per chunk (below);
+* training (:func:`batch_loss_and_grads`), in windows of
+  ``MAX_WINDOW_CELLS`` (180^2 / 2) cells; a window holds its stacks until
+  their gradients are added, so memory sets its budget;
 * decoding (:func:`predict_distributions`), in windows of
   ``MAX_DECODE_CELLS`` (8 x 180^2) cells; a window's distributions are
   yielded in input order after its last stack.
@@ -67,22 +67,18 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 * AdamW and the gradient scale are elementwise, so a pass over the flat
   vectors equals a pass over each block.
 
-Shared-normalization training runs a batch of contexts in chunks: runs of
-consecutive supervised contexts holding at most ``MAX_WINDOW_CELLS`` score
-cells (L^2 summed over their passages), the training window's budget, and
-at least one context.  A chunk's passages run as the planner's stacks;
-each context pays one pooled cross-entropy per factor over its passages'
-scores in passage order (1-D log-sum-exps over the concatenated scores),
-and every context's pools run as one vectorized call.  A chunk runs every
-forward pass before its pooled losses, so it holds little per passage: a
-stack drops its joint matrix once its unmasked cells are gathered, and its
-mixing-layer input and joint start representations, which
-:func:`_backward_stack` forms again when it finds them gone; each context
-is added as soon as its stacks have run, and a stack's contributions go
-once its last passage has been added.  Every stack, a chunk's or a
-batch's, returns its contributions in one format (:func:`_backward_stack`),
-which :func:`_add_ready` adds.  ``context_loss_and_grads`` is that path
-for one context.  The outputs equal a loop over contexts bit for bit
+Training runs each window on one schedule: every forward pass, then the
+window's losses, then each stack's backward pass (:func:`_backward_stack`,
+one contribution format for every stack), after which :func:`_add_ready`
+adds every item whose stacks have run.  An example is one row of the core.
+A context of shared-normalization training is its passages in passage
+order, one group that no window splits, so a window holds at most
+``MAX_WINDOW_CELLS`` score cells (L^2 summed over its passages) or one
+context.  Each context pays one pooled cross-entropy per factor over its
+passages' scores in passage order (1-D log-sum-exps over the concatenated
+scores), and all the window's pools run as one vectorized call, which is
+why every forward pass runs first.  ``context_loss_and_grads`` is that
+path for one context.  The outputs equal a loop over contexts bit for bit
 because:
 
 * the backward pass returns each passage's contribution on its own
@@ -265,9 +261,13 @@ class ModelParams:
         return self._positions[names]
 
 
+# The model width every training and initialization defaults to.
+DEFAULT_DIM = 32
+
+
 def init_params(
     vocab_size: int,
-    dim: int = 32,
+    dim: int = DEFAULT_DIM,
     similarity_kind: str = KIND_DOT,
     seed: int = 0,
 ) -> ModelParams:
@@ -308,9 +308,10 @@ class _Stack:
     """Forward intermediates of B examples sharing passage length L.
 
     Arrays carry a leading B axis; ``question_ids`` concatenates the
-    examples' question ids and ``question_lengths`` splits them.  A
-    shared-normalization chunk drops ``features``, ``h_start`` and
-    ``joint`` while its stacks wait for their backward passes.
+    examples' question ids and ``question_lengths`` splits them.  A stack
+    keeps what its backward pass reads; ``h_start`` and ``joint`` are None
+    when the joint head is skipped, and ``joint`` goes once the losses have
+    read it.
     """
 
     question_ids: np.ndarray
@@ -318,7 +319,7 @@ class _Stack:
     passage_ids: np.ndarray   # B x L
     q_bar: np.ndarray         # B x d
     q: np.ndarray             # B x d
-    features: np.ndarray | None  # B x 3d x L mixing-layer input
+    features: np.ndarray      # B x 3d x L mixing-layer input
     h: np.ndarray             # B x d x L
     start_scores: np.ndarray  # B x L
     end_scores: np.ndarray    # B x L
@@ -368,19 +369,6 @@ def _stack_bounds(lengths):
         lo = hi
 
 
-def _cell_windows(cells, budget: int):
-    """``(lo, hi)`` runs of consecutive items holding at most ``budget`` of
-    the items' ``cells`` in all (at least one item)."""
-    lo, count = 0, len(cells)
-    while lo < count:
-        hi, total = lo + 1, cells[lo]
-        while hi < count and total + cells[hi] <= budget:
-            total += cells[hi]
-            hi += 1
-        yield lo, hi
-        lo = hi
-
-
 def _forward_stack(
     params: ModelParams, question_ids, passage_ids, policy: str, joint: bool = True
 ) -> _Stack:
@@ -409,7 +397,13 @@ def _forward_stack(
     q_bar = q_sum / q_lengths[:, None]
     q = (params.w_q @ q_bar[:, :, None])[:, :, 0] + params.b_q
 
-    features = _features(params, passages, q)
+    # The mixing layer's input F = [e; e * q; q], B x 3d x L.
+    d = params.dim
+    e = np.swapaxes(params.emb[passages], 1, 2)
+    features = np.empty((size, 3 * d, length))
+    features[:, :d] = e
+    np.multiply(e, q[:, :, None], out=features[:, d : 2 * d])
+    features[:, 2 * d :] = q[:, :, None]
     h = params.w_mix @ features
     h += params.b_mix[:, None]
     np.tanh(h, out=h)
@@ -437,18 +431,6 @@ def _forward_stack(
     )
 
 
-def _features(params: ModelParams, passages: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The mixing layer's input ``[e; e * q; q]``, (..., 3d, L), of passages
-    (..., L) with embeddings ``e`` and question vectors ``q`` (..., d)."""
-    d = params.dim
-    e = np.swapaxes(params.emb[passages], -1, -2)
-    features = np.empty(e.shape[:-2] + (3 * d, e.shape[-1]))
-    features[..., :d, :] = e
-    np.multiply(e, q[..., None], out=features[..., d : 2 * d, :])
-    features[..., 2 * d :, :] = q[..., None]
-    return features
-
-
 def _check_finite(stack: _Stack) -> None:
     """The checks the one-example containers make, over a whole stack."""
     h, h_start, scores = stack.h, stack.h_start, stack.joint
@@ -462,24 +444,35 @@ def _check_finite(stack: _Stack) -> None:
         raise InvalidInputError("span score matrix has non-finite unmasked entries")
 
 
-def _plan_stacks(lengths, budget):
+def _plan_stacks(lengths, budget, groups=None):
     """Windows of stacks (lists of item numbers) of items with these passage lengths.
 
-    The items are cut into runs sharing a length (:func:`_stack_bounds`),
-    and consecutive runs into windows holding at most ``budget`` score
-    cells (at least one run).  A window's items, sorted stably by length,
-    are cut into stacks by the same rule, so sorting only merges runs:
-    items of one length come out as exactly their runs.  A stack's members
-    rise, and a window's stacks come in the order of their first members.
+    ``groups`` are ``(lo, hi)`` ranges of consecutive items that no window
+    splits: by default the runs of items sharing a length
+    (:func:`_stack_bounds`); a batch of contexts passes one per context.
+    Consecutive groups form windows holding at most ``budget`` score cells
+    (L^2 summed over their items; at least one group).  A window's items,
+    sorted stably by length, are cut into stacks by the run rule, so
+    sorting only merges runs: items of one length come out as exactly
+    their runs.  A stack's members rise, and a window's stacks come in the
+    order of their first members.
     """
-    runs = list(_stack_bounds(lengths))
-    for first, last in _cell_windows([(hi - lo) * lengths[lo] ** 2 for lo, hi in runs], budget):
-        order = sorted(range(runs[first][0], runs[last - 1][1]), key=lengths.__getitem__)
+    if groups is None:
+        groups = list(_stack_bounds(lengths))
+    cells = [sum(length**2 for length in lengths[lo:hi]) for lo, hi in groups]
+    first = 0
+    while first < len(groups):
+        last, total = first + 1, cells[first]
+        while last < len(groups) and total + cells[last] <= budget:
+            total += cells[last]
+            last += 1
+        order = sorted(range(groups[first][0], groups[last - 1][1]), key=lengths.__getitem__)
         stacks = [order[lo:hi] for lo, hi in _stack_bounds([lengths[i] for i in order])]
         yield sorted(stacks, key=lambda members: members[0])
+        first = last
 
 
-def _stack_windows(params: ModelParams, items, budget, policy: str, joint: bool = True):
+def _stack_windows(params: ModelParams, items, budget, policy: str, joint: bool = True, groups=None):
     """The stack planner: the windows of :func:`_plan_stacks` over items
     carrying ``question_ids`` and ``passage_ids``, each an iterator of
     ``(members, stack)`` that runs a stack's forward pass, and checks it
@@ -495,7 +488,7 @@ def _stack_windows(params: ModelParams, items, budget, policy: str, joint: bool 
             yield members, stack
             del stack  # so the next stack's forward pass runs without it
 
-    return map(run, _plan_stacks([np.size(item.passage_ids) for item in items], budget))
+    return map(run, _plan_stacks([np.size(item.passage_ids) for item in items], budget, groups))
 
 
 def _stack_loss(params: ModelParams, stack: _Stack, targets, objective: str) -> LossResult:
@@ -543,11 +536,8 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     Each gradient the result reports takes its one route: boundary scores
     through w_s/w_e, the joint matrix through the joint head and similarity
     weights, and the conditional head's gradients straight to its blocks
-    and the passage representations.  A stack that dropped its mixing-layer
-    input F or its joint start representations (a shared-normalization
-    chunk's) has them formed again: F's embeddings are gathered again for
-    this pass and its example rows formed again when their product is read.
-    Temporaries go as soon as they are used, so the pass's peak stays low.
+    and the passage representations.  Temporaries go as soon as they are
+    used, so the pass's peak stays low.
     """
     # The per-example closures below hold only the arrays they read, so a
     # contribution does not keep the stack's score matrices alive.
@@ -563,11 +553,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
             d_h += params.arrays["w_" + head][:, None] * g[:, None, :]
 
     if result.grad_joint is not None:
-        h_start = stack.h_start
-        if h_start is None:
-            h_start = start_reps(h, params.w_joint, params.b_joint)
-        d_hs, d_he, d_w_sim = span_score_grads(h_start, h, params.similarity, result.grad_joint)
-        del h_start
+        d_hs, d_he, d_w_sim = span_score_grads(stack.h_start, h, params.similarity, result.grad_joint)
         per_example["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
         blocks["b_joint"] = d_hs.sum(axis=2)
         d_he += params.w_joint.T @ d_hs
@@ -587,14 +573,8 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     d_pre = d_h
     d_pre *= 1.0 - h**2
     features = stack.features
-    if features is None:
-        e = np.ascontiguousarray(params.emb[passage_ids].transpose(0, 2, 1))
-        per_example["w_mix"] = _PerExample(
-            lambda j: d_pre[j] @ _features(params, passage_ids[j], q[j]).T
-        )
-    else:
-        e = features[:, :d]
-        per_example["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
+    e = features[:, :d]
+    per_example["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
     blocks["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
@@ -716,35 +696,69 @@ def _add_rows(grads: FlatBlocks, parts: dict, lo: int, hi: int) -> None:
 def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
     """Per-item losses and the summed parameter gradients of a batch of
     examples, or of supervised contexts (items with ``passages``), which
-    train ``compound-shared`` in chunks (:func:`_context_chunks`).
+    train ``compound-shared``.
 
-    Examples run as the planner's stacks (:func:`_stack_windows`, windows of
-    at most ``MAX_WINDOW_CELLS`` score cells), and :func:`_add_ready` adds
-    each after its stack's backward pass, in example order.  Losses and
-    gradients equal a loop of :func:`loss_and_grads` or
+    An example is one row of the model core, and a context is its passages
+    in passage order, a group of rows that no window splits.  Each window of
+    the planner (:func:`_stack_windows`, at most ``MAX_WINDOW_CELLS`` score
+    cells) runs every forward pass, then its losses (:func:`_stack_loss` per
+    stack of examples, one :func:`_context_losses` over its contexts), then
+    each stack's backward pass, after which :func:`_add_ready` adds every
+    item whose stacks have run, in item order.  A stack goes after its
+    backward pass, and its loss result when the next backward pass starts.
+    Losses and gradients equal a loop of :func:`loss_and_grads` or
     :func:`context_loss_and_grads` over the batch bit for bit.
     """
     grads = zero_grads(params)
-    if batch and hasattr(batch[0], "passages"):
-        if objective != OBJ_COMPOUND_SHARED:
-            raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {objective!r}")
-        losses = []
-        for chunk in _context_chunks(batch):
-            losses += _chunk_loss_and_grads(params, chunk, policy, grads)
-        return losses, grads
-    losses = [0.0] * len(batch)
+    shared = bool(batch) and hasattr(batch[0], "passages")
+    if shared and objective != OBJ_COMPOUND_SHARED:
+        raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {objective!r}")
+    rows, groups = batch, None
+    if shared:
+        rows = [
+            SimpleNamespace(question_ids=context.question_ids, passage_ids=p.passage_ids)
+            for context in batch
+            for p in context.passages
+        ]
+        firsts = np.cumsum([0] + [len(context.passages) for context in batch]).tolist()
+        groups = list(zip(firsts, firsts[1:]))
+    spans = groups or [(i, i + 1) for i in range(len(batch))]  # each item's rows
     # The independent and conditional objectives never read the joint head.
     joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    place, parts, added = [None] * len(batch), [], 0
-    for window in _stack_windows(params, batch, MAX_WINDOW_CELLS, policy, joint):
-        for members, stack in window:
-            result = _stack_loss(params, stack, [batch[i].target for i in members], objective)
-            stack.joint = None  # the loss has read it, the backward pass never does
-            k = len(parts)
-            for j, (i, loss) in enumerate(zip(members, result.loss.tolist())):
-                losses[i] = loss
-                place[i] = [(k, j)]
-            parts.append((_backward_stack(params, stack, result), len(members)))
+    losses, place, at, added = [0.0] * len(batch), [None] * len(batch), [None] * len(rows), 0
+    for window in _stack_windows(params, rows, MAX_WINDOW_CELLS, policy, joint, groups):
+        stacks = list(window)  # every forward pass
+        for k, (members, _) in enumerate(stacks):
+            for j, i in enumerate(members):
+                at[i] = (k, j)
+        # The window's items: every earlier item has been added, and no later row planned.
+        last = added
+        while last < len(spans) and at[spans[last][0]] is not None:
+            place[last] = at[spans[last][0] : spans[last][1]]
+            last += 1
+
+        if shared:
+            losses[added:last], results = _context_losses(
+                batch[added:last], [stack for _, stack in stacks], place[added:last], policy
+            )
+        else:
+            results = []
+            for members, stack in stacks:
+                result = _stack_loss(params, stack, [batch[i].target for i in members], objective)
+                stack.joint = None  # the loss has read it, the backward pass never does
+                for i, loss in zip(members, result.loss.tolist()):
+                    losses[i] = loss
+                results.append(result)
+
+        parts = [None] * len(stacks)
+        for k in range(len(stacks)):
+            (members, stack), result = stacks[k], results[k]
+            stacks[k] = results[k] = None
+            parts[k] = _backward_stack(params, stack, result), len(members)
+            # The loss result goes at the next backward pass (a window's last, in the
+            # next window): freeing it here lets glibc trim the heap top it holds, and
+            # regrowing the heap made L=180 training 12% slower (2-vCPU x86-64).
+            del stack
             added = _add_ready(grads, place, parts, added)
     return losses, grads
 
@@ -859,75 +873,62 @@ def _supervised(context) -> bool:
     return any(len(p.gt_spans) for p in context.passages)
 
 
-def _context_chunks(contexts, budget: int = MAX_WINDOW_CELLS):
-    """Runs of consecutive contexts holding at most ``budget`` score cells
-    (L^2 over their passages) in all.
+def _context_losses(contexts, stacks: list, place: list, policy: str) -> tuple:
+    """Pooled losses of a window's contexts and each stack's :class:`LossResult`.
 
-    A run holds at least one context, so a larger context is a run of its own.
+    ``place`` lists each context's passages' ``(stack, row)`` pairs in
+    passage order.  Each context pays one pooled cross-entropy per factor
+    (start, end, joint) over its passages' score rows in passage order,
+    marginalizing every distantly supervised position; the pools run factor
+    after factor, all in one :func:`~spanobj.objectives.pooled_ce_rows`.  A
+    stack's unmasked span scores, row-major, are all the losses read of its
+    joint matrix, which goes once they are gathered.  A loss is the sum
+    joint + start + end.
     """
-    cells = [sum(np.size(p.passage_ids) ** 2 for p in context.passages) for context in contexts]
-    for lo, hi in _cell_windows(cells, budget):
-        yield contexts[lo:hi]
-
-
-def _chunk_loss_and_grads(params: ModelParams, contexts, policy: str, grads: dict) -> list:
-    """Pooled losses of supervised contexts; adds their gradients to ``grads``.
-
-    The contexts' passages run through the core as the planner's stacks,
-    all in one window (:func:`_stack_windows`); a stack keeps only its
-    matrices' unmasked cells.  Each context pays one pooled cross-entropy
-    per factor (start, end, joint) over its passages' scores in passage
-    order, marginalizing every distantly supervised position; every
-    context's three pools run as one :func:`_pooled_losses`.  The stacks'
-    backward passes then run (:func:`_backward_stack`, which forms what a
-    stack dropped again), each stack's forward arrays released after its
-    pass, and :func:`_add_ready` adds each context in context order as soon
-    as its stacks have run.  Losses and gradients equal a loop of
-    :func:`context_loss_and_grads` over the contexts bit for bit.
-    """
-    passages = [p for context in contexts for p in context.passages]
-    items = [
-        SimpleNamespace(question_ids=context.question_ids, passage_ids=p.passage_ids)
+    # Each factor's score rows per stack, factor after factor.
+    stacked = [stack.start_scores for stack in stacks] + [stack.end_scores for stack in stacks]
+    for stack in stacks:
+        stacked.append(stack.joint.reshape(len(stack.joint), -1)[:, stack.mask.ravel()])
+        stack.joint = None
+    offsets = np.cumsum([0] + [rows.size for rows in stacked]).tolist()
+    spots = [spot for spots in place for spot in spots]  # each passage's (stack, row)
+    count = len(stacks)
+    starts, widths = [], []
+    for f in range(3):
+        for k, j in spots:
+            width = stacked[f * count + k].shape[1]
+            starts.append(offsets[f * count + k] + j * width)
+            widths.append(width)
+    where = _ranges(starts, widths)  # the (factor, passage) rows, one after the other
+    at = np.cumsum([0] + widths)
+    golds = [
+        _gold_positions(tuple((int(t.start), int(t.end)) for t in p.gt_spans),
+                        np.size(p.passage_ids), policy)
         for context in contexts
         for p in context.passages
     ]
-    (window,) = _stack_windows(params, items, math.inf, policy)
-    stacks, place = [], [None] * len(items)  # passage -> (stack, row)
-    for members, stack in window:
-        # Each row's unmasked span scores, row-major, are all the losses read
-        # of the matrices.  The mixing layer's input and the joint head's
-        # start representations are formed again in the backward pass.
-        stacks.append((stack, stack.joint.reshape(len(members), -1)[:, stack.mask.ravel()]))
-        stack.joint = stack.h_start = stack.features = None
-        for j, i in enumerate(members):
-            place[i] = (len(stacks) - 1, j)
-
-    # Each passage's start, end and joint gold positions.
-    golds = tuple(zip(*(
-        _gold_positions(tuple((int(t.start), int(t.end)) for t in p.gt_spans),
-                        np.size(p.passage_ids), policy)
-        for p in passages
-    )))
-    firsts = np.cumsum([0] + [len(context.passages) for context in contexts])
-    factors = [
-        [stack.start_scores for stack, _ in stacks],
-        [stack.end_scores for stack, _ in stacks],
-        [cells for _, cells in stacks],
-    ]
-    losses, score_grads = _pooled_losses(factors, place, firsts, golds)
-
-    # Each context is added, in context order, once its stacks have run.
-    spots = [place[lo:hi] for lo, hi in zip(firsts.tolist(), firsts[1:].tolist())]
-    parts, added = [None] * len(stacks), 0
-    for k, (grad_start, grad_end, grad_cells) in enumerate(zip(*score_grads)):
-        stack, _ = stacks[k]
-        stacks[k] = None  # its forward arrays go once its backward pass is done
+    gold_rows = [positions[f] for f in range(3) for positions in golds]
+    gold = [lo + pos for lo, positions in zip(at.tolist(), gold_rows) for pos in positions]
+    gold_at = np.cumsum([0] + [len(positions) for positions in gold_rows])
+    firsts = np.cumsum([0] + [len(spots) for spots in place])[:-1].tolist()
+    pools = [f * len(spots) + first for f in range(3) for first in firsts] + [len(gold_rows)]
+    losses, grad = pooled_ce_rows(
+        np.concatenate([rows.ravel() for rows in stacked])[where],
+        at[pools],
+        np.array(gold, dtype=np.int64),
+        gold_at[pools],
+    )
+    flat = np.empty(grad.size)
+    flat[where] = grad
+    grads = [flat[lo:hi].reshape(rows.shape) for lo, hi, rows in zip(offsets, offsets[1:], stacked)]
+    results = []
+    for k, stack in enumerate(stacks):
+        grad_cells = grads[2 * count + k]
         grad_joint = np.zeros((len(grad_cells),) + stack.mask.shape)
         grad_joint.reshape(len(grad_cells), -1)[:, stack.mask.ravel()] = grad_cells
-        result = LossResult(0.0, grad_start, grad_end, grad_joint)
-        parts[k] = _backward_stack(params, stack, result), len(grad_cells)
-        added = _add_ready(grads, spots, parts, added)
-    return losses
+        results.append(LossResult(0.0, grads[k], grads[count + k], grad_joint))
+    start, end, joint = np.split(losses, 3)
+    return (joint + start + end).tolist(), results
 
 
 @functools.lru_cache(maxsize=4096)
@@ -945,47 +946,6 @@ def _gold_positions(spans: tuple, length: int, policy: str) -> tuple:
     )
 
 
-def _pooled_losses(factors: list, place: list, firsts: np.ndarray, golds: tuple) -> tuple:
-    """Every context's pooled loss, the sum of its three factors'
-    cross-entropies, as one :func:`~spanobj.objectives.pooled_ce_rows`.
-
-    ``factors`` holds the start, end and joint factors' score rows per
-    stack, (B, n) arrays; ``place`` each passage's ``(stack, row)`` in
-    passage order, ``firsts`` each context's first passage (then the
-    passage count) and ``golds`` each factor's ascending gold positions per
-    passage.  A context's pool of a factor is its passages' rows in passage
-    order; the pools run factor after factor.  Returns the losses
-    (joint + start + end) and each factor's score gradients per stack, laid
-    out as its rows.
-    """
-    stacked = [rows for factor in factors for rows in factor]
-    offsets = np.cumsum([0] + [rows.size for rows in stacked]).tolist()
-    count = len(factors[0])  # stacks
-    starts, widths = [], []
-    for f, factor in enumerate(factors):
-        for k, j in place:
-            width = factor[k].shape[1]
-            starts.append(offsets[f * count + k] + j * width)
-            widths.append(width)
-    where = _ranges(starts, widths)  # the (factor, passage) rows, one after the other
-    at = np.cumsum([0] + widths)
-    rows = [positions for factor_golds in golds for positions in factor_golds]
-    gold = [lo + pos for lo, positions in zip(at.tolist(), rows) for pos in positions]
-    gold_at = np.cumsum([0] + [len(positions) for positions in rows])
-    pools = [f * len(place) + first for f in range(3) for first in firsts[:-1].tolist()] + [len(rows)]
-    losses, grad = pooled_ce_rows(
-        np.concatenate([rows.ravel() for rows in stacked])[where],
-        at[pools],
-        np.array(gold, dtype=np.int64),
-        gold_at[pools],
-    )
-    flat = np.empty(grad.size)
-    flat[where] = grad
-    per_stack = [flat[lo:hi].reshape(rows.shape) for lo, hi, rows in zip(offsets, offsets[1:], stacked)]
-    start, end, joint = np.split(losses, 3)
-    return (joint + start + end).tolist(), [per_stack[f * count : (f + 1) * count] for f in range(3)]
-
-
 def _ranges(starts, sizes) -> np.ndarray:
     """The ranges ``starts[i] .. starts[i] + sizes[i] - 1``, concatenated."""
     sizes = np.asarray(sizes)
@@ -1001,7 +961,8 @@ def context_loss_and_grads(params: ModelParams, context, policy: str = MASK_VALI
     shared-normalization loss that marginalizes all distantly supervised
     answer positions.  A context whose passages carry no gold span at all
     yields None (the caller counts the skip).  This is the one-context view
-    of the chunk path that shared-normalization training runs.
+    of the window loop that shared-normalization training runs
+    (:func:`batch_loss_and_grads`).
     """
     if not context.passages:
         raise InvalidInputError("context has no passages")
@@ -1066,13 +1027,13 @@ class TrainConfig:
     """Hyperparameters for one training run."""
 
     objective: str = OBJ_COMPOUND
-    learning_rate: float = 1e-3
-    weight_decay: float = 0.01
+    learning_rate: float = AdamW.lr  # the optimizer's own defaults
+    weight_decay: float = AdamW.weight_decay
     batch_size: int = 32
     epochs: int = 10
     seed: int = 0
     policy: str = MASK_VALID
-    dim: int = 32
+    dim: int = DEFAULT_DIM
     similarity: str = KIND_DOT
 
     def __post_init__(self) -> None:
@@ -1114,12 +1075,12 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
 
     A batch of contexts (items with ``passages``) trains shared
     normalization, so ``config.objective`` must be ``compound-shared``:
-    contexts without a gold position are skipped, the rest
-    run in chunks, and the total is the sum of their pooled losses.  A batch
-    of examples trains ``config.objective``, and its total is the mean loss
-    times the batch size, the figure the epoch log has always added.  The
-    step follows the mean gradient over the items used; a batch that uses
-    none takes no step.
+    contexts without a gold position are skipped, and the total is the sum
+    of the rest's pooled losses.  A batch of examples trains
+    ``config.objective``, and its total is the mean loss times the batch
+    size, the figure the epoch log has always added.  Either kind is one
+    :func:`batch_loss_and_grads` call.  The step follows the mean gradient
+    over the items used; a batch that uses none takes no step.
     """
     if not batch:
         raise InvalidInputError("empty batch")

@@ -522,6 +522,43 @@ def test_config_values_that_do_not_convert_are_config_errors(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argv, option, bound", [
+    ("train", ["--objective", "conditional", "--log-dev", "--beam", "0"], "--beam", 1),
+    ("train", ["--objective", "compound", "--beam", "-3"], "--beam", 1),
+    ("train", ["--objective", "independent", "--config", {"beam": 0}], "--beam", 1),
+    ("decode", ["--beam", "-3"], "--beam", 1),
+    ("decode", ["--top-k", "0"], "--top-k", 1),
+    ("decode", ["--zeta", "-1"], "--zeta", 0),
+    ("decode", ["--surface-k", "0"], "--surface-k", 1),
+    ("decode", ["--config", {"surface_k": -2}], "--surface-k", 1),
+    ("eval", ["--top-k", "0"], "--top-k", 1),
+])
+def test_options_below_their_minimum_fail_before_anything_is_read(
+    pipeline, tmp_path, capsys, command, argv, option, bound
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(next((arg for arg in argv if isinstance(arg, dict)), {})))
+    argv = [str(config) if isinstance(arg, dict) else arg for arg in argv]
+    out = tmp_path / "out"
+    inputs = {
+        "train": ["--data", str(pipeline["corpus"]), "--epochs", "1", "--dim", "4"],
+        "decode": ["--checkpoint", str(pipeline["checkpoint"]),
+                   "--data", str(pipeline["corpus"] / "dev.jsonl")],
+        # A file that does not exist: reading it would be an OSError.
+        "eval": ["--predictions", str(tmp_path / "missing.jsonl"),
+                 "--gold", str(pipeline["corpus"] / "dev.jsonl")],
+    }[command]
+    rc = cli.main([command, *inputs, "--out", str(out), *argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ConfigError"
+    assert f"option {option} must be >= {bound}" in record["message"]
+    assert not out.exists()
+
+
 def test_log_dev_without_a_dev_set_is_a_config_error(pipeline, tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -40,7 +40,7 @@ from spanobj.model import (
     save_checkpoint,
     train,
     train_dss,
-    _context_chunks,
+    _plan_stacks,
     _stack_bounds,
     zero_grads,
 )
@@ -546,19 +546,28 @@ def test_a_masked_gold_cell_raises_each_time_its_positions_are_asked_for():
     assert np.isfinite(loss)
 
 
-def test_context_chunks_hold_whole_contexts_within_the_window_cell_budget():
+def test_context_groups_hold_whole_contexts_within_the_window_cell_budget():
     # A context's cells are L^2 summed over its passages; the budget is
-    # MAX_WINDOW_CELLS (2 x 90^2), and a larger context is a chunk of its own.
-    lengths = [[90], [60, 30], [90, 90], [180], [12] * 8, [120], [30]]
-    contexts = [
-        _Ctx(np.array([1]), [(np.ones(n, dtype=np.int64), set()) for n in ls]) for ls in lengths
-    ]
-    chunks = list(_context_chunks(contexts))
-    assert [context for chunk in chunks for context in chunk] == contexts
-    cells = [[sum(p.passage_ids.size**2 for p in c.passages) for c in chunk] for chunk in chunks]
+    # MAX_WINDOW_CELLS (2 x 90^2), no window splits a context, and a larger
+    # context is a window of its own.
+    passages = [[90], [60, 30], [90, 90], [180], [12] * 8, [120], [30]]
+    lengths = [n for context in passages for n in context]
+    firsts = np.cumsum([0] + [len(context) for context in passages]).tolist()
+    groups = list(zip(firsts, firsts[1:]))
+
+    def windows(budget):
+        """Each window's contexts' cells."""
+        cells = []
+        for window in _plan_stacks(lengths, budget, groups):
+            rows = sorted(i for stack in window for i in stack)
+            held = [(lo, hi) for lo, hi in groups if rows[0] <= lo <= rows[-1]]
+            assert rows == list(range(held[0][0], held[-1][1]))
+            cells.append([sum(n**2 for n in lengths[lo:hi]) for lo, hi in held])
+        return cells
+
     assert MAX_WINDOW_CELLS == 16200
-    assert cells == [[8100, 4500], [16200], [32400], [1152, 14400], [900]]
-    assert [len(chunk) for chunk in _context_chunks(contexts, 900)] == [1] * len(contexts)
+    assert windows(MAX_WINDOW_CELLS) == [[8100, 4500], [16200], [32400], [1152, 14400], [900]]
+    assert [len(window) for window in windows(900)] == [1] * len(passages)
 
 
 def test_params_must_hold_the_block_table_in_order():

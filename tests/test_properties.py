@@ -8,8 +8,8 @@ against the one-example forward / loss / backward loop it replaced, bit for
 bit; that loop is written out below as the reference.  The window property
 holds batches of interleaved passage lengths, sorted in windows before they
 are stacked, to the same loop, and the plan property checks the stack
-planner's windows and stacks directly.  The chunk property holds
-shared-normalization training, which runs chunks of contexts through the
+planner's windows and stacks directly.  The context property holds
+shared-normalization training, which runs windows of contexts through the
 core, to a loop over contexts of that one-example reference.  The decode
 properties hold the stacked decode, the stacked beam and the surface-form
 filter that pools only repeated strings to copies of the one-example
@@ -21,21 +21,20 @@ distribution, which ranks the filter's head alone when it can, to a full
 sort of the reference filter's pooled rows, and the line property holds
 ``data.prediction_lines`` to ``canonical_json``.
 The flat-vector properties hold AdamW's one pass over flat vectors to a
-copy of the per-block step it replaced (also the core and chunk
+copy of the per-block step it replaced (also the core and context
 properties' reference step), the bincount scatter to the two ``np.add.at``
 calls it replaced, and checkpoint bytes to a copy of the block-wise
 writer, bit for bit.
 """
 
 import copy
-import functools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from unittest import mock
 
@@ -564,14 +563,50 @@ def test_sorted_windows_equal_the_one_example_loop_bit_for_bit(case, objective, 
     ),
     st.booleans(),
     st.sampled_from((1, 10, 40, model.MAX_WINDOW_CELLS, model.MAX_DECODE_CELLS)),
+    st.data(),
 )
 def test_the_stack_plan_holds_every_item_once_in_ordered_one_length_stacks(
-    lengths, one_length, budget
+    lengths, one_length, budget, data
 ):
     if one_length:
         lengths = lengths[:1] * len(lengths)
-    windows = list(model._plan_stacks(lengths, budget))
     runs = list(model._stack_bounds(lengths))
+    _check_plan(lengths, budget, runs, list(model._plan_stacks(lengths, budget)))
+    if one_length:
+        stacks = [stack for window in model._plan_stacks(lengths, budget) for stack in window]
+        assert stacks == [list(range(lo, hi)) for lo, hi in runs]
+
+    # Context groups: consecutive rows cut anywhere, one group per context.
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(lengths) - 1))))
+    edges = [0] + sorted(cut for cut in cuts if cut < len(lengths)) + [len(lengths)]
+    groups = list(zip(edges, edges[1:])) if lengths else []
+    windows = list(model._plan_stacks(lengths, budget, groups))
+    _check_plan(lengths, budget, groups, windows)
+    # The stacks are those of the chunks of contexts that the windows replaced:
+    # runs of whole groups of at most the budget's cells (at least one group),
+    # each planned as one window of its own.
+    chunks, lo = [], 0
+    while lo < len(groups):
+        hi, cells = lo + 1, _cells(lengths, *groups[lo])
+        while hi < len(groups) and cells + _cells(lengths, *groups[hi]) <= budget:
+            cells += _cells(lengths, *groups[hi])
+            hi += 1
+        chunks.append((groups[lo][0], groups[hi - 1][1]))
+        lo = hi
+    want = []
+    for lo, hi in chunks:
+        (window,) = model._plan_stacks(lengths[lo:hi], math.inf)
+        want.append([[lo + i for i in stack] for stack in window])
+    assert windows == want
+
+
+def _cells(lengths, lo, hi):
+    return sum(length**2 for length in lengths[lo:hi])
+
+
+def _check_plan(lengths, budget, groups, windows):
+    """Every item once, in ordered one-length stacks of at most the cap;
+    windows of whole groups, and a window over budget holds one group."""
     assert sorted(i for window in windows for stack in window for i in stack) == list(
         range(len(lengths))
     )
@@ -582,62 +617,12 @@ def test_the_stack_plan_holds_every_item_once_in_ordered_one_length_stacks(
             assert stack == sorted(stack)
         firsts = [stack[0] for stack in window]
         assert firsts == sorted(firsts)
-        # A window holds whole runs of consecutive items.
+        # A window holds whole groups of consecutive items.
         items = sorted(i for stack in window for i in stack)
-        held = [(lo, hi) for lo, hi in runs if items[0] <= lo <= items[-1]]
+        held = [(lo, hi) for lo, hi in groups if items[0] <= lo <= items[-1]]
         assert items == list(range(held[0][0], held[-1][1]))
-        if sum(lengths[i] ** 2 for i in items) > budget:
+        if _cells(lengths, items[0], items[-1] + 1) > budget:
             assert len(held) == 1
-    if one_length:
-        stacks = [stack for window in windows for stack in window]
-        assert stacks == [list(range(lo, hi)) for lo, hi in runs]
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(
-    st.sampled_from((1, 3, 6)),
-    st.integers(1, 10),
-    st.sampled_from(OBJECTIVE_KINDS),
-    st.sampled_from(MASK_POLICIES),
-    st.sampled_from(SIMILARITY_KINDS),
-    st.integers(0, 2**16),
-    st.data(),
-)
-def test_a_stack_that_dropped_its_inputs_gives_the_same_contributions_bit_for_bit(
-    length, size, objective, policy, sim, seed, data
-):
-    """A shared-normalization chunk's stacks drop the mixing-layer input,
-    the joint start representations and the joint matrix before their
-    backward passes; every contribution (the stacked matrix, each example's
-    per-example products and its embedding rows) equals the kept stack's."""
-    params = model.init_params(VOCAB, dim=4, similarity_kind=sim, seed=seed)
-    rng = np.random.default_rng(seed)
-    for _, block in params.blocks():  # nonzero biases, so every block carries signal
-        block += rng.normal(0.0, 0.1, size=block.shape)
-    ids = st.integers(0, VOCAB - 1)
-    questions = [np.array(data.draw(st.lists(ids, min_size=1, max_size=4))) for _ in range(size)]
-    passages = [np.array(data.draw(st.lists(ids, min_size=length, max_size=length))) for _ in range(size)]
-    starts = [data.draw(st.integers(0, length - 1)) for _ in range(size)]
-    targets = [SpanTarget(start, data.draw(st.integers(start, length - 1))) for start in starts]
-
-    joint = objective not in (OBJ_INDEPENDENT, OBJ_CONDITIONAL)
-    stack = model._forward_stack(params, questions, passages, policy, joint)
-    result = model._stack_loss(params, stack, targets, objective)
-    kept = model._backward_stack(params, stack, result)
-    dropped = model._backward_stack(
-        params, replace(stack, features=None, h_start=None, joint=None), result
-    )
-
-    assert list(dropped) == list(kept)
-    assert list(dropped["per_example"]) == list(kept["per_example"])
-    for name, want in kept["per_example"].items():
-        got = dropped["per_example"][name]
-        for j in range(size):
-            assert got[j].tobytes() == want[j].tobytes(), (name, j)
-    for name in ("stacked", "emb"):  # (positions, rows) and (ids, rows, bounds)
-        for got, want in zip(dropped[name], kept[name]):
-            got, want = np.asarray(got), np.asarray(want)
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +669,7 @@ def test_stack_size_changes_no_bit(objective, policy, sim, data, seed):
 
 
 # ---------------------------------------------------------------------------
-# Shared-normalization chunks against the per-context loop
+# Shared-normalization windows against the per-context loop
 
 
 def _ref_pooled(rows, golds):
@@ -767,13 +752,12 @@ def contexts(draw, min_passages=1, max_passages=4, lengths=(1, 3, 6), min_gold=0
     return _Context(np.array(question), passages)
 
 
-# A chunk budget of a few dozen score cells, so that most batches of these
-# contexts run as several chunks (the default budget holds any of them whole).
+# A window budget of a few dozen score cells, so that most batches of these
+# contexts run as several windows (the default budget holds any of them whole).
 _SMALL_BUDGET = 40
 # A stack budget of a dozen tokens (four passages at L=3, two at L=6), so
 # that a context's passages of one length can fill several stacks.
 _SMALL_STACK_TOKENS = 12
-_CONTEXT_CHUNKS = model._context_chunks
 
 
 @st.composite
@@ -847,23 +831,22 @@ def _check_context_chunks(case, policy, sim, seed, budget):
         used.append(context)
         want_losses.append(want_loss)
 
-    # The supervised contexts as one batch, one chunk at the default budget,
+    # The supervised contexts as one batch, one window at the default budget,
     # so the runs of one-passage contexts are added as runs of rows.
     losses, grads = model.batch_loss_and_grads(params, used, OBJ_COMPOUND_SHARED, policy)
     assert losses == want_losses
     for name in want_total:
         assert np.array_equal(grads[name], want_total[name]), name
 
-    # Steps over batches: chunks never cross a batch edge, and a batch edge
-    # need not fall on a chunk edge of the whole list.
+    # Steps over batches: windows never cross a batch edge, and a batch edge
+    # need not fall on a window edge of the whole list.
     config = model.TrainConfig(objective=OBJ_COMPOUND_SHARED, policy=policy, dim=4, similarity=sim)
     stepped, reference = params.copy(), params.copy()
     optimizer, ref_optimizer = _RecordingAdamW(), _RefAdamW()
-    chunks = functools.partial(_CONTEXT_CHUNKS, budget=budget)
     for lo in range(0, len(contexts_), batch_size):
         batch = contexts_[lo : lo + batch_size]
         optimizer.seen = None
-        with mock.patch.object(model, "_context_chunks", chunks):
+        with mock.patch.object(model, "MAX_WINDOW_CELLS", budget):
             outcome = model.train_step(stepped, batch, config, optimizer)
         want_outcome, want_grads = _ref_context_step(reference, batch, policy, ref_optimizer)
         assert outcome == want_outcome
