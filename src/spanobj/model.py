@@ -50,22 +50,25 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
   the rows were sorted into;
 * each item's gradient is added to the total in item order, by one adder
   (:func:`_add_ready`) for examples and contexts, as soon as its stacks
-  have run; a run of one stack's rows is one gather and scatter of the
-  stacked blocks and one ``np.add.at`` of the embedding rows, which
-  applies them in order (one example's, at distinct ids, are one gather
-  and scatter; :func:`_add_rows`); the ``w_mix`` and
-  ``w_joint`` gradients are formed per example (``a[j] @ b[j]``) rather
-  than as (B, d, 3d) stacks, and embedding rows are summed per example at
-  that example's own distinct ids before they reach the total, by one
-  ``np.bincount``, which adds each cell's values in row order from +0.0,
-  as ``np.add.at`` does.  The total gets nothing at the ids an example
-  does not touch, which equals adding +0.0 rows there, because a total
-  that starts at +0.0 never holds -0.0;
+  have run; the weight gradients (``w_mix``, ``w_joint``, ``w_q``,
+  ``w_cond``) are stacked products (``a @ b.transpose(0, 2, 1)``, equal
+  to each example's ``a[j] @ b[j].T``) written with every other block but
+  ``emb`` into one contribution matrix, a view of a buffer that a
+  training reuses every step (:class:`_RowBuffer`); a run of one stack's
+  rows is one axis-0 ``np.add.reduce`` over the total and the rows, which
+  adds them one after the other, and one ``np.add.at`` of the embedding
+  rows, which applies them in order (one example's, at distinct ids, are
+  one gather and scatter; :func:`_add_rows`); embedding rows are summed
+  per example at that example's own distinct ids before they reach the
+  total, by one ``np.bincount``, which adds each cell's values in row
+  order from +0.0, as ``np.add.at`` does.  The total gets nothing at the
+  ids an example does not touch, which equals adding +0.0 rows there,
+  because a total that starts at +0.0 never holds -0.0;
 * questions of different lengths are padded, the padding is zeroed by a
   0/1 mask and the sum divided by the true count, which equals
   ``.mean(axis=0)``;
 * AdamW and the gradient scale are elementwise, so a pass over the flat
-  vectors equals a pass over each block.
+  vectors, whole or chunk by chunk, equals a pass over each block.
 
 Training runs each window on one schedule: every forward pass, then the
 window's losses, then each stack's backward pass (:func:`_backward_stack`,
@@ -233,7 +236,6 @@ class ModelParams:
             setattr(self, name, arr)  # keeps attribute loads as fast as a dataclass's
         self.cond = ConditionalParams(self.w_cond, self.b_cond, self.w_cond_out)
         self.similarity = SimilarityParams(similarity_kind, self.arrays.get("w_sim"))
-        self._positions = {}
 
     @property
     def dim(self) -> int:
@@ -249,16 +251,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.arrays, self.similarity.kind)
-
-    def positions(self, names: tuple) -> np.ndarray:
-        """The positions in ``flat`` of these blocks' values, block after block."""
-        if names not in self._positions:
-            starts = np.cumsum([0] + [math.prod(shape) for shape in self.shapes.values()]).tolist()
-            start = dict(zip(self.shapes, starts))
-            self._positions[names] = np.concatenate(
-                [np.arange(start[name], start[name] + self.arrays[name].size) for name in names]
-            )
-        return self._positions[names]
 
 
 # The model width every training and initialization defaults to.
@@ -491,8 +483,14 @@ def _stack_windows(params: ModelParams, items, budget, policy: str, joint: bool 
     return map(run, _plan_stacks([np.size(item.passage_ids) for item in items], budget, groups))
 
 
-def _stack_loss(params: ModelParams, stack: _Stack, targets, objective: str) -> LossResult:
-    """Stacked :class:`LossResult` (``loss`` is a (B,) array) of one objective."""
+def _stack_loss(
+    params: ModelParams, stack: _Stack, targets, objective: str, parts: _Contributions | None = None
+) -> LossResult:
+    """Stacked :class:`LossResult` (``loss`` is a (B,) array) of one objective.
+
+    Given the stack's ``parts``, the conditional head's weight gradient is
+    formed in its ``w_cond`` columns.
+    """
     starts, ends = target_arrays(targets)
     if objective == OBJ_INDEPENDENT:
         return independent_rows(stack.start_scores, stack.end_scores, starts, ends)
@@ -503,69 +501,146 @@ def _stack_loss(params: ModelParams, stack: _Stack, targets, objective: str) -> 
             stack.start_scores, stack.end_scores, stack.joint, stack.mask, starts, ends
         )
     if objective == OBJ_CONDITIONAL:
-        return conditional_rows(stack.start_scores, stack.h, params.cond, starts, ends)
+        w_grad = None if parts is None else parts.blocks["w_cond"]
+        return conditional_rows(stack.start_scores, stack.h, params.cond, starts, ends, w_grad)
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-class _PerExample:
-    """Example ``j``'s contribution ``form(j)``, formed only when it is read."""
+# The blocks besides ``emb`` that each objective's gradients reach: its score
+# heads', and the encoder's (w_q, b_q, w_mix, b_mix), which every objective trains.
+_BOUNDARY = ("w_s", "b_s", "w_e", "b_e")
+_JOINT_HEAD = ("w_joint", "b_joint", "w_sim")
+_HEADS = {
+    OBJ_INDEPENDENT: _BOUNDARY,
+    OBJ_JOINT: _JOINT_HEAD,
+    OBJ_COMPOUND: _BOUNDARY + _JOINT_HEAD,
+    OBJ_COMPOUND_SHARED: _BOUNDARY + _JOINT_HEAD,
+    OBJ_CONDITIONAL: ("w_s", "b_s", "w_cond", "b_cond", "w_cond_out"),
+}
 
-    def __init__(self, form) -> None:
-        self.form = form
 
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self.form(j)
+@functools.lru_cache(maxsize=64)
+def _layout(shapes: tuple, objective: str) -> SimpleNamespace:
+    """The columns of a stack's contribution matrix under ``objective``, for
+    a parameter table's ``(name, shape)`` pairs.
 
-
-def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> dict:
-    """Every example's parameter-gradient contribution, not yet added anywhere.
-
-    The blocks formed as small stacked arrays are one ``(positions, (B,
-    values))`` matrix under ``"stacked"``, block after block as they are
-    formed, with the values' positions in the flat vector.
-    ``"per_example"`` maps each weight block to contributions read per
-    example: ``w_joint``, ``w_mix`` and ``w_q`` to products formed when
-    read, so a stack holds no B weight-sized products, and ``w_cond`` to
-    the loss result's own (B, d, 2d) gradient, not a copy.  ``"emb"`` maps
-    to ``(ids, rows, bounds)``: example j's distinct token ids, ascending,
-    are ``ids[bounds[j]:bounds[j + 1]]`` and its embedding gradient at them
-    the same rows of ``rows``, so the rows grow with the stack's tokens,
-    not with B times the ids of the whole stack.  :func:`_add_ready` adds
-    the contributions up.
-
-    Each gradient the result reports takes its one route: boundary scores
-    through w_s/w_e, the joint matrix through the joint head and similarity
-    weights, and the conditional head's gradients straight to its blocks
-    and the passage representations.  Temporaries go as soon as they are
-    used, so the pass's peak stays low.
+    The matrix holds the blocks besides ``emb`` that the objective's
+    gradients reach, in serialization order: ``columns`` maps each to its
+    first column and shape, and ``segments`` pairs each run of them that is
+    adjacent in the flat vector with its columns, as ``(flat slice, column
+    slice)``.  ``width`` is the row length.
     """
-    # The per-example closures below hold only the arrays they read, so a
-    # contribution does not keep the stack's score matrices alive.
+    reached = _HEADS[objective] + ("w_q", "b_q", "w_mix", "b_mix")
+    columns, segments, start, width = {}, [], 0, 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        if name in reached:
+            columns[name] = (width, shape)
+            if segments and segments[-1][1] == start:
+                segments[-1][1] += size
+            else:
+                segments.append([start, start + size, width])
+            width += size
+        start += size
+    segments = [(slice(lo, hi), slice(at, at + hi - lo)) for lo, hi, at in segments]
+    return SimpleNamespace(columns=columns, segments=segments, width=width)
+
+
+class _RowBuffer:
+    """Grow-only storage that the contribution matrices of a run of training
+    steps share.  Each window's matrix is a view of the same array, so
+    steps touch no new pages once a window has needed as many values.  The
+    block views of the slab starting at a row are kept until a stack of
+    another size or layout starts there: they cost about 10 us a stack to
+    build, which at L=180 is a stack of one example."""
+
+    def __init__(self) -> None:
+        self.flat = np.empty(0)
+        self.slabs = {}  # first row -> (layout, matrix, blocks) last handed out there
+
+    def parts(self, layout: SimpleNamespace, sizes: list) -> list:
+        """One :class:`_Contributions` per stack of ``sizes`` rows, on
+        consecutive slabs of one matrix, each with its spare row first."""
+        width = layout.width
+        if self.flat.size < (len(sizes) + sum(sizes)) * width:
+            self.flat, self.slabs = np.empty((len(sizes) + sum(sizes)) * width), {}
+        parts, top = [], 0
+        for size in sizes:
+            slab = self.slabs.get(top)
+            if slab is None or slab[0] is not layout or len(slab[1]) != 1 + size:
+                matrix = self.flat[top * width : (top + 1 + size) * width].reshape(1 + size, width)
+                rows = matrix[1:]
+                blocks = {
+                    name: rows[:, at : at + math.prod(shape)].reshape((size,) + shape)
+                    for name, (at, shape) in layout.columns.items()
+                }
+                slab = self.slabs[top] = layout, matrix, blocks
+            parts.append(_Contributions(*slab))
+            top += 1 + size
+        return parts
+
+
+class _Contributions:
+    """A stack's parameter-gradient contributions, not yet added anywhere.
+
+    ``matrix`` holds every block but ``emb`` in ``layout``'s columns
+    (:func:`_layout`): row ``j + 1`` is example j's values, and ``blocks``
+    maps each block to its (B, *shape) view of rows 1..B.  Row 0 is spare:
+    :func:`_add_rows` writes the running total into the row before a run,
+    which is row 0 or one already added.  ``emb`` is ``(ids, rows,
+    bounds)``: example j's distinct token ids, ascending, are
+    ``ids[bounds[j]:bounds[j + 1]]`` and its embedding gradient at them the
+    same rows of ``rows``, so the rows grow with the stack's tokens, not
+    with B times the ids of the whole stack.
+    """
+
+    def __init__(self, layout: SimpleNamespace, matrix: np.ndarray, blocks: dict) -> None:
+        self.segments = layout.segments
+        self.matrix = matrix
+        self.blocks = blocks
+        self.emb = None
+
+
+def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, parts: _Contributions) -> None:
+    """Write every example's parameter-gradient contribution into ``parts``.
+
+    Weight gradients are stacked products formed in their blocks' columns
+    (``a @ b.transpose(0, 2, 1)``, equal to each example's 2-D product
+    ``a[j] @ b[j].T``), and the conditional head's is already there when
+    the loss formed it in place (:func:`_stack_loss`).  Each gradient the
+    result reports takes its one route: boundary scores through w_s/w_e,
+    the joint matrix through the joint head and similarity weights, and the
+    conditional head's gradients straight to its blocks and the passage
+    representations.  Temporaries go as soon as they are used, so the
+    pass's peak stays low.
+    """
     h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
     size, d, length = h.shape
+    blocks = parts.blocks
     d_h = np.zeros_like(h)
-    per_example, blocks = {}, {}  # contributions read per example; stacked (B, ...) blocks
 
     for head, g in (("s", result.grad_start), ("e", result.grad_end)):
         if g is not None:
-            blocks["w_" + head] = (h @ g[:, :, None])[:, :, 0]
-            blocks["b_" + head] = g.sum(axis=1)
+            blocks["w_" + head][...] = (h @ g[:, :, None])[:, :, 0]
+            blocks["b_" + head][:, 0] = g.sum(axis=1)
             d_h += params.arrays["w_" + head][:, None] * g[:, None, :]
 
     if result.grad_joint is not None:
         d_hs, d_he, d_w_sim = span_score_grads(stack.h_start, h, params.similarity, result.grad_joint)
-        per_example["w_joint"] = _PerExample(lambda j: d_hs[j] @ h[j].T)
-        blocks["b_joint"] = d_hs.sum(axis=2)
+        np.matmul(d_hs, h.transpose(0, 2, 1), out=blocks["w_joint"])
+        blocks["b_joint"][...] = d_hs.sum(axis=2)
         d_he += params.w_joint.T @ d_hs
         d_h += d_he
-        del d_he
+        del d_he, d_hs
         if d_w_sim is not None:
-            blocks["w_sim"] = d_w_sim
+            blocks["w_sim"][...] = d_w_sim
 
     cond = result.grad_cond
     if cond is not None:
-        per_example["w_cond"] = cond.w
-        blocks.update(b_cond=cond.b, w_cond_out=cond.w_out)
+        if cond.w is not blocks["w_cond"]:
+            blocks["w_cond"][...] = cond.w
+        blocks["b_cond"][...] = cond.b
+        blocks["w_cond_out"][...] = cond.w_out
     if result.grad_h is not None:
         d_h += result.grad_h
 
@@ -574,18 +649,19 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     d_pre *= 1.0 - h**2
     features = stack.features
     e = features[:, :d]
-    per_example["w_mix"] = _PerExample(lambda j: d_pre[j] @ features[j].T)
-    blocks["b_mix"] = d_pre.sum(axis=2)
+    np.matmul(d_pre, features.transpose(0, 2, 1), out=blocks["w_mix"])
+    blocks["b_mix"][...] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
+    del d_pre, d_h
 
     # Through F = [e; e * q; q].
     d_e = d_features[:, :d] + d_features[:, d : 2 * d] * q[:, :, None]
     d_q = (d_features[:, d : 2 * d] * e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
-    del d_features, e
+    del d_features, e, features
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
-    per_example["w_q"] = _PerExample(lambda j: d_q[j][:, None] * q_bar[j])
-    blocks["b_q"] = d_q
+    np.multiply(d_q[:, :, None], q_bar[:, None, :], out=blocks["w_q"])
+    blocks["b_q"][...] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
     # Embedding rows: each example's passage rows, then its question rows,
@@ -596,14 +672,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult) -> d
     rows[: size * length].reshape(size, length, d)[...] = d_e.transpose(0, 2, 1)
     del d_e
     rows[size * length :] = np.repeat(d_q_bar / q_lengths[:, None], q_lengths, axis=0)
-    emb = (ids, _sum_rows(slot, rows, ids.size), bounds)
-    del rows, slot
-    stacked = np.concatenate([block.reshape(size, -1) for block in blocks.values()], axis=1)
-    return {
-        "stacked": (params.positions(tuple(blocks)), stacked),
-        "per_example": per_example,
-        "emb": emb,
-    }
+    parts.emb = (ids, _sum_rows(slot, rows, ids.size), bounds)
 
 
 def _example_slots(passage_ids, question_ids, q_lengths, vocab: int) -> tuple:
@@ -662,30 +731,33 @@ def _cells(rows: np.ndarray, d: int) -> np.ndarray:
     return (rows[:, None] * d + np.arange(d)).ravel()
 
 
-def _emb_rows(parts: dict, lo: int, hi: int) -> tuple:
+def _emb_rows(parts: _Contributions, lo: int, hi: int) -> tuple:
     """Examples ``lo..hi-1``'s embedding ids and rows in a stack's
-    contributions (:func:`_backward_stack`), one example after the other."""
-    ids, rows, bounds = parts["emb"]
+    contributions, one example after the other."""
+    ids, rows, bounds = parts.emb
     return ids[bounds[lo] : bounds[hi]], rows[bounds[lo] : bounds[hi]]
 
 
-def _add_rows(grads: FlatBlocks, parts: dict, lo: int, hi: int) -> None:
-    """Add rows ``lo..hi-1`` of a stack's contributions (:func:`_backward_stack`)
-    to ``grads``, one example after the other: the stacked matrix through
-    one gather and one scatter, the embedding rows through one
+def _add_rows(grads: FlatBlocks, parts: _Contributions, lo: int, hi: int) -> None:
+    """Add rows ``lo..hi-1`` of a stack's contributions to ``grads``, one
+    example after the other.  The matrix rows are one axis-0
+    ``np.add.reduce`` over the total, written into the row before the run,
+    and the run's rows: it adds them one after the other along the outer
+    axis, as ``total += row`` does.  The embedding rows go through one
     ``np.add.at``, which applies its values in order.  It runs over the
     table's flat cells, where it is about three times as fast as over its
     rows (35 us against 117 us for 420 rows of 32 on a 2-vCPU x86-64 host);
     one example's rows, at distinct ids, need only a gather and a scatter."""
-    positions, stacked = parts["stacked"]
-    total = grads.flat[positions]
-    for j in range(lo, hi):
-        total += stacked[j]
-    grads.flat[positions] = total
-    for name, rows in parts["per_example"].items():
-        total = grads[name]
-        for j in range(lo, hi):
-            total += rows[j]
+    flat, run = grads.flat, parts.matrix[lo : hi + 1]
+    if hi - lo == 1:
+        for span, cols in parts.segments:
+            flat[span] += run[1, cols]
+    else:
+        for span, cols in parts.segments:
+            run[0, cols] = flat[span]
+        total = np.add.reduce(run, axis=0)
+        for span, cols in parts.segments:
+            flat[span] = total[cols]
     ids, rows = _emb_rows(parts, lo, hi)
     if hi - lo == 1:  # one example's ids are distinct: one gather, add and scatter
         grads["emb"][ids] += rows
@@ -693,7 +765,9 @@ def _add_rows(grads: FlatBlocks, parts: dict, lo: int, hi: int) -> None:
         np.add.at(grads["emb"].reshape(-1), _cells(ids, rows.shape[1]), rows.reshape(-1))
 
 
-def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str = MASK_VALID):
+def batch_loss_and_grads(
+    params: ModelParams, batch, objective: str, policy: str = MASK_VALID, *, buffer: _RowBuffer | None = None
+):
     """Per-item losses and the summed parameter gradients of a batch of
     examples, or of supervised contexts (items with ``passages``), which
     train ``compound-shared``.
@@ -708,8 +782,14 @@ def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str
     backward pass, and its loss result when the next backward pass starts.
     Losses and gradients equal a loop of :func:`loss_and_grads` or
     :func:`context_loss_and_grads` over the batch bit for bit.
+
+    Each window's contribution matrix, one row per stack row and one spare
+    row per stack (:class:`_Contributions`), is a view of ``buffer``, which
+    a training passes to every step; by default the call has its own.
     """
     grads = zero_grads(params)
+    buffer = buffer or _RowBuffer()
+    layout = _layout(tuple(params.shapes.items()), objective)
     shared = bool(batch) and hasattr(batch[0], "passages")
     if shared and objective != OBJ_COMPOUND_SHARED:
         raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {objective!r}")
@@ -737,29 +817,33 @@ def batch_loss_and_grads(params: ModelParams, batch, objective: str, policy: str
             place[last] = at[spans[last][0] : spans[last][1]]
             last += 1
 
+        parts = buffer.parts(layout, [len(members) for members, _ in stacks])
         if shared:
             losses[added:last], results = _context_losses(
                 batch[added:last], [stack for _, stack in stacks], place[added:last], policy
             )
         else:
             results = []
-            for members, stack in stacks:
-                result = _stack_loss(params, stack, [batch[i].target for i in members], objective)
+            for (members, stack), contributions in zip(stacks, parts):
+                targets = [batch[i].target for i in members]
+                result = _stack_loss(params, stack, targets, objective, contributions)
                 stack.joint = None  # the loss has read it, the backward pass never does
                 for i, loss in zip(members, result.loss.tolist()):
                     losses[i] = loss
                 results.append(result)
 
-        parts = [None] * len(stacks)
+        ready = [None] * len(stacks)
         for k in range(len(stacks)):
             (members, stack), result = stacks[k], results[k]
             stacks[k] = results[k] = None
-            parts[k] = _backward_stack(params, stack, result), len(members)
+            _backward_stack(params, stack, result, parts[k])
+            ready[k] = parts[k]
             # The loss result goes at the next backward pass (a window's last, in the
             # next window): freeing it here lets glibc trim the heap top it holds, and
-            # regrowing the heap made L=180 training 12% slower (2-vCPU x86-64).
+            # regrowing the heap made L=180 training 8% slower (2-vCPU x86-64; 12% before
+            # the contribution buffer).
             del stack
-            added = _add_ready(grads, place, parts, added)
+            added = _add_ready(grads, place, ready, added)
     return losses, grads
 
 
@@ -770,8 +854,8 @@ def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
     ``place[i]`` lists item ``i``'s ``(stack, row)`` pairs (one for an
     example, a context's passages in passage order), or is None until its
     stacks are planned.  ``parts[k]`` holds stack ``k``'s contributions
-    (:func:`_backward_stack`) and row count, or None before its backward
-    pass and once dropped.  A stack's members rise, so the last item that reads a stack
+    (:class:`_Contributions`), or None before its backward pass and once
+    dropped.  A stack's members rise, so the last item that reads a stack
     reads its last row, and the stack is dropped once that row is added.
 
     A run of one-row items at consecutive rows of one stack is one
@@ -794,21 +878,16 @@ def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
             while added < count and place[added] == [(k, hi)]:
                 hi += 1
                 added += 1
-            _add_rows(grads, parts[k][0], lo, hi)
+            _add_rows(grads, parts[k], lo, hi)
             spots = [(k, hi - 1)]  # the run's last row
         else:
-            sources = [(parts[k][0], j) for k, j in spots]
+            sources = [(parts[k], j) for k, j in spots]
             (first, row), rest = sources[0], sources[1:]
-            positions, stacked = first["stacked"]
-            total = stacked[row]
+            total = first.matrix[row + 1]
             for contributions, j in rest:
-                total = total + contributions["stacked"][1][j]
-            grads.flat[positions] += total
-            for name, rows in first["per_example"].items():
-                total = rows[row]
-                for contributions, j in rest:
-                    total = total + contributions["per_example"][name][j]
-                grads[name] += total
+                total = total + contributions.matrix[j + 1]
+            for span, cols in first.segments:
+                grads.flat[span] += total[cols]
 
             # The rows' sums over the union of their ids, each from +0.0 in row order.
             ids, rows = zip(*(_emb_rows(contributions, j, j + 1) for contributions, j in sources))
@@ -816,7 +895,7 @@ def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
             union = _distinct(ids, len(grads["emb"]))
             grads["emb"][union] += _sum_rows(np.searchsorted(union, ids), rows, union.size)
         for k, j in spots:
-            if j == parts[k][1] - 1:
+            if j == len(parts[k].matrix) - 2:  # its last row, after the spare
                 parts[k] = None
     return added
 
@@ -846,7 +925,8 @@ def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objec
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    parts = _backward_stack(params, cache.stack, stack_one(result))
+    (parts,) = _RowBuffer().parts(_layout(tuple(params.shapes.items()), objective), [1])
+    _backward_stack(params, cache.stack, stack_one(result), parts)
     _add_rows(grads, parts, 0, 1)
     return grads
 
@@ -986,7 +1066,11 @@ class AdamW:
     exactly (1 - lr * wd).
     The gradient (a :func:`zero_grads` table) and the moments ``m``/``v``
     (empty before the first step) are :class:`FlatBlocks`, and a step is one
-    elementwise pass over the flat vectors.
+    elementwise pass over the flat vectors, chunk by chunk of at most
+    ``_ADAMW_CHUNK`` values.  Its intermediates go to two chunk-sized
+    vectors the optimizer keeps, ``scratch``, which no checkpoint holds;
+    the operations and their order are those of
+    ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``, so no bit moves.
     """
 
     lr: float = 1e-3
@@ -997,6 +1081,7 @@ class AdamW:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: tuple = field(default=(), repr=False, compare=False)
 
     def step(self, params: ModelParams, grads: FlatBlocks) -> None:
         if not isinstance(grads, FlatBlocks):
@@ -1004,14 +1089,31 @@ class AdamW:
         self.t += 1
         if not self.m:
             self.m, self.v = zero_grads(params), zero_grads(params)
-        g, m, v, p = grads.flat, self.m.flat, self.v.flat, params.flat
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        p -= self.lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p)
+        size = params.flat.size
+        chunk = min(size, _ADAMW_CHUNK)
+        if not self.scratch or self.scratch[0].size != chunk:
+            self.scratch = (np.empty(chunk), np.empty(chunk))
+        bias1, bias2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        for lo in range(0, size, chunk):
+            g, m, v, p = (x[lo : lo + chunk] for x in (grads.flat, self.m.flat, self.v.flat, params.flat))
+            a, b = (x[: p.size] for x in self.scratch)
+            m *= self.beta1
+            m += np.multiply(1.0 - self.beta1, g, out=a)
+            v *= self.beta2
+            np.multiply(1.0 - self.beta2, g, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bias1, out=a)  # m_hat
+            np.divide(v, bias2, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            a += np.multiply(self.weight_decay, p, out=b)
+            p -= np.multiply(self.lr, a, out=a)
+
+
+# AdamW steps over chunks of at most this many values (128 KB), so its
+# scratch stays small: at 8,192 a 39k-value step took 12% longer.
+_ADAMW_CHUNK = 16384
 
 
 # The AdamW fields a checkpoint header records.
@@ -1070,7 +1172,9 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), 1, int(epoch)]))
 
 
-def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW) -> tuple:
+def train_step(
+    params: ModelParams, batch, config: TrainConfig, optimizer: AdamW, *, buffer: _RowBuffer | None = None
+) -> tuple:
     """One optimizer step on a batch; returns ``(loss total, used, skipped)``.
 
     A batch of contexts (items with ``passages``) trains shared
@@ -1080,7 +1184,8 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
     ``config.objective``, and its total is the mean loss times the batch
     size, the figure the epoch log has always added.  Either kind is one
     :func:`batch_loss_and_grads` call.  The step follows the mean gradient
-    over the items used; a batch that uses none takes no step.
+    over the items used; a batch that uses none takes no step.  ``buffer``
+    holds the step's contribution matrices (:func:`batch_loss_and_grads`).
     """
     if not batch:
         raise InvalidInputError("empty batch")
@@ -1089,7 +1194,7 @@ def train_step(params: ModelParams, batch, config: TrainConfig, optimizer: AdamW
         raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {config.objective!r}")
     used = [item for item in batch if not shared or _supervised(item)]
     try:
-        losses, grads = batch_loss_and_grads(params, used, config.objective, config.policy)
+        losses, grads = batch_loss_and_grads(params, used, config.objective, config.policy, buffer=buffer)
     except InvalidInputError as err:
         raise DivergenceError(f"non-finite forward pass: {err}") from err
     total = 0.0
@@ -1145,6 +1250,7 @@ def train(
     if optimizer is None:
         optimizer = AdamW(lr=config.learning_rate, weight_decay=config.weight_decay)
     log = []
+    buffer = _RowBuffer()  # every step's contribution matrices, released on return
     for epoch in range(start_epoch, config.epochs):
         order = _epoch_rng(config.seed, epoch).permutation(len(items))
         total = 0.0
@@ -1152,7 +1258,7 @@ def train(
         skipped = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[lo : lo + config.batch_size]]
-            batch_total, batch_used, batch_skipped = train_step(params, batch, config, optimizer)
+            batch_total, batch_used, batch_skipped = train_step(params, batch, config, optimizer, buffer=buffer)
             total += batch_total
             used += batch_used
             skipped += batch_skipped

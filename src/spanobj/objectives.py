@@ -291,10 +291,12 @@ def conditional_end_scores(
     return params.w_out @ hidden[0]
 
 
-def conditional_rows(start_scores, h, params: ConditionalParams, starts, ends) -> LossResult:
+def conditional_rows(start_scores, h, params: ConditionalParams, starts, ends, w_grad=None) -> LossResult:
     """Conditional objective over a stack: (B, L) start scores, (B, d, L) representations.
 
-    Head gradients come back stacked, one (hidden x 2d) block per example.
+    Head gradients come back stacked, one (hidden x 2d) block per example;
+    the weight gradient is formed in ``w_grad`` when given, a (B, hidden,
+    2d) array it then is, as one stacked product equal to each example's.
     The gradient of the conditional end scores is folded into ``grad_h`` and
     ``grad_cond``; ``grad_end`` is for the boundary end scores only.
     """
@@ -305,7 +307,7 @@ def conditional_rows(start_scores, h, params: ConditionalParams, starts, ends) -
     loss_e, grad_e = softmax_ce_rows(params.w_out @ hidden, ends)
 
     d_hidden = params.w_out[:, None] * grad_e[:, None, :] * (1.0 - hidden**2)
-    d_w = d_hidden @ paired.transpose(0, 2, 1)
+    d_w = np.matmul(d_hidden, paired.transpose(0, 2, 1), out=w_grad)
     d_b = d_hidden.sum(axis=2)
     d_w_out = (hidden @ grad_e[:, :, None])[:, :, 0]
     d_paired = params.w.T @ d_hidden

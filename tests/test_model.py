@@ -398,7 +398,8 @@ def test_stacks_are_runs_of_one_length_capped_by_tokens_and_cells():
 
 
 def _stack_and_loss(objective, size=3, length=12):
-    """A stack of examples whose ids repeat within and across examples, and its loss."""
+    """A stack of examples whose ids repeat within and across examples, its
+    contributions and its loss."""
     import spanobj.model as model
 
     rng = np.random.default_rng(53)
@@ -406,8 +407,9 @@ def _stack_and_loss(objective, size=3, length=12):
     questions = [rng.integers(0, 15, size=n) for n in range(2, 2 + size)]
     passages = [rng.integers(0, 15, size=length) for _ in range(size)]
     stack = model._forward_stack(params, questions, passages, MASK_VALID)
-    result = model._stack_loss(params, stack, [SpanTarget(1, 3)] * size, objective)
-    return params, questions, passages, stack, result
+    (parts,) = model._RowBuffer().parts(model._layout(tuple(params.shapes.items()), objective), [size])
+    result = model._stack_loss(params, stack, [SpanTarget(1, 3)] * size, objective, parts)
+    return params, questions, passages, stack, result, parts
 
 
 def test_a_stacks_embedding_rows_are_each_examples_rows_at_its_own_ids():
@@ -416,8 +418,9 @@ def test_a_stacks_embedding_rows_are_each_examples_rows_at_its_own_ids():
     # its rows are its one-example embedding gradient there.
     import spanobj.model as model
 
-    params, questions, passages, stack, result = _stack_and_loss(OBJ_COMPOUND)
-    ids, rows, bounds = model._backward_stack(params, stack, result)["emb"]
+    params, questions, passages, stack, result, parts = _stack_and_loss(OBJ_COMPOUND)
+    model._backward_stack(params, stack, result, parts)
+    ids, rows, bounds = parts.emb
     distinct = [sorted(set(p.tolist()) | set(q.tolist())) for p, q in zip(passages, questions)]
     assert rows.shape == (sum(map(len, distinct)), params.dim) and ids.shape == (rows.shape[0],)
     for j, (want, q_ids, p_ids) in enumerate(zip(distinct, questions, passages)):
@@ -431,11 +434,43 @@ def test_a_stacks_embedding_rows_are_each_examples_rows_at_its_own_ids():
 def test_a_conditional_stack_hands_on_its_w_cond_gradient_without_a_copy():
     import spanobj.model as model
 
-    params, _, _, stack, result = _stack_and_loss(OBJ_CONDITIONAL)
-    parts = model._backward_stack(params, stack, result)
-    assert np.shares_memory(parts["per_example"]["w_cond"], result.grad_cond.w)
-    positions, _ = parts["stacked"]
-    assert not np.isin(params.positions(("w_cond",)), positions).any()
+    # The loss forms the head's weight gradient in the w_cond columns of the
+    # stack's contribution matrix, which the backward pass leaves as they are.
+    params, questions, passages, stack, result, parts = _stack_and_loss(OBJ_CONDITIONAL)
+    model._backward_stack(params, stack, result, parts)
+    columns = parts.blocks["w_cond"]
+    assert result.grad_cond.w is columns and np.shares_memory(columns, parts.matrix)
+    for j, (q_ids, p_ids) in enumerate(zip(questions, passages)):
+        _, grads = loss_and_grads(params, q_ids, p_ids, SpanTarget(1, 3), OBJ_CONDITIONAL)
+        assert grads["w_cond"].tobytes() == columns[j].tobytes()
+
+
+def test_training_steps_share_one_contribution_buffer_that_train_releases(monkeypatch):
+    # Consecutive steps write their contribution matrices into one buffer,
+    # and once train returns nothing holds it: not the parameters, the
+    # optimizer or the module.
+    import gc
+    import weakref
+
+    import spanobj.model as model
+
+    matrices = []
+    backward_stack = model._backward_stack
+
+    def recording(params, stack, result, parts):
+        backward_stack(params, stack, result, parts)
+        matrices.append(parts.matrix)
+
+    monkeypatch.setattr(model, "_backward_stack", recording)
+    dataset = _toy_dataset(np.random.default_rng(31), n=12)
+    config = TrainConfig(objective=OBJ_COMPOUND, epochs=2, batch_size=4, seed=1, dim=8)
+    result = train(dataset, config, vocab_size=15)
+    assert len(matrices) == 6  # two epochs of three steps, one stack each
+    assert all(np.shares_memory(matrix, matrices[0]) for matrix in matrices[1:])
+    buffer = weakref.ref(matrices[0].base)
+    matrices.clear()
+    gc.collect()
+    assert buffer() is None and result.optimizer.t == 6  # the result lives on
 
 
 def test_batches_of_one_length_run_as_their_unsorted_stacks(monkeypatch):

@@ -16,6 +16,8 @@ filter that pools only repeated strings to copies of the one-example
 decoders they replaced, bit for bit.  The exact-sum properties hold the
 binned kernel to ``math.fsum``, and the product decoder that sums with it
 over cached cells to a copy of the fsum version it replaced, bit for bit.
+The production-width property repeats the core and context properties at
+d=32, where BLAS picks other kernels than at d=4.
 The rank-once property holds ``top_k`` over a surface-filtered
 distribution, which ranks the filter's head alone when it can, to a full
 sort of the reference filter's pooled rows, and the line property holds
@@ -554,6 +556,57 @@ def test_sorted_windows_equal_the_one_example_loop_bit_for_bit(case, objective, 
     assert sorted(grads) == sorted(ref_grads)
     for name in grads:
         assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+# ---------------------------------------------------------------------------
+# The contribution matrix at production width
+
+
+@st.composite
+def production_batches(draw):
+    """Up to ``stack_cap(12)`` = 42 examples at L=12 with a few at L=18 among
+    them, so the L=12 rows after an L=18 example are added as a run that
+    starts inside its stack (lo > 0), or contexts of L=12 and L=18
+    passages, whose passages span stacks."""
+    if draw(st.booleans()):
+        count = draw(st.integers(1, stack_cap(12)))
+        lengths = [12] * count
+        for at in draw(st.sets(st.integers(0, count - 1), max_size=3)):
+            lengths[at] = 18
+        return OBJECTIVE_KINDS[draw(st.integers(0, 3))], _draw_examples(draw, lengths)
+    batch = draw(st.lists(contexts(1, 4, lengths=(12, 18), min_gold=1), min_size=1, max_size=12))
+    return OBJ_COMPOUND_SHARED, batch
+
+
+@settings(derandomize=True, deadline=None, max_examples=24)
+@given(production_batches(), st.sampled_from((KIND_DOT, KIND_ADDITIVE_WEIGHTED_DOT)), st.integers(0, 2**16))
+def test_stacked_products_and_one_reduce_equal_the_per_example_loop_at_d32(case, sim, seed):
+    """At d=32 (the default width; the other core properties run at d=4)
+    BLAS picks other kernels, so the stacked weight-gradient products and
+    the axis-0 reduce that adds a run are held to the per-example ``+=``
+    loop here too."""
+    objective, batch = case
+    params = model.init_params(VOCAB, dim=model.DEFAULT_DIM, similarity_kind=sim, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _, block in params.blocks():  # nonzero biases, so every block carries signal
+        block += rng.normal(0.0, 0.1, size=block.shape)
+
+    ref_losses, ref_grads = [], _ref_zeros(params)
+    for item in batch:
+        if objective == OBJ_COMPOUND_SHARED:
+            loss, grads = _ref_context_loss_and_grads(params, item, MASK_VALID)
+        else:
+            cache = _ref_forward(params, item.question_ids, item.passage_ids, MASK_VALID)
+            result = _ref_loss(params, cache, item.target, objective)
+            loss, grads = result[0], _ref_backward(params, cache, result, objective)
+        ref_losses.append(loss)
+        for name in ref_grads:
+            ref_grads[name] += grads[name]
+
+    losses, grads = model.batch_loss_and_grads(params, batch, objective)
+    assert losses == ref_losses
+    for name in ref_grads:
+        assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
