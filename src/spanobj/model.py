@@ -51,11 +51,13 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
 * each item's gradient is added to the total in item order, by one adder
   (:func:`_add_ready`) for examples and contexts, as soon as its stacks
   have run; the weight gradients (``w_mix``, ``w_joint``, ``w_q``,
-  ``w_cond``) are stacked products (``a @ b.transpose(0, 2, 1)``, equal
-  to each example's ``a[j] @ b[j].T``) written with every other block but
-  ``emb`` into one contribution matrix, a view of a buffer that a
-  training reuses every step (:class:`_RowBuffer`); a run of one stack's
-  rows is one axis-0 ``np.add.reduce`` over the total and the rows, which
+  ``w_cond``) are stacked products (``a[lo:hi] @ b[lo:hi].transpose(0, 2,
+  1)``, equal to each example's ``a[j] @ b[j].T``): ``w_cond``'s is held
+  with the other blocks but ``emb`` in one contribution matrix, and the
+  rest are formed from factors the stack keeps when they are added, a few
+  rows at a time, in rows of a buffer that a training reuses every step,
+  as it reuses the matrices (:class:`_RowBuffer`); a run of one stack's
+  rows is an axis-0 ``np.add.reduce`` over the total and the rows, which
   adds them one after the other, and one ``np.add.at`` of the embedding
   rows, which applies them in order (one example's, at distinct ids, are
   one gather and scatter; :func:`_add_rows`); embedding rows are summed
@@ -68,7 +70,7 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
   0/1 mask and the sum divided by the true count, which equals
   ``.mean(axis=0)``;
 * AdamW and the gradient scale are elementwise, so a pass over the flat
-  vectors, whole or chunk by chunk, equals a pass over each block.
+  vectors equals a pass over each block.
 
 Training runs each window on one schedule: every forward pass, then the
 window's losses, then each stack's backward pass (:func:`_backward_stack`,
@@ -506,35 +508,54 @@ def _stack_loss(
     raise ConfigError(f"unknown objective {objective!r}")
 
 
-# The blocks besides ``emb`` that each objective's gradients reach: its score
-# heads', and the encoder's (w_q, b_q, w_mix, b_mix), which every objective trains.
-_BOUNDARY = ("w_s", "b_s", "w_e", "b_e")
-_JOINT_HEAD = ("w_joint", "b_joint", "w_sim")
-_HEADS = {
-    OBJ_INDEPENDENT: _BOUNDARY,
-    OBJ_JOINT: _JOINT_HEAD,
-    OBJ_COMPOUND: _BOUNDARY + _JOINT_HEAD,
-    OBJ_COMPOUND_SHARED: _BOUNDARY + _JOINT_HEAD,
-    OBJ_CONDITIONAL: ("w_s", "b_s", "w_cond", "b_cond", "w_cond_out"),
+# The gradients each objective's loss reports (its :class:`LossResult`
+# fields besides ``grad_h``), and the blocks besides ``emb`` that each field
+# reaches; every objective also trains the encoder's (w_q, b_q, w_mix, b_mix).
+_REPORTS = {
+    OBJ_INDEPENDENT: ("grad_start", "grad_end"),
+    OBJ_JOINT: ("grad_joint",),
+    OBJ_COMPOUND: ("grad_start", "grad_end", "grad_joint"),
+    OBJ_COMPOUND_SHARED: ("grad_start", "grad_end", "grad_joint"),
+    OBJ_CONDITIONAL: ("grad_start", "grad_cond"),
 }
+_ROUTES = {
+    "grad_start": ("w_s", "b_s"),
+    "grad_end": ("w_e", "b_e"),
+    "grad_joint": ("w_joint", "b_joint", "w_sim"),
+    "grad_cond": ("w_cond", "b_cond", "w_cond_out"),
+}
+# The weight gradients formed when they are added, as stacked products of
+# factors the backward pass keeps (:func:`_backward_stack`), rather than held.
+_PRODUCTS = frozenset(("w_q", "w_mix", "w_joint"))
+
+
+def _layouts(params: ModelParams, objective: str) -> tuple:
+    """The ``(held, formed)`` column layouts (:func:`_columns`) of a stack's
+    contributions under ``objective``: the blocks it reaches besides ``emb``
+    that a window holds as rows, and the product blocks formed at add time."""
+    if objective not in _REPORTS:
+        raise ConfigError(f"unknown objective {objective!r}")
+    reached = {"w_q", "b_q", "w_mix", "b_mix"}
+    for report in _REPORTS[objective]:
+        reached.update(_ROUTES[report])
+    shapes = tuple(params.shapes.items())
+    return _columns(shapes, frozenset(reached - _PRODUCTS)), _columns(shapes, frozenset(reached & _PRODUCTS))
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(shapes: tuple, objective: str) -> SimpleNamespace:
-    """The columns of a stack's contribution matrix under ``objective``, for
-    a parameter table's ``(name, shape)`` pairs.
+def _columns(shapes: tuple, names: frozenset) -> SimpleNamespace:
+    """The columns of a row holding blocks ``names`` of a parameter table's
+    ``(name, shape)`` pairs, in serialization order.
 
-    The matrix holds the blocks besides ``emb`` that the objective's
-    gradients reach, in serialization order: ``columns`` maps each to its
-    first column and shape, and ``segments`` pairs each run of them that is
-    adjacent in the flat vector with its columns, as ``(flat slice, column
-    slice)``.  ``width`` is the row length.
+    ``columns`` maps each block to its first column and shape, and
+    ``segments`` pairs each run of them that is adjacent in the flat vector
+    with its columns, as ``(flat slice, column slice)``.  ``width`` is the
+    row length.
     """
-    reached = _HEADS[objective] + ("w_q", "b_q", "w_mix", "b_mix")
     columns, segments, start, width = {}, [], 0, 0
     for name, shape in shapes:
         size = math.prod(shape)
-        if name in reached:
+        if name in names:
             columns[name] = (width, shape)
             if segments and segments[-1][1] == start:
                 segments[-1][1] += size
@@ -546,36 +567,41 @@ def _layout(shapes: tuple, objective: str) -> SimpleNamespace:
     return SimpleNamespace(columns=columns, segments=segments, width=width)
 
 
+def _blocks(rows: np.ndarray, layout: SimpleNamespace) -> dict:
+    """Each block of ``layout`` as its (n, *shape) view of ``rows``."""
+    return {
+        name: rows[:, at : at + math.prod(shape)].reshape((len(rows),) + shape)
+        for name, (at, shape) in layout.columns.items()
+    }
+
+
+# Products are formed and added this many rows at a time (:func:`_add_rows`).
+_FORMED_ROWS = 8
+
+
 class _RowBuffer:
-    """Grow-only storage that the contribution matrices of a run of training
-    steps share.  Each window's matrix is a view of the same array, so
-    steps touch no new pages once a window has needed as many values.  The
-    block views of the slab starting at a row are kept until a stack of
-    another size or layout starts there: they cost about 10 us a stack to
-    build, which at L=180 is a stack of one example."""
+    """Grow-only storage that the steps of one training share, so a step
+    touches no new pages once an earlier one has needed as many values:
+    ``held``, the contribution matrices of a window's stacks, and
+    ``formed``, the rows products are formed in when they are added."""
 
     def __init__(self) -> None:
-        self.flat = np.empty(0)
-        self.slabs = {}  # first row -> (layout, matrix, blocks) last handed out there
+        self.held = np.empty(0)
+        self.formed = np.empty(0)
 
-    def parts(self, layout: SimpleNamespace, sizes: list) -> list:
+    def rows(self, name: str, count: int, width: int) -> np.ndarray:
+        """A (count, width) matrix at the start of storage ``name``."""
+        if getattr(self, name).size < count * width:
+            setattr(self, name, np.empty(count * width))
+        return getattr(self, name)[: count * width].reshape(count, width)
+
+    def parts(self, layouts: tuple, sizes: list) -> list:
         """One :class:`_Contributions` per stack of ``sizes`` rows, on
-        consecutive slabs of one matrix, each with its spare row first."""
-        width = layout.width
-        if self.flat.size < (len(sizes) + sum(sizes)) * width:
-            self.flat, self.slabs = np.empty((len(sizes) + sum(sizes)) * width), {}
+        consecutive slabs of one ``held`` matrix, each with its spare row first."""
+        matrix = self.rows("held", len(sizes) + sum(sizes), layouts[0].width)
         parts, top = [], 0
         for size in sizes:
-            slab = self.slabs.get(top)
-            if slab is None or slab[0] is not layout or len(slab[1]) != 1 + size:
-                matrix = self.flat[top * width : (top + 1 + size) * width].reshape(1 + size, width)
-                rows = matrix[1:]
-                blocks = {
-                    name: rows[:, at : at + math.prod(shape)].reshape((size,) + shape)
-                    for name, (at, shape) in layout.columns.items()
-                }
-                slab = self.slabs[top] = layout, matrix, blocks
-            parts.append(_Contributions(*slab))
+            parts.append(_Contributions(self, layouts, matrix[top : top + 1 + size]))
             top += 1 + size
         return parts
 
@@ -583,36 +609,59 @@ class _RowBuffer:
 class _Contributions:
     """A stack's parameter-gradient contributions, not yet added anywhere.
 
-    ``matrix`` holds every block but ``emb`` in ``layout``'s columns
-    (:func:`_layout`): row ``j + 1`` is example j's values, and ``blocks``
-    maps each block to its (B, *shape) view of rows 1..B.  Row 0 is spare:
-    :func:`_add_rows` writes the running total into the row before a run,
-    which is row 0 or one already added.  ``emb`` is ``(ids, rows,
-    bounds)``: example j's distinct token ids, ascending, are
-    ``ids[bounds[j]:bounds[j + 1]]`` and its embedding gradient at them the
-    same rows of ``rows``, so the rows grow with the stack's tokens, not
-    with B times the ids of the whole stack.
+    ``matrix`` holds the blocks that the ``held`` layout has
+    (:func:`_layouts`), every one reached besides ``emb`` and the products:
+    row ``j + 1`` is example j's values, and ``blocks`` maps each block to
+    its (B, *shape) view of rows 1..B.  Row 0 is spare: :func:`_add_rows`
+    writes the running total into the row before a run, which is row 0 or
+    one already added.  ``products`` maps each block of the ``formed``
+    layout to ``form(lo, hi, out)``, which writes examples lo..hi-1's
+    values into ``out``.  ``emb`` is ``(ids, rows, bounds)``: example j's
+    distinct token ids, ascending, are ``ids[bounds[j]:bounds[j + 1]]`` and
+    its embedding gradient at them the same rows of ``rows``, so the rows
+    grow with the stack's tokens, not with B times the ids of the whole
+    stack.
     """
 
-    def __init__(self, layout: SimpleNamespace, matrix: np.ndarray, blocks: dict) -> None:
-        self.segments = layout.segments
+    def __init__(self, buffer: _RowBuffer, layouts: tuple, matrix: np.ndarray) -> None:
+        self.buffer = buffer
+        self.held, self.formed = layouts
         self.matrix = matrix
-        self.blocks = blocks
+        self.blocks = _blocks(matrix[1:], self.held)
+        self.products = {}
         self.emb = None
+
+
+def _form(pieces: list) -> np.ndarray:
+    """The product rows of ``pieces``, ``(contributions, lo, hi)`` each, one
+    after the other from row 1 of a matrix in the buffer's ``formed``
+    storage, whose row 0 is spare."""
+    first = pieces[0][0]
+    layout = first.formed
+    matrix = first.buffer.rows("formed", 1 + sum(hi - lo for _, lo, hi in pieces), layout.width)
+    top = 1
+    for parts, lo, hi in pieces:
+        for name, out in _blocks(matrix[top : top + hi - lo], layout).items():
+            parts.products[name](lo, hi, out)
+        top += hi - lo
+    return matrix
 
 
 def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, parts: _Contributions) -> None:
     """Write every example's parameter-gradient contribution into ``parts``.
 
-    Weight gradients are stacked products formed in their blocks' columns
-    (``a @ b.transpose(0, 2, 1)``, equal to each example's 2-D product
-    ``a[j] @ b[j].T``), and the conditional head's is already there when
-    the loss formed it in place (:func:`_stack_loss`).  Each gradient the
-    result reports takes its one route: boundary scores through w_s/w_e,
-    the joint matrix through the joint head and similarity weights, and the
-    conditional head's gradients straight to its blocks and the passage
-    representations.  Temporaries go as soon as they are used, so the
-    pass's peak stays low.
+    The held blocks go to their columns of ``parts.matrix``; the
+    conditional head's weight gradient is already there when the loss
+    formed it in place (:func:`_stack_loss`).  The product blocks are
+    functions of factors the stack keeps until it is added: ``w_mix`` of
+    ``d_pre`` and the mixing layer's input, ``w_joint`` of ``d_hs`` and
+    ``h`` (``a[lo:hi] @ b[lo:hi].transpose(0, 2, 1)``, equal to each
+    example's 2-D product ``a[j] @ b[j].T``), ``w_q`` of ``d_q`` and
+    ``q_bar``.  Each gradient the result reports takes its one route:
+    boundary scores through w_s/w_e, the joint matrix through the joint
+    head and similarity weights, and the conditional head's gradients
+    straight to its blocks and the passage representations.  Temporaries
+    go as soon as they are used, so the pass's peak stays low.
     """
     h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
     size, d, length = h.shape
@@ -627,11 +676,13 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
 
     if result.grad_joint is not None:
         d_hs, d_he, d_w_sim = span_score_grads(stack.h_start, h, params.similarity, result.grad_joint)
-        np.matmul(d_hs, h.transpose(0, 2, 1), out=blocks["w_joint"])
+        parts.products["w_joint"] = lambda lo, hi, out: np.matmul(
+            d_hs[lo:hi], h[lo:hi].transpose(0, 2, 1), out=out
+        )
         blocks["b_joint"][...] = d_hs.sum(axis=2)
         d_he += params.w_joint.T @ d_hs
         d_h += d_he
-        del d_he, d_hs
+        del d_he
         if d_w_sim is not None:
             blocks["w_sim"][...] = d_w_sim
 
@@ -649,18 +700,21 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
     d_pre *= 1.0 - h**2
     features = stack.features
     e = features[:, :d]
-    np.matmul(d_pre, features.transpose(0, 2, 1), out=blocks["w_mix"])
+    parts.products["w_mix"] = lambda lo, hi, out: np.matmul(
+        d_pre[lo:hi], features[lo:hi].transpose(0, 2, 1), out=out
+    )
     blocks["b_mix"][...] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
-    del d_pre, d_h
 
     # Through F = [e; e * q; q].
     d_e = d_features[:, :d] + d_features[:, d : 2 * d] * q[:, :, None]
     d_q = (d_features[:, d : 2 * d] * e).sum(axis=2) + d_features[:, 2 * d :].sum(axis=2)
-    del d_features, e, features
+    del d_features, e
 
     # Question pooling: q = w_q q_bar + b_q, q_bar = mean of question embeddings.
-    np.multiply(d_q[:, :, None], q_bar[:, None, :], out=blocks["w_q"])
+    parts.products["w_q"] = lambda lo, hi, out: np.multiply(
+        d_q[lo:hi, :, None], q_bar[lo:hi, None, :], out=out
+    )
     blocks["b_q"][...] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
@@ -738,26 +792,36 @@ def _emb_rows(parts: _Contributions, lo: int, hi: int) -> tuple:
     return ids[bounds[lo] : bounds[hi]], rows[bounds[lo] : bounds[hi]]
 
 
+def _add_run(flat: np.ndarray, run: np.ndarray, segments: list) -> None:
+    """Add rows 1.. of ``run`` to ``flat`` at ``segments`` (:func:`_columns`),
+    one after the other.  Several rows are one axis-0 ``np.add.reduce`` over
+    the total, written into row 0, and the rows: it adds them one after the
+    other along the outer axis, as ``total += row`` does."""
+    if len(run) == 2:
+        for span, cols in segments:
+            flat[span] += run[1, cols]
+        return
+    for span, cols in segments:
+        run[0, cols] = flat[span]
+    total = np.add.reduce(run, axis=0)
+    for span, cols in segments:
+        flat[span] = total[cols]
+
+
 def _add_rows(grads: FlatBlocks, parts: _Contributions, lo: int, hi: int) -> None:
     """Add rows ``lo..hi-1`` of a stack's contributions to ``grads``, one
-    example after the other.  The matrix rows are one axis-0
-    ``np.add.reduce`` over the total, written into the row before the run,
-    and the run's rows: it adds them one after the other along the outer
-    axis, as ``total += row`` does.  The embedding rows go through one
-    ``np.add.at``, which applies its values in order.  It runs over the
-    table's flat cells, where it is about three times as fast as over its
-    rows (35 us against 117 us for 420 rows of 32 on a 2-vCPU x86-64 host);
-    one example's rows, at distinct ids, need only a gather and a scatter."""
-    flat, run = grads.flat, parts.matrix[lo : hi + 1]
-    if hi - lo == 1:
-        for span, cols in parts.segments:
-            flat[span] += run[1, cols]
-    else:
-        for span, cols in parts.segments:
-            run[0, cols] = flat[span]
-        total = np.add.reduce(run, axis=0)
-        for span, cols in parts.segments:
-            flat[span] = total[cols]
+    example after the other: the held rows as one run (:func:`_add_run`),
+    with the row before them as its spare, and the products formed and
+    added ``_FORMED_ROWS`` rows at a time, so their rows take a small
+    buffer however many rows a window holds.  The embedding rows go
+    through one ``np.add.at``, which applies its values in order.  It runs
+    over the table's flat cells, where it is about three times as fast as
+    over its rows (35 us against 117 us for 420 rows of 32 on a 2-vCPU
+    x86-64 host); one example's rows, at distinct ids, need only a gather
+    and a scatter."""
+    _add_run(grads.flat, parts.matrix[lo : hi + 1], parts.held.segments)
+    for at in range(lo, hi, _FORMED_ROWS):
+        _add_run(grads.flat, _form([(parts, at, min(hi, at + _FORMED_ROWS))]), parts.formed.segments)
     ids, rows = _emb_rows(parts, lo, hi)
     if hi - lo == 1:  # one example's ids are distinct: one gather, add and scatter
         grads["emb"][ids] += rows
@@ -784,12 +848,13 @@ def batch_loss_and_grads(
     :func:`context_loss_and_grads` over the batch bit for bit.
 
     Each window's contribution matrix, one row per stack row and one spare
-    row per stack (:class:`_Contributions`), is a view of ``buffer``, which
-    a training passes to every step; by default the call has its own.
+    row per stack (:class:`_Contributions`), and the rows its products are
+    formed in are views of ``buffer``, which a training passes to every
+    step; by default the call has its own.
     """
     grads = zero_grads(params)
     buffer = buffer or _RowBuffer()
-    layout = _layout(tuple(params.shapes.items()), objective)
+    layouts = _layouts(params, objective)
     shared = bool(batch) and hasattr(batch[0], "passages")
     if shared and objective != OBJ_COMPOUND_SHARED:
         raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {objective!r}")
@@ -817,7 +882,7 @@ def batch_loss_and_grads(
             place[last] = at[spans[last][0] : spans[last][1]]
             last += 1
 
-        parts = buffer.parts(layout, [len(members) for members, _ in stacks])
+        parts = buffer.parts(layouts, [len(members) for members, _ in stacks])
         if shared:
             losses[added:last], results = _context_losses(
                 batch[added:last], [stack for _, stack in stacks], place[added:last], policy
@@ -837,7 +902,7 @@ def batch_loss_and_grads(
             (members, stack), result = stacks[k], results[k]
             stacks[k] = results[k] = None
             _backward_stack(params, stack, result, parts[k])
-            ready[k] = parts[k]
+            ready[k], parts[k] = parts[k], None  # dropped once added, with the factors it keeps
             # The loss result goes at the next backward pass (a window's last, in the
             # next window): freeing it here lets glibc trim the heap top it holds, and
             # regrowing the heap made L=180 training 8% slower (2-vCPU x86-64; 12% before
@@ -886,7 +951,10 @@ def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
             total = first.matrix[row + 1]
             for contributions, j in rest:
                 total = total + contributions.matrix[j + 1]
-            for span, cols in first.segments:
+            for span, cols in first.held.segments:
+                grads.flat[span] += total[cols]
+            total = np.add.reduce(_form([(c, j, j + 1) for c, j in sources])[1:], axis=0)
+            for span, cols in first.formed.segments:
                 grads.flat[span] += total[cols]
 
             # The rows' sums over the union of their ids, each from +0.0 in row order.
@@ -919,13 +987,20 @@ def example_loss(params: ModelParams, cache: ForwardCache, target: SpanTarget, o
 
 
 def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objective: str) -> dict:
-    """Chain rule from a one-example LossResult to every block; ``objective`` is only checked."""
-    if objective not in OBJECTIVE_KINDS:
-        raise ConfigError(f"unknown objective {objective!r}")
+    """Chain rule from a one-example LossResult to every block.
+
+    ``objective`` sets which blocks the contributions hold (:func:`_layouts`),
+    so the result must report exactly its gradients: a ``ConfigError``
+    otherwise.
+    """
+    layouts = _layouts(params, objective)
+    reported = tuple(name for name in _ROUTES if getattr(result, name) is not None)
+    if reported != _REPORTS[objective]:
+        raise ConfigError(f"a {objective!r} backward pass takes {_REPORTS[objective]}, not {reported}")
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    (parts,) = _RowBuffer().parts(_layout(tuple(params.shapes.items()), objective), [1])
+    (parts,) = _RowBuffer().parts(layouts, [1])
     _backward_stack(params, cache.stack, stack_one(result), parts)
     _add_rows(grads, parts, 0, 1)
     return grads
@@ -1066,11 +1141,11 @@ class AdamW:
     exactly (1 - lr * wd).
     The gradient (a :func:`zero_grads` table) and the moments ``m``/``v``
     (empty before the first step) are :class:`FlatBlocks`, and a step is one
-    elementwise pass over the flat vectors, chunk by chunk of at most
-    ``_ADAMW_CHUNK`` values.  Its intermediates go to two chunk-sized
-    vectors the optimizer keeps, ``scratch``, which no checkpoint holds;
-    the operations and their order are those of
-    ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``, so no bit moves.
+    elementwise pass over the flat vectors.  Its intermediates go to two
+    parameter-sized vectors the optimizer keeps, ``scratch``, which is no
+    constructor argument and which no checkpoint holds; the operations and
+    their order are those of ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd
+    * p)``, so no bit moves.
     """
 
     lr: float = 1e-3
@@ -1081,7 +1156,7 @@ class AdamW:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    scratch: tuple = field(default=(), repr=False, compare=False)
+    scratch: tuple = field(init=False, default=(), repr=False, compare=False)
 
     def step(self, params: ModelParams, grads: FlatBlocks) -> None:
         if not isinstance(grads, FlatBlocks):
@@ -1089,31 +1164,22 @@ class AdamW:
         self.t += 1
         if not self.m:
             self.m, self.v = zero_grads(params), zero_grads(params)
-        size = params.flat.size
-        chunk = min(size, _ADAMW_CHUNK)
-        if not self.scratch or self.scratch[0].size != chunk:
-            self.scratch = (np.empty(chunk), np.empty(chunk))
-        bias1, bias2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        for lo in range(0, size, chunk):
-            g, m, v, p = (x[lo : lo + chunk] for x in (grads.flat, self.m.flat, self.v.flat, params.flat))
-            a, b = (x[: p.size] for x in self.scratch)
-            m *= self.beta1
-            m += np.multiply(1.0 - self.beta1, g, out=a)
-            v *= self.beta2
-            np.multiply(1.0 - self.beta2, g, out=a)
-            v += np.multiply(a, g, out=a)
-            np.divide(m, bias1, out=a)  # m_hat
-            np.divide(v, bias2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += self.eps
-            a /= b
-            a += np.multiply(self.weight_decay, p, out=b)
-            p -= np.multiply(self.lr, a, out=a)
-
-
-# AdamW steps over chunks of at most this many values (128 KB), so its
-# scratch stays small: at 8,192 a 39k-value step took 12% longer.
-_ADAMW_CHUNK = 16384
+        g, m, v, p = grads.flat, self.m.flat, self.v.flat, params.flat
+        if not self.scratch or self.scratch[0].size != p.size:
+            self.scratch = (np.empty(p.size), np.empty(p.size))
+        a, b = self.scratch
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, g, out=a)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(v, 1.0 - self.beta2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        a += np.multiply(self.weight_decay, p, out=b)
+        p -= np.multiply(self.lr, a, out=a)
 
 
 # The AdamW fields a checkpoint header records.

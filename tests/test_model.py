@@ -265,6 +265,18 @@ def test_adamw_refuses_gradients_that_are_not_a_zero_grads_table():
     assert fresh.t == 0 and not fresh.m and not fresh.v
 
 
+def test_adamw_keeps_its_scratch_vectors_out_of_the_constructor():
+    # The step's two working vectors are internal state, not a setting.
+    with pytest.raises(TypeError, match="scratch"):
+        AdamW(scratch=(np.empty(3), np.empty(3)))
+    params = init_params(8, dim=3, seed=3)
+    opt = AdamW()
+    opt.step(params, zero_grads(params))
+    first = opt.scratch
+    opt.step(params, zero_grads(params))
+    assert opt.scratch is first and "scratch" not in repr(opt) and opt == AdamW(t=2, m=opt.m, v=opt.v)
+
+
 def test_adamw_zero_gradient_step_is_pure_decay():
     params = init_params(8, dim=3, seed=1)
     before = params.flat.copy()
@@ -407,7 +419,7 @@ def _stack_and_loss(objective, size=3, length=12):
     questions = [rng.integers(0, 15, size=n) for n in range(2, 2 + size)]
     passages = [rng.integers(0, 15, size=length) for _ in range(size)]
     stack = model._forward_stack(params, questions, passages, MASK_VALID)
-    (parts,) = model._RowBuffer().parts(model._layout(tuple(params.shapes.items()), objective), [size])
+    (parts,) = model._RowBuffer().parts(model._layouts(params, objective), [size])
     result = model._stack_loss(params, stack, [SpanTarget(1, 3)] * size, objective, parts)
     return params, questions, passages, stack, result, parts
 
@@ -445,32 +457,54 @@ def test_a_conditional_stack_hands_on_its_w_cond_gradient_without_a_copy():
         assert grads["w_cond"].tobytes() == columns[j].tobytes()
 
 
+def test_backward_refuses_a_result_of_another_objective():
+    # The objective sets which blocks a backward pass writes, so a result
+    # that reports other gradients is refused instead of added as garbage.
+    params = init_params(15, dim=8, seed=3)
+    cache = forward(params, [1, 2], list(range(3, 11)))
+    target = SpanTarget(1, 3)
+    pairs = ((OBJ_COMPOUND, OBJ_INDEPENDENT), (OBJ_INDEPENDENT, OBJ_COMPOUND), (OBJ_CONDITIONAL, OBJ_JOINT))
+    for made, claimed in pairs:
+        result = example_loss(params, cache, target, made)
+        with pytest.raises(ConfigError, match=claimed):
+            backward(params, cache, result, claimed)
+    result = example_loss(params, cache, target, OBJ_COMPOUND)
+    assert backward(params, cache, result, OBJ_COMPOUND_SHARED)["w_joint"].any()
+
+
 def test_training_steps_share_one_contribution_buffer_that_train_releases(monkeypatch):
-    # Consecutive steps write their contribution matrices into one buffer,
-    # and once train returns nothing holds it: not the parameters, the
-    # optimizer or the module.
+    # Consecutive steps write their contribution matrices, and the rows
+    # their products are formed in, into one buffer, and once train returns
+    # nothing holds it: not the parameters, the optimizer or the module.
     import gc
     import weakref
 
     import spanobj.model as model
 
-    matrices = []
-    backward_stack = model._backward_stack
+    held, formed = [], []
+    backward_stack, form = model._backward_stack, model._form
 
-    def recording(params, stack, result, parts):
+    def recording_backward(params, stack, result, parts):
         backward_stack(params, stack, result, parts)
-        matrices.append(parts.matrix)
+        held.append(parts.matrix)
 
-    monkeypatch.setattr(model, "_backward_stack", recording)
+    def recording_form(pieces):
+        formed.append(form(pieces))
+        return formed[-1]
+
+    monkeypatch.setattr(model, "_backward_stack", recording_backward)
+    monkeypatch.setattr(model, "_form", recording_form)
     dataset = _toy_dataset(np.random.default_rng(31), n=12)
     config = TrainConfig(objective=OBJ_COMPOUND, epochs=2, batch_size=4, seed=1, dim=8)
     result = train(dataset, config, vocab_size=15)
-    assert len(matrices) == 6  # two epochs of three steps, one stack each
-    assert all(np.shares_memory(matrix, matrices[0]) for matrix in matrices[1:])
-    buffer = weakref.ref(matrices[0].base)
-    matrices.clear()
+    assert len(held) == 6 and len(formed) >= 6  # two epochs of three steps, one stack each
+    for matrices in (held, formed):
+        assert all(np.shares_memory(matrix, matrices[0]) for matrix in matrices[1:])
+    storage = [weakref.ref(held[0].base), weakref.ref(formed[0].base)]
+    held.clear()
+    formed.clear()
     gc.collect()
-    assert buffer() is None and result.optimizer.t == 6  # the result lives on
+    assert [ref() for ref in storage] == [None, None] and result.optimizer.t == 6  # the result lives on
 
 
 def test_batches_of_one_length_run_as_their_unsorted_stacks(monkeypatch):
