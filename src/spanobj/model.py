@@ -60,7 +60,7 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
   rows is an axis-0 ``np.add.reduce`` over the total and the rows, which
   adds them one after the other, and one ``np.add.at`` of the embedding
   rows, which applies them in order (one example's, at distinct ids, are
-  one gather and scatter; :func:`_add_rows`); embedding rows are summed
+  one gather and scatter; :func:`_add_items`); embedding rows are summed
   per example at that example's own distinct ids before they reach the
   total, by one ``np.bincount``, which adds each cell's values in row
   order from +0.0, as ``np.add.at`` does.  The total gets nothing at the
@@ -491,7 +491,7 @@ def _stack_loss(
     """Stacked :class:`LossResult` (``loss`` is a (B,) array) of one objective.
 
     Given the stack's ``parts``, the conditional head's weight gradient is
-    formed in its ``w_cond`` columns.
+    formed in its ``w_cond`` rows of the buffer.
     """
     starts, ends = target_arrays(targets)
     if objective == OBJ_INDEPENDENT:
@@ -503,7 +503,7 @@ def _stack_loss(
             stack.start_scores, stack.end_scores, stack.joint, stack.mask, starts, ends
         )
     if objective == OBJ_CONDITIONAL:
-        w_grad = None if parts is None else parts.blocks["w_cond"]
+        w_grad = None if parts is None else parts.held["w_cond"]
         return conditional_rows(stack.start_scores, stack.h, params.cond, starts, ends, w_grad)
     raise ConfigError(f"unknown objective {objective!r}")
 
@@ -524,22 +524,17 @@ _ROUTES = {
     "grad_joint": ("w_joint", "b_joint", "w_sim"),
     "grad_cond": ("w_cond", "b_cond", "w_cond_out"),
 }
-# The weight gradients formed when they are added, as stacked products of
-# factors the backward pass keeps (:func:`_backward_stack`), rather than held.
-_PRODUCTS = frozenset(("w_q", "w_mix", "w_joint"))
 
 
-def _layouts(params: ModelParams, objective: str) -> tuple:
-    """The ``(held, formed)`` column layouts (:func:`_columns`) of a stack's
-    contributions under ``objective``: the blocks it reaches besides ``emb``
-    that a window holds as rows, and the product blocks formed at add time."""
+def _layout(params: ModelParams, objective: str) -> SimpleNamespace:
+    """The columns (:func:`_columns`) of a row of contributions under
+    ``objective``: the blocks besides ``emb`` that its gradients reach."""
     if objective not in _REPORTS:
         raise ConfigError(f"unknown objective {objective!r}")
     reached = {"w_q", "b_q", "w_mix", "b_mix"}
     for report in _REPORTS[objective]:
         reached.update(_ROUTES[report])
-    shapes = tuple(params.shapes.items())
-    return _columns(shapes, frozenset(reached - _PRODUCTS)), _columns(shapes, frozenset(reached & _PRODUCTS))
+    return _columns(tuple(params.shapes.items()), frozenset(reached))
 
 
 @functools.lru_cache(maxsize=64)
@@ -547,16 +542,17 @@ def _columns(shapes: tuple, names: frozenset) -> SimpleNamespace:
     """The columns of a row holding blocks ``names`` of a parameter table's
     ``(name, shape)`` pairs, in serialization order.
 
-    ``columns`` maps each block to its first column and shape, and
-    ``segments`` pairs each run of them that is adjacent in the flat vector
-    with its columns, as ``(flat slice, column slice)``.  ``width`` is the
-    row length.
+    ``columns`` maps each block to its column slice and, for a block of
+    more than one axis, its shape (None for one axis), and ``segments``
+    pairs each run of them that is adjacent in the flat vector with its
+    columns, as ``(flat slice, column slice)``.  ``width`` is the row
+    length.
     """
     columns, segments, start, width = {}, [], 0, 0
     for name, shape in shapes:
         size = math.prod(shape)
         if name in names:
-            columns[name] = (width, shape)
+            columns[name] = (slice(width, width + size), shape if len(shape) > 1 else None)
             if segments and segments[-1][1] == start:
                 segments[-1][1] += size
             else:
@@ -567,27 +563,22 @@ def _columns(shapes: tuple, names: frozenset) -> SimpleNamespace:
     return SimpleNamespace(columns=columns, segments=segments, width=width)
 
 
-def _blocks(rows: np.ndarray, layout: SimpleNamespace) -> dict:
-    """Each block of ``layout`` as its (n, *shape) view of ``rows``."""
-    return {
-        name: rows[:, at : at + math.prod(shape)].reshape((len(rows),) + shape)
-        for name, (at, shape) in layout.columns.items()
-    }
-
-
-# Products are formed and added this many rows at a time (:func:`_add_rows`).
+# Rows are formed and added this many at a time (:func:`_add_items`).
 _FORMED_ROWS = 8
 
 
 class _RowBuffer:
     """Grow-only storage that the steps of one training share, so a step
     touches no new pages once an earlier one has needed as many values:
-    ``held``, the contribution matrices of a window's stacks, and
-    ``formed``, the rows products are formed in when they are added."""
+    ``formed``, the rows contributions are formed in when they are added,
+    ``total``, the row a run of them is summed into, and ``held``, the
+    conditional head's ``w_cond`` gradients of a window's stacks, which the
+    loss forms and the stacks hold until added."""
 
     def __init__(self) -> None:
-        self.held = np.empty(0)
         self.formed = np.empty(0)
+        self.total = np.empty(0)
+        self.held = np.empty(0)
 
     def rows(self, name: str, count: int, width: int) -> np.ndarray:
         """A (count, width) matrix at the start of storage ``name``."""
@@ -595,54 +586,59 @@ class _RowBuffer:
             setattr(self, name, np.empty(count * width))
         return getattr(self, name)[: count * width].reshape(count, width)
 
-    def parts(self, layouts: tuple, sizes: list) -> list:
-        """One :class:`_Contributions` per stack of ``sizes`` rows, on
-        consecutive slabs of one ``held`` matrix, each with its spare row first."""
-        matrix = self.rows("held", len(sizes) + sum(sizes), layouts[0].width)
-        parts, top = [], 0
-        for size in sizes:
-            parts.append(_Contributions(self, layouts, matrix[top : top + 1 + size]))
-            top += 1 + size
+    def parts(self, layout: SimpleNamespace, sizes: list) -> list:
+        """One :class:`_Contributions` per stack of ``sizes`` rows; each
+        holds its rows of one ``held`` matrix as its ``w_cond`` gradient
+        when ``layout`` has that block."""
+        parts = [_Contributions(self, layout, size) for size in sizes]
+        if "w_cond" in layout.columns:
+            cols, shape = layout.columns["w_cond"]
+            held = self.rows("held", sum(sizes), cols.stop - cols.start)
+            top = 0
+            for size, contributions in zip(sizes, parts):
+                contributions.held["w_cond"] = held[top : top + size].reshape((size,) + shape)
+                top += size
         return parts
 
 
 class _Contributions:
     """A stack's parameter-gradient contributions, not yet added anywhere.
 
-    ``matrix`` holds the blocks that the ``held`` layout has
-    (:func:`_layouts`), every one reached besides ``emb`` and the products:
-    row ``j + 1`` is example j's values, and ``blocks`` maps each block to
-    its (B, *shape) view of rows 1..B.  Row 0 is spare: :func:`_add_rows`
-    writes the running total into the row before a run, which is row 0 or
-    one already added.  ``products`` maps each block of the ``formed``
-    layout to ``form(lo, hi, out)``, which writes examples lo..hi-1's
-    values into ``out``.  ``emb`` is ``(ids, rows, bounds)``: example j's
-    distinct token ids, ascending, are ``ids[bounds[j]:bounds[j + 1]]`` and
-    its embedding gradient at them the same rows of ``rows``, so the rows
-    grow with the stack's tokens, not with B times the ids of the whole
-    stack.
+    Each block of ``layout`` besides ``emb`` is either held, a (B, *shape)
+    array in ``held`` whose row j is example j's values, or a product in
+    ``products``, ``form(lo, hi, out)``, which writes examples lo..hi-1's
+    values into ``out`` (:func:`_backward_stack`).  ``emb`` is ``(ids,
+    rows, bounds)``: example j's distinct token ids, ascending, are
+    ``ids[bounds[j]:bounds[j + 1]]`` and its embedding gradient at them the
+    same rows of ``rows``, so the rows grow with the stack's tokens, not
+    with B times the ids of the whole stack.
     """
 
-    def __init__(self, buffer: _RowBuffer, layouts: tuple, matrix: np.ndarray) -> None:
+    def __init__(self, buffer: _RowBuffer, layout: SimpleNamespace, size: int) -> None:
         self.buffer = buffer
-        self.held, self.formed = layouts
-        self.matrix = matrix
-        self.blocks = _blocks(matrix[1:], self.held)
+        self.layout = layout
+        self.size = size
+        self.held = {}
         self.products = {}
         self.emb = None
 
 
 def _form(pieces: list) -> np.ndarray:
-    """The product rows of ``pieces``, ``(contributions, lo, hi)`` each, one
-    after the other from row 1 of a matrix in the buffer's ``formed``
-    storage, whose row 0 is spare."""
+    """The contribution rows of ``pieces``, ``(contributions, lo, hi)``
+    each, one after the other from row 1 of a matrix in the buffer's
+    ``formed`` storage, in the columns of their layout; row 0 is spare."""
     first = pieces[0][0]
-    layout = first.formed
+    layout = first.layout
     matrix = first.buffer.rows("formed", 1 + sum(hi - lo for _, lo, hi in pieces), layout.width)
     top = 1
     for parts, lo, hi in pieces:
-        for name, out in _blocks(matrix[top : top + hi - lo], layout).items():
-            parts.products[name](lo, hi, out)
+        rows = matrix[top : top + hi - lo]
+        for name, (cols, shape) in layout.columns.items():
+            out = rows[:, cols] if shape is None else rows[:, cols].reshape((hi - lo,) + shape)
+            if name in parts.held:
+                out[...] = parts.held[name][lo:hi]
+            else:
+                parts.products[name](lo, hi, out)
         top += hi - lo
     return matrix
 
@@ -650,10 +646,10 @@ def _form(pieces: list) -> np.ndarray:
 def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, parts: _Contributions) -> None:
     """Write every example's parameter-gradient contribution into ``parts``.
 
-    The held blocks go to their columns of ``parts.matrix``; the
-    conditional head's weight gradient is already there when the loss
-    formed it in place (:func:`_stack_loss`).  The product blocks are
-    functions of factors the stack keeps until it is added: ``w_mix`` of
+    The held blocks are the arrays the pass forms, the conditional head's
+    weight gradient the one the loss formed, in the buffer when the loss
+    had the stack's ``parts`` (:func:`_stack_loss`).  The product blocks
+    are functions of factors the stack keeps until it is added: ``w_mix`` of
     ``d_pre`` and the mixing layer's input, ``w_joint`` of ``d_hs`` and
     ``h`` (``a[lo:hi] @ b[lo:hi].transpose(0, 2, 1)``, equal to each
     example's 2-D product ``a[j] @ b[j].T``), ``w_q`` of ``d_q`` and
@@ -665,13 +661,13 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
     """
     h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
     size, d, length = h.shape
-    blocks = parts.blocks
+    held = parts.held
     d_h = np.zeros_like(h)
 
     for head, g in (("s", result.grad_start), ("e", result.grad_end)):
         if g is not None:
-            blocks["w_" + head][...] = (h @ g[:, :, None])[:, :, 0]
-            blocks["b_" + head][:, 0] = g.sum(axis=1)
+            held["w_" + head] = (h @ g[:, :, None])[:, :, 0]
+            held["b_" + head] = g.sum(axis=1)[:, None]
             d_h += params.arrays["w_" + head][:, None] * g[:, None, :]
 
     if result.grad_joint is not None:
@@ -679,19 +675,16 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
         parts.products["w_joint"] = lambda lo, hi, out: np.matmul(
             d_hs[lo:hi], h[lo:hi].transpose(0, 2, 1), out=out
         )
-        blocks["b_joint"][...] = d_hs.sum(axis=2)
+        held["b_joint"] = d_hs.sum(axis=2)
         d_he += params.w_joint.T @ d_hs
         d_h += d_he
         del d_he
         if d_w_sim is not None:
-            blocks["w_sim"][...] = d_w_sim
+            held["w_sim"] = d_w_sim
 
     cond = result.grad_cond
     if cond is not None:
-        if cond.w is not blocks["w_cond"]:
-            blocks["w_cond"][...] = cond.w
-        blocks["b_cond"][...] = cond.b
-        blocks["w_cond_out"][...] = cond.w_out
+        held.update(w_cond=cond.w, b_cond=cond.b, w_cond_out=cond.w_out)
     if result.grad_h is not None:
         d_h += result.grad_h
 
@@ -703,7 +696,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
     parts.products["w_mix"] = lambda lo, hi, out: np.matmul(
         d_pre[lo:hi], features[lo:hi].transpose(0, 2, 1), out=out
     )
-    blocks["b_mix"][...] = d_pre.sum(axis=2)
+    held["b_mix"] = d_pre.sum(axis=2)
     d_features = params.w_mix.T @ d_pre
 
     # Through F = [e; e * q; q].
@@ -715,7 +708,7 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
     parts.products["w_q"] = lambda lo, hi, out: np.multiply(
         d_q[lo:hi, :, None], q_bar[lo:hi, None, :], out=out
     )
-    blocks["b_q"][...] = d_q
+    held["b_q"] = d_q
     d_q_bar = (params.w_q.T @ d_q[:, :, None])[:, :, 0]
 
     # Embedding rows: each example's passage rows, then its question rows,
@@ -792,41 +785,75 @@ def _emb_rows(parts: _Contributions, lo: int, hi: int) -> tuple:
     return ids[bounds[lo] : bounds[hi]], rows[bounds[lo] : bounds[hi]]
 
 
-def _add_run(flat: np.ndarray, run: np.ndarray, segments: list) -> None:
-    """Add rows 1.. of ``run`` to ``flat`` at ``segments`` (:func:`_columns`),
-    one after the other.  Several rows are one axis-0 ``np.add.reduce`` over
-    the total, written into row 0, and the rows: it adds them one after the
-    other along the outer axis, as ``total += row`` does."""
-    if len(run) == 2:
+def _add_items(grads: FlatBlocks, parts: list, items: list) -> None:
+    """Add ``items`` to ``grads``, one after the other: each a list of
+    ``(stack, row)`` pairs of one length P (an example's row, or a
+    context's passages in passage order), stack k's contributions in
+    ``parts[k]``.
+
+    Up to ``_FORMED_ROWS`` rows at a time are formed (:func:`_form`)
+    passage by passage, so each passage's rows of consecutive items are a
+    block, and consecutive rows of one stack one piece.  Each item's sum
+    over its passages is formed in place in the first block (in passage
+    order, elementwise, so every item's own), and the sums go to the total
+    by one axis-0 ``np.add.reduce`` over the total, written into the spare
+    row, and the sums: it adds them one after the other along the outer
+    axis, as ``total += row`` does.  The rows take a small buffer however
+    many rows a window holds.
+
+    Examples' embedding rows go through one ``np.add.at``, which applies
+    its values in order.  It runs over the table's flat cells, where it is
+    about three times as fast as over its rows (35 us against 117 us for
+    420 rows of 32 on a 2-vCPU x86-64 host); one example's rows, at
+    distinct ids, need only a gather and a scatter.  A context's rows are
+    summed over the union of their ids, each from +0.0 in row order, and
+    the sum added.
+    """
+    size = len(items[0])
+    step = max(1, _FORMED_ROWS // size)
+    for first in range(0, len(items), step):
+        chunk = items[first : first + step]
+        pieces = _pieces(parts, [spots[p] for p in range(size) for spots in chunk])
+        matrix = _form(pieces)
+        sums = matrix[1:].reshape(size, len(chunk), -1)
+        for p in range(1, size):
+            sums[0] += sums[p]
+        buffer, segments = pieces[0][0].buffer, pieces[0][0].layout.segments
+        run, flat = matrix[: len(chunk) + 1], grads.flat
+        if len(chunk) == 1:
+            for span, cols in segments:
+                flat[span] += run[1, cols]
+            continue
         for span, cols in segments:
-            flat[span] += run[1, cols]
+            run[0, cols] = flat[span]
+        total = np.add.reduce(run, axis=0, out=buffer.rows("total", 1, run.shape[1])[0])
+        for span, cols in segments:
+            flat[span] = total[cols]
+
+    if size > 1:
+        for spots in items:
+            ids, rows = map(np.concatenate, zip(*(_emb_rows(parts[k], j, j + 1) for k, j in spots)))
+            union = _distinct(ids, len(grads["emb"]))
+            grads["emb"][union] += _sum_rows(np.searchsorted(union, ids), rows, union.size)
         return
-    for span, cols in segments:
-        run[0, cols] = flat[span]
-    total = np.add.reduce(run, axis=0)
-    for span, cols in segments:
-        flat[span] = total[cols]
-
-
-def _add_rows(grads: FlatBlocks, parts: _Contributions, lo: int, hi: int) -> None:
-    """Add rows ``lo..hi-1`` of a stack's contributions to ``grads``, one
-    example after the other: the held rows as one run (:func:`_add_run`),
-    with the row before them as its spare, and the products formed and
-    added ``_FORMED_ROWS`` rows at a time, so their rows take a small
-    buffer however many rows a window holds.  The embedding rows go
-    through one ``np.add.at``, which applies its values in order.  It runs
-    over the table's flat cells, where it is about three times as fast as
-    over its rows (35 us against 117 us for 420 rows of 32 on a 2-vCPU
-    x86-64 host); one example's rows, at distinct ids, need only a gather
-    and a scatter."""
-    _add_run(grads.flat, parts.matrix[lo : hi + 1], parts.held.segments)
-    for at in range(lo, hi, _FORMED_ROWS):
-        _add_run(grads.flat, _form([(parts, at, min(hi, at + _FORMED_ROWS))]), parts.formed.segments)
-    ids, rows = _emb_rows(parts, lo, hi)
-    if hi - lo == 1:  # one example's ids are distinct: one gather, add and scatter
+    emb = [_emb_rows(*piece) for piece in _pieces(parts, [spots[0] for spots in items])]
+    ids, rows = emb[0] if len(emb) == 1 else map(np.concatenate, zip(*emb))
+    if len(items) == 1:  # one example's ids are distinct: one gather, add and scatter
         grads["emb"][ids] += rows
     else:
         np.add.at(grads["emb"].reshape(-1), _cells(ids, rows.shape[1]), rows.reshape(-1))
+
+
+def _pieces(parts: list, spots: list) -> list:
+    """``[contributions, lo, hi]`` for each run of ``(stack, row)`` pairs
+    at consecutive rows of one stack, stack k's contributions in ``parts[k]``."""
+    pieces = []
+    for k, j in spots:
+        if pieces and pieces[-1][0] is parts[k] and pieces[-1][2] == j:
+            pieces[-1][2] = j + 1
+        else:
+            pieces.append([parts[k], j, j + 1])
+    return pieces
 
 
 def batch_loss_and_grads(
@@ -854,7 +881,7 @@ def batch_loss_and_grads(
     """
     grads = zero_grads(params)
     buffer = buffer or _RowBuffer()
-    layouts = _layouts(params, objective)
+    layout = _layout(params, objective)
     shared = bool(batch) and hasattr(batch[0], "passages")
     if shared and objective != OBJ_COMPOUND_SHARED:
         raise ConfigError(f"contexts train {OBJ_COMPOUND_SHARED!r}, not {objective!r}")
@@ -882,7 +909,7 @@ def batch_loss_and_grads(
             place[last] = at[spans[last][0] : spans[last][1]]
             last += 1
 
-        parts = buffer.parts(layouts, [len(members) for members, _ in stacks])
+        parts = buffer.parts(layout, [len(members) for members, _ in stacks])
         if shared:
             losses[added:last], results = _context_losses(
                 batch[added:last], [stack for _, stack in stacks], place[added:last], policy
@@ -923,47 +950,26 @@ def _add_ready(grads: FlatBlocks, place: list, parts: list, added: int) -> int:
     dropped.  A stack's members rise, so the last item that reads a stack
     reads its last row, and the stack is dropped once that row is added.
 
-    A run of one-row items at consecutive rows of one stack is one
-    :func:`_add_rows`.  An item of several rows sums them in order and adds
-    the sum: the adds of forming its gradient from zeros and adding it.
-    Skipping the zeros, and adding an embedding sum only at its stacks'
-    ids, change no bit, because a total that starts at +0.0 never holds
-    -0.0 (``x + 0.0 == x``).
+    Consecutive items of one length are added by one :func:`_add_items`.
+    An item of several rows sums them in order and adds the sum: the adds
+    of forming its gradient from zeros and adding it.  Skipping the zeros,
+    and adding an embedding sum only at its stacks' ids, change no bit,
+    because a total that starts at +0.0 never holds -0.0 (``x + 0.0 ==
+    x``).
     """
-    count = len(place)
-    while added < count and place[added] is not None:
-        spots = place[added]
-        for k, _ in spots:
-            if parts[k] is None:
-                return added
+    first, count = added, len(place)
+    while added < count and place[added] is not None and all(parts[k] is not None for k, _ in place[added]):
         added += 1
-        if len(spots) == 1:
-            ((k, lo),) = spots
-            hi = lo + 1
-            while added < count and place[added] == [(k, hi)]:
-                hi += 1
-                added += 1
-            _add_rows(grads, parts[k], lo, hi)
-            spots = [(k, hi - 1)]  # the run's last row
-        else:
-            sources = [(parts[k], j) for k, j in spots]
-            (first, row), rest = sources[0], sources[1:]
-            total = first.matrix[row + 1]
-            for contributions, j in rest:
-                total = total + contributions.matrix[j + 1]
-            for span, cols in first.held.segments:
-                grads.flat[span] += total[cols]
-            total = np.add.reduce(_form([(c, j, j + 1) for c, j in sources])[1:], axis=0)
-            for span, cols in first.formed.segments:
-                grads.flat[span] += total[cols]
-
-            # The rows' sums over the union of their ids, each from +0.0 in row order.
-            ids, rows = zip(*(_emb_rows(contributions, j, j + 1) for contributions, j in sources))
-            ids, rows = np.concatenate(ids), np.concatenate(rows)
-            union = _distinct(ids, len(grads["emb"]))
-            grads["emb"][union] += _sum_rows(np.searchsorted(union, ids), rows, union.size)
+    lo = first
+    while lo < added:
+        hi = lo + 1
+        while hi < added and len(place[hi]) == len(place[lo]):
+            hi += 1
+        _add_items(grads, parts, place[lo:hi])
+        lo = hi
+    for spots in place[first:added]:
         for k, j in spots:
-            if j == len(parts[k].matrix) - 2:  # its last row, after the spare
+            if j == parts[k].size - 1:
                 parts[k] = None
     return added
 
@@ -989,20 +995,20 @@ def example_loss(params: ModelParams, cache: ForwardCache, target: SpanTarget, o
 def backward(params: ModelParams, cache: ForwardCache, result: LossResult, objective: str) -> dict:
     """Chain rule from a one-example LossResult to every block.
 
-    ``objective`` sets which blocks the contributions hold (:func:`_layouts`),
+    ``objective`` sets which blocks the contributions hold (:func:`_layout`),
     so the result must report exactly its gradients: a ``ConfigError``
     otherwise.
     """
-    layouts = _layouts(params, objective)
+    layout = _layout(params, objective)
     reported = tuple(name for name in _ROUTES if getattr(result, name) is not None)
     if reported != _REPORTS[objective]:
         raise ConfigError(f"a {objective!r} backward pass takes {_REPORTS[objective]}, not {reported}")
     if cache.h.shape[0] != params.dim:
         raise InvalidInputError("forward cache does not match these parameters")
     grads = zero_grads(params)
-    (parts,) = _RowBuffer().parts(layouts, [1])
+    (parts,) = _RowBuffer().parts(layout, [1])
     _backward_stack(params, cache.stack, stack_one(result), parts)
-    _add_rows(grads, parts, 0, 1)
+    _add_items(grads, [parts], [[(0, 0)]])
     return grads
 
 
@@ -1324,7 +1330,9 @@ def train(
         skipped = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [items[i] for i in order[lo : lo + config.batch_size]]
-            batch_total, batch_used, batch_skipped = train_step(params, batch, config, optimizer, buffer=buffer)
+            batch_total, batch_used, batch_skipped = train_step(
+                params, batch, config, optimizer, buffer=buffer
+            )
             total += batch_total
             used += batch_used
             skipped += batch_skipped

@@ -419,7 +419,7 @@ def _stack_and_loss(objective, size=3, length=12):
     questions = [rng.integers(0, 15, size=n) for n in range(2, 2 + size)]
     passages = [rng.integers(0, 15, size=length) for _ in range(size)]
     stack = model._forward_stack(params, questions, passages, MASK_VALID)
-    (parts,) = model._RowBuffer().parts(model._layouts(params, objective), [size])
+    (parts,) = model._RowBuffer().parts(model._layout(params, objective), [size])
     result = model._stack_loss(params, stack, [SpanTarget(1, 3)] * size, objective, parts)
     return params, questions, passages, stack, result, parts
 
@@ -446,15 +446,15 @@ def test_a_stacks_embedding_rows_are_each_examples_rows_at_its_own_ids():
 def test_a_conditional_stack_hands_on_its_w_cond_gradient_without_a_copy():
     import spanobj.model as model
 
-    # The loss forms the head's weight gradient in the w_cond columns of the
-    # stack's contribution matrix, which the backward pass leaves as they are.
+    # The loss forms the head's weight gradient in the stack's w_cond rows
+    # of the buffer's held matrix, which the backward pass holds as they are.
     params, questions, passages, stack, result, parts = _stack_and_loss(OBJ_CONDITIONAL)
     model._backward_stack(params, stack, result, parts)
-    columns = parts.blocks["w_cond"]
-    assert result.grad_cond.w is columns and np.shares_memory(columns, parts.matrix)
+    rows = parts.held["w_cond"]
+    assert result.grad_cond.w is rows and np.shares_memory(rows, parts.buffer.held)
     for j, (q_ids, p_ids) in enumerate(zip(questions, passages)):
         _, grads = loss_and_grads(params, q_ids, p_ids, SpanTarget(1, 3), OBJ_CONDITIONAL)
-        assert grads["w_cond"].tobytes() == columns[j].tobytes()
+        assert grads["w_cond"].tobytes() == rows[j].tobytes()
 
 
 def test_backward_refuses_a_result_of_another_objective():
@@ -473,8 +473,8 @@ def test_backward_refuses_a_result_of_another_objective():
 
 
 def test_training_steps_share_one_contribution_buffer_that_train_releases(monkeypatch):
-    # Consecutive steps write their contribution matrices, and the rows
-    # their products are formed in, into one buffer, and once train returns
+    # Consecutive steps form their contribution rows, and hold their
+    # conditional w_cond gradients, in one buffer, and once train returns
     # nothing holds it: not the parameters, the optimizer or the module.
     import gc
     import weakref
@@ -486,7 +486,7 @@ def test_training_steps_share_one_contribution_buffer_that_train_releases(monkey
 
     def recording_backward(params, stack, result, parts):
         backward_stack(params, stack, result, parts)
-        held.append(parts.matrix)
+        held.append(parts.held["w_cond"])
 
     def recording_form(pieces):
         formed.append(form(pieces))
@@ -495,7 +495,7 @@ def test_training_steps_share_one_contribution_buffer_that_train_releases(monkey
     monkeypatch.setattr(model, "_backward_stack", recording_backward)
     monkeypatch.setattr(model, "_form", recording_form)
     dataset = _toy_dataset(np.random.default_rng(31), n=12)
-    config = TrainConfig(objective=OBJ_COMPOUND, epochs=2, batch_size=4, seed=1, dim=8)
+    config = TrainConfig(objective=OBJ_CONDITIONAL, epochs=2, batch_size=4, seed=1, dim=8)
     result = train(dataset, config, vocab_size=15)
     assert len(held) == 6 and len(formed) >= 6  # two epochs of three steps, one stack each
     for matrices in (held, formed):
