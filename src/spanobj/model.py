@@ -52,12 +52,11 @@ the core keeps to rules measured on NumPy 2.4 with OpenBLAS 0.3.31:
   (:func:`_add_ready`) for examples and contexts, as soon as its stacks
   have run; the weight gradients (``w_mix``, ``w_joint``, ``w_q``,
   ``w_cond``) are stacked products (``a[lo:hi] @ b[lo:hi].transpose(0, 2,
-  1)``, equal to each example's ``a[j] @ b[j].T``): ``w_cond``'s is held
-  with the other blocks but ``emb`` in one contribution matrix, and the
-  rest are formed from factors the stack keeps when they are added, a few
-  rows at a time, in rows of a buffer that a training reuses every step,
-  as it reuses the matrices (:class:`_RowBuffer`); a run of one stack's
-  rows is an axis-0 ``np.add.reduce`` over the total and the rows, which
+  1)``, equal to each example's ``a[j] @ b[j].T``), ``w_cond``'s formed by
+  its loss and the rest from factors the stack keeps, when its rows are
+  added; the rows of consecutive items are formed a few at a time in a
+  buffer that a training reuses every step (:class:`_RowBuffer`), and
+  added by one axis-0 ``np.add.reduce`` over the total and the rows, which
   adds them one after the other, and one ``np.add.at`` of the embedding
   rows, which applies them in order (one example's, at distinct ids, are
   one gather and scatter; :func:`_add_items`); embedding rows are summed
@@ -659,6 +658,8 @@ def _backward_stack(params: ModelParams, stack: _Stack, result: LossResult, part
     straight to its blocks and the passage representations.  Temporaries
     go as soon as they are used, so the pass's peak stays low.
     """
+    # The product closures below hold only the arrays they read, so a
+    # contribution does not keep the stack's score matrices alive.
     h, q, q_bar, passage_ids = stack.h, stack.q, stack.q_bar, stack.passage_ids
     size, d, length = h.shape
     held = parts.held
@@ -874,9 +875,9 @@ def batch_loss_and_grads(
     Losses and gradients equal a loop of :func:`loss_and_grads` or
     :func:`context_loss_and_grads` over the batch bit for bit.
 
-    Each window's contribution matrix, one row per stack row and one spare
-    row per stack (:class:`_Contributions`), and the rows its products are
-    formed in are views of ``buffer``, which a training passes to every
+    The rows the items' contributions are formed in (:func:`_add_items`),
+    and a conditional window's ``w_cond`` gradients, are views of
+    ``buffer`` (:class:`_RowBuffer`), which a training passes to every
     step; by default the call has its own.
     """
     grads = zero_grads(params)
@@ -932,8 +933,8 @@ def batch_loss_and_grads(
             ready[k], parts[k] = parts[k], None  # dropped once added, with the factors it keeps
             # The loss result goes at the next backward pass (a window's last, in the
             # next window): freeing it here lets glibc trim the heap top it holds, and
-            # regrowing the heap made L=180 training 8% slower (2-vCPU x86-64; 12% before
-            # the contribution buffer).
+            # regrowing the heap made L=180 training 10% slower (2-vCPU x86-64; 12% when
+            # stacks handed on per-example products).
             del stack
             added = _add_ready(grads, place, ready, added)
     return losses, grads
@@ -1257,7 +1258,8 @@ def train_step(
     size, the figure the epoch log has always added.  Either kind is one
     :func:`batch_loss_and_grads` call.  The step follows the mean gradient
     over the items used; a batch that uses none takes no step.  ``buffer``
-    holds the step's contribution matrices (:func:`batch_loss_and_grads`).
+    holds the rows the step forms its contributions in
+    (:func:`batch_loss_and_grads`).
     """
     if not batch:
         raise InvalidInputError("empty batch")
@@ -1322,7 +1324,7 @@ def train(
     if optimizer is None:
         optimizer = AdamW(lr=config.learning_rate, weight_decay=config.weight_decay)
     log = []
-    buffer = _RowBuffer()  # every step's contribution matrices, released on return
+    buffer = _RowBuffer()  # every step's contribution rows, released on return
     for epoch in range(start_epoch, config.epochs):
         order = _epoch_rng(config.seed, epoch).permutation(len(items))
         total = 0.0

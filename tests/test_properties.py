@@ -559,7 +559,7 @@ def test_sorted_windows_equal_the_one_example_loop_bit_for_bit(case, objective, 
 
 
 # ---------------------------------------------------------------------------
-# The contribution matrix at production width
+# Stacked products and the adder at production width
 
 
 @st.composite
